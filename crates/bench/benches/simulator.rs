@@ -114,8 +114,8 @@ fn bench_measure(c: &mut Criterion) {
 
 /// The netsim hot paths the allocation-elimination work targets: the
 /// cached route lookup (an `Arc` bump, no Vec clone) and the full
-/// ping walk (packets built in reusable scratch buffers, TTL mutated
-/// in place, no event-queue churn).
+/// ping walk (an integer TTL and clock over the route's baked walk
+/// plan, no allocation).
 fn bench_netsim(c: &mut Criterion) {
     let mut g = c.benchmark_group("netsim");
     let mut world = World::build(7);

@@ -22,7 +22,7 @@
 
 use crate::campaign::{CampaignData, RecordTag, SpeedtestRecord, TraceRecord};
 use crate::cdn::{fetch_jquery, CdnOptions, CdnProvider};
-use crate::dns::resolve;
+use crate::dns::resolve_checked;
 use crate::endpoint::Endpoint;
 use crate::speedtest::ookla_speedtest;
 use crate::targets::{Service, ServiceTargets};
@@ -341,7 +341,7 @@ impl MeasurementEndpoint {
                 }
             }
             Instrumentation::DnsCheck => {
-                match resolve(net, &ep, targets, "test.nextdns.io", &label) {
+                match resolve_checked(net, &ep, targets, "test.nextdns.io", &label).ok() {
                     Some(r) => data.dns.push(crate::campaign::DnsRecord {
                         tag,
                         lookup_ms: r.lookup_ms,

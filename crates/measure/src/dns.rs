@@ -10,8 +10,11 @@
 //!   recent Android defaults it on and the authors "forgot" to disable it —
 //!   pay the **DoH** TLS setup on top.
 //!
-//! The query itself round-trips a real RFC 1035 message through the wire
-//! codec, so malformed-response bugs would surface here.
+//! Both entry points run one lookup core (pick the resolver, measure its
+//! RTT, draw the lookup tail). [`resolve_checked`] then round-trips the
+//! query and its answer as real RFC 1035 messages through the wire codec,
+//! so malformed-response bugs would surface here; [`resolve_timing`], the
+//! population-scale path, stops at the timing.
 
 use crate::endpoint::Endpoint;
 use crate::error::{MeasureError, MeasureStatus};
@@ -47,10 +50,10 @@ pub struct DnsResult {
 
 /// The precomputed resolver selection for one endpoint: which resolver(s)
 /// its queries can land on, with the anycast pair already ordered by
-/// distance. Everything in [`select_resolver`] except the per-lookup
-/// anycast coin is a pure function of the topology and the endpoint's DNS
-/// mode, so population-scale callers build one plan per endpoint and skip
-/// the per-lookup clone-and-sort of the whole Google site list.
+/// distance. Everything but the per-lookup anycast coin is a pure function
+/// of the topology and the endpoint's DNS mode, so population-scale callers
+/// build one plan per endpoint and skip the per-lookup clone-and-sort of
+/// the whole Google site list.
 #[derive(Debug, Clone, Copy)]
 pub struct ResolverPlan {
     choice: ResolverChoice,
@@ -89,7 +92,13 @@ impl ResolverPlan {
     }
 
     /// The resolver one lookup lands on, drawing the anycast coin from the
-    /// flow's stream exactly as [`select_resolver`] does.
+    /// flow's stream.
+    ///
+    /// Anycast instability: with probability ~0.25 the query lands on the
+    /// *second*-nearest Google site instead of the nearest — reproducing
+    /// the paper's Dallas-PGW eSIM flipping between Fort Worth (20 km) and
+    /// Tulsa (380 km), and the overall "74% of queries in the same country
+    /// as the PGW".
     #[must_use]
     pub fn pick(&self, rng: &mut SmallRng) -> Option<NodeId> {
         match self.choice {
@@ -102,41 +111,13 @@ impl ResolverPlan {
     }
 }
 
-/// Pick the resolver an endpoint's queries land on.
-///
-/// Anycast instability: with probability ~0.25 the query lands on the
-/// *second*-nearest Google site instead of the nearest — reproducing the
-/// paper's Dallas-PGW eSIM flipping between Fort Worth (20 km) and Tulsa
-/// (380 km), and the overall "74% of queries in the same country as the
-/// PGW".
-pub fn select_resolver(
-    net: &Network,
-    endpoint: &Endpoint,
-    targets: &ServiceTargets,
-    rng: &mut SmallRng,
-) -> Option<NodeId> {
-    ResolverPlan::new(net, endpoint, targets).pick(rng)
-}
-
 /// Resolve `qname` from the endpoint as the flow named by `label`,
-/// returning timing and resolver identity. `None` when no resolver is
-/// reachable.
-pub fn resolve(
-    net: &mut Network,
-    endpoint: &Endpoint,
-    targets: &ServiceTargets,
-    qname: &str,
-    label: &str,
-) -> Option<DnsResult> {
-    resolve_checked(net, endpoint, targets, qname, label).ok()
-}
-
-/// [`resolve`] with typed failure semantics: a scenario without a
-/// resolver is [`MeasureError::NoTarget`]; a blackholed or unreachable
-/// resolver surfaces the probe's error.
+/// returning timing, resolver identity and the answer records.
 ///
 /// # Errors
-/// Propagates [`crate::endpoint::Probe::rtt_checked`] failures.
+/// [`MeasureError::NoTarget`] when the scenario has no resolver for the
+/// endpoint's DNS mode; otherwise a blackholed or unreachable resolver
+/// surfaces the [`crate::endpoint::Probe::rtt_checked`] failure.
 pub fn resolve_checked(
     net: &mut Network,
     endpoint: &Endpoint,
@@ -144,65 +125,43 @@ pub fn resolve_checked(
     qname: &str,
     label: &str,
 ) -> Result<DnsResult, MeasureError> {
-    let mut probe = endpoint.probe(net, label);
-    let resolver = {
-        let (net_ref, flow) = probe.parts();
-        select_resolver(net_ref, endpoint, targets, flow.rng()).ok_or(MeasureError::NoTarget)?
-    };
-    let sample = probe.rtt_checked(resolver)?;
-    let rtt = sample.rtt_ms;
-
-    let doh = matches!(endpoint.att.dns, DnsMode::GooglePublic { doh: true });
-    let (query_id, answer_ip, lookup_ms) = draw_lookup_tail(probe.rng(), rtt, doh);
+    let plan = ResolverPlan::new(net, endpoint, targets);
+    let l = lookup(net, endpoint, &plan, label)?;
 
     // Encode the query and the response through the real codec.
-    let query = DnsMessage::query(query_id, qname);
-    let wire = query.encode();
-    let parsed = DnsMessage::decode(&wire).expect("self-encoded query");
-    let response = DnsMessage::response(&parsed, vec![answer_ip]);
+    let query = DnsMessage::query(l.query_id, qname);
+    let parsed = DnsMessage::decode(&query.encode()).expect("self-encoded query");
+    let response = DnsMessage::response(&parsed, vec![l.answer_ip]);
     let decoded = DnsMessage::decode(&response.encode()).expect("self-encoded response");
 
-    // Only two fields of the node are needed — copy them instead of
-    // cloning the whole node (its name is a heap String) per lookup.
-    let (resolver_ip, resolver_city) = {
-        let (net_ref, _) = probe.parts();
-        let n = net_ref.node(resolver);
-        (n.ip, n.city)
-    };
+    let node = net.node(l.resolver);
     Ok(DnsResult {
-        lookup_ms,
-        attempts: sample.attempts,
-        resolver,
-        resolver_ip,
-        resolver_city,
-        doh,
+        lookup_ms: l.timing.lookup_ms,
+        attempts: l.timing.attempts,
+        resolver: l.resolver,
+        resolver_ip: node.ip,
+        resolver_city: node.city,
+        doh: l.doh,
         answers: decoded.answers,
-        status: sample.status(),
+        status: l.timing.status,
     })
 }
 
-/// The draws every lookup makes after its resolver RTT, in order: query
-/// id, two answer octets, server think time, DoH setup coin. Shared by
-/// the full and lean paths so their flow streams cannot drift.
-#[inline]
-fn draw_lookup_tail(rng: &mut SmallRng, rtt: f64, doh: bool) -> (u16, Ipv4Addr, f64) {
-    let query_id: u16 = rng.gen();
-    let answer_ip = Ipv4Addr::new(93, 184, rng.gen(), rng.gen::<u8>().max(1));
-    // Server-side resolution work (cache fill, upstream fetch) 2–9 ms.
-    let server_ms = 2.0 + rng.gen::<f64>() * 7.0;
-    // DoH: TCP + TLS1.3 handshake (2 RTTs) before the query can go out —
-    // but Android keeps the DoH connection warm, so only a fraction of
-    // lookups pay the full setup; warm queries pay record-layer overhead.
-    let doh_ms = if doh {
-        if rng.gen_bool(0.4) {
-            2.0 * rtt + 4.0
-        } else {
-            4.0
-        }
-    } else {
-        0.0
-    };
-    (query_id, answer_ip, rtt + server_ms + doh_ms)
+/// The population-scale resolve path: a precomputed [`ResolverPlan`] and
+/// only the timing observables. It runs the same lookup as
+/// [`resolve_checked`] with the same label — same flow, same draws, so the
+/// same `lookup_ms` bit for bit — and skips the resolver-identity copy and
+/// the wire-codec round trip nobody reads at this scale.
+///
+/// # Errors
+/// Exactly [`resolve_checked`]'s.
+pub fn resolve_timing(
+    net: &mut Network,
+    endpoint: &Endpoint,
+    plan: &ResolverPlan,
+    label: &str,
+) -> Result<DnsTiming, MeasureError> {
+    lookup(net, endpoint, plan, label).map(|l| l.timing)
 }
 
 /// What the lean resolve path reports: the timing observables and nothing
@@ -217,55 +176,54 @@ pub struct DnsTiming {
     pub status: MeasureStatus,
 }
 
-/// The population-scale resolve path: a precomputed [`ResolverPlan`], a
-/// `format_args!` label, and no wire-codec round trip (the query/response
-/// encoding is pure ceremony when nobody reads the answer records — the
-/// lean path draws the *same* query-id and answer octets so the flow's
-/// RNG stream, and therefore `lookup_ms`, is bit-identical to
-/// [`resolve_checked`] with the same label).
-///
-/// # Errors
-/// Exactly [`resolve_checked`]'s: `NoTarget` without a resolver,
-/// otherwise the probe's failure.
-pub fn resolve_timing_args(
-    net: &mut Network,
-    endpoint: &Endpoint,
-    plan: &ResolverPlan,
-    label: std::fmt::Arguments<'_>,
-) -> Result<DnsTiming, MeasureError> {
-    let probe = endpoint.probe_args(net, label);
-    resolve_timing_probe(probe, endpoint, plan)
+/// One lookup's outcome before any presentation.
+struct Lookup {
+    resolver: NodeId,
+    doh: bool,
+    query_id: u16,
+    answer_ip: Ipv4Addr,
+    timing: DnsTiming,
 }
 
-/// [`resolve_timing_args`] with a plain `&str` label — for callers that
-/// already hold the label bytes (hashing them skips the `fmt` machinery
-/// entirely).
-///
-/// # Errors
-/// Exactly [`resolve_checked`]'s.
-pub fn resolve_timing(
+/// The one lookup core every resolve runs: open the flow, pick the
+/// resolver, measure its RTT, then draw the lookup tail.
+fn lookup(
     net: &mut Network,
     endpoint: &Endpoint,
     plan: &ResolverPlan,
     label: &str,
-) -> Result<DnsTiming, MeasureError> {
-    let probe = endpoint.probe(net, label);
-    resolve_timing_probe(probe, endpoint, plan)
-}
-
-fn resolve_timing_probe(
-    mut probe: crate::endpoint::Probe<'_>,
-    endpoint: &Endpoint,
-    plan: &ResolverPlan,
-) -> Result<DnsTiming, MeasureError> {
+) -> Result<Lookup, MeasureError> {
+    let mut probe = endpoint.probe(net, label);
     let resolver = plan.pick(probe.rng()).ok_or(MeasureError::NoTarget)?;
     let sample = probe.rtt_checked(resolver)?;
     let doh = matches!(endpoint.att.dns, DnsMode::GooglePublic { doh: true });
-    let (_, _, lookup_ms) = draw_lookup_tail(probe.rng(), sample.rtt_ms, doh);
-    Ok(DnsTiming {
-        lookup_ms,
-        attempts: sample.attempts,
-        status: sample.status(),
+    let rng = probe.rng();
+    let query_id: u16 = rng.gen();
+    let answer_ip = Ipv4Addr::new(93, 184, rng.gen(), rng.gen::<u8>().max(1));
+    // Server-side resolution work (cache fill, upstream fetch) 2–9 ms.
+    let server_ms = 2.0 + rng.gen::<f64>() * 7.0;
+    // DoH: TCP + TLS1.3 handshake (2 RTTs) before the query can go out —
+    // but Android keeps the DoH connection warm, so only a fraction of
+    // lookups pay the full setup; warm queries pay record-layer overhead.
+    let doh_ms = if doh {
+        if rng.gen_bool(0.4) {
+            2.0 * sample.rtt_ms + 4.0
+        } else {
+            4.0
+        }
+    } else {
+        0.0
+    };
+    Ok(Lookup {
+        resolver,
+        doh,
+        query_id,
+        answer_ip,
+        timing: DnsTiming {
+            lookup_ms: sample.rtt_ms + server_ms + doh_ms,
+            attempts: sample.attempts,
+            status: sample.status(),
+        },
     })
 }
 
@@ -380,7 +338,8 @@ mod tests {
         let mut ams = 0;
         let mut sgp = 0;
         for i in 0..200 {
-            let r = resolve(&mut net, &ep, &targets, "google.com", &format!("d/{i}")).unwrap();
+            let r =
+                resolve_checked(&mut net, &ep, &targets, "google.com", &format!("d/{i}")).unwrap();
             match r.resolver_city {
                 City::Amsterdam => ams += 1,
                 City::Singapore => sgp += 1,
@@ -394,7 +353,7 @@ mod tests {
     #[test]
     fn operator_mode_uses_bmno_resolver() {
         let (mut net, ep, targets) = world(DnsMode::OperatorResolver);
-        let r = resolve(&mut net, &ep, &targets, "google.com", "d/0").unwrap();
+        let r = resolve_checked(&mut net, &ep, &targets, "google.com", "d/0").unwrap();
         assert_eq!(r.resolver_ip, "165.21.83.88".parse::<Ipv4Addr>().unwrap());
         assert!(!r.doh, "operator resolvers do not speak DoH");
         assert_eq!(r.attempts, 1, "lossless resolver path needs one echo");
@@ -406,14 +365,16 @@ mod tests {
         let mut doh_times = vec![];
         let mut plain_times = vec![];
         for i in 0..50 {
-            let r = resolve(&mut net, &ep_doh, &targets, "x.com", &format!("doh/{i}")).unwrap();
+            let r =
+                resolve_checked(&mut net, &ep_doh, &targets, "x.com", &format!("doh/{i}")).unwrap();
             if r.resolver_city == City::Amsterdam {
                 doh_times.push(r.lookup_ms);
             }
         }
         let (mut net2, ep_plain, targets2) = world(DnsMode::GooglePublic { doh: false });
         for i in 0..50 {
-            let r = resolve(&mut net2, &ep_plain, &targets2, "x.com", &format!("p/{i}")).unwrap();
+            let r = resolve_checked(&mut net2, &ep_plain, &targets2, "x.com", &format!("p/{i}"))
+                .unwrap();
             if r.resolver_city == City::Amsterdam {
                 plain_times.push(r.lookup_ms);
             }
@@ -432,15 +393,18 @@ mod tests {
     #[test]
     fn answers_survive_the_wire_codec() {
         let (mut net, ep, targets) = world(DnsMode::GooglePublic { doh: false });
-        let r = resolve(&mut net, &ep, &targets, "cdn.example.org", "d/0").unwrap();
+        let r = resolve_checked(&mut net, &ep, &targets, "cdn.example.org", "d/0").unwrap();
         assert_eq!(r.answers.len(), 1);
     }
 
     #[test]
-    fn missing_resolver_returns_none() {
+    fn missing_resolver_is_no_target() {
         let (mut net, ep, _) = world(DnsMode::OperatorResolver);
         let empty = ServiceTargets::new();
-        assert!(resolve(&mut net, &ep, &empty, "x.com", "d/0").is_none());
+        assert!(matches!(
+            resolve_checked(&mut net, &ep, &empty, "x.com", "d/0"),
+            Err(MeasureError::NoTarget)
+        ));
     }
 
     #[test]
@@ -461,8 +425,7 @@ mod tests {
                     &format!("eq/{i}"),
                 )
                 .unwrap();
-                let lean =
-                    resolve_timing_args(&mut net, &ep, &plan, format_args!("eq/{i}")).unwrap();
+                let lean = resolve_timing(&mut net, &ep, &plan, &format!("eq/{i}")).unwrap();
                 assert_eq!(
                     full.lookup_ms.to_bits(),
                     lean.lookup_ms.to_bits(),
@@ -482,7 +445,7 @@ mod tests {
         let empty = ServiceTargets::new();
         let plan = ResolverPlan::new(&net, &ep, &empty);
         assert!(matches!(
-            resolve_timing_args(&mut net, &ep, &plan, format_args!("d/0")),
+            resolve_timing(&mut net, &ep, &plan, "d/0"),
             Err(MeasureError::NoTarget)
         ));
     }

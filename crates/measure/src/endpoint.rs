@@ -7,12 +7,11 @@ use rand::Rng;
 use roam_cellular::{phy_rate_mbps, ChannelSampler, Cqi, Rat, SimType};
 use roam_geo::Country;
 use roam_ipx::Attachment;
-use roam_netsim::engine::{flow_seed, flow_seed_args, Flow, FlowId, Transport, TransportKind};
+use roam_netsim::engine::{flow_seed, Flow, FlowId, Transport, TransportKind};
 use roam_netsim::{
-    Network, NodeId, PingResult, ProbeError, RttSample, Traceroute, TracerouteOpts, TransferSpec,
+    Network, NodeId, PingResult, ProbeError, Traceroute, TracerouteOpts, TransferSpec,
 };
 use roam_telemetry::{Counter, Event, EventScope, Hist, Sink};
-use std::fmt;
 
 /// Everything a measurement client needs to know about the device it runs
 /// on: the attachment (node handles, breakout, DNS mode) and the resolved
@@ -66,39 +65,14 @@ impl Endpoint {
     /// attachment's flow stamp it determines the flow's entire RNG stream,
     /// so the probe's results do not depend on what ran before it.
     pub fn probe<'n>(&self, net: &'n mut Network, label: &str) -> Probe<'n> {
-        // Hash the label bytes directly — no `fmt` machinery on this path.
-        let seed = flow_seed(self.att.flow_stamp, label);
-        self.probe_seeded(net, seed, || label.to_string())
-    }
-
-    /// [`Endpoint::probe`] taking the label as [`fmt::Arguments`]
-    /// (`format_args!(…)`). The flow seed hashes the formatted bytes
-    /// directly, so `probe_args(net, format_args!("a/{i}"))` opens the
-    /// *same* flow as `probe(net, &format!("a/{i}"))` without the
-    /// per-probe `String` — the hot-loop variant for population-scale
-    /// callers.
-    pub fn probe_args<'n>(&self, net: &'n mut Network, label: fmt::Arguments<'_>) -> Probe<'n> {
-        let seed = flow_seed_args(self.att.flow_stamp, label);
-        self.probe_seeded(net, seed, || label.to_string())
-    }
-
-    fn probe_seeded<'n>(
-        &self,
-        net: &'n mut Network,
-        seed: u64,
-        label: impl FnOnce() -> String,
-    ) -> Probe<'n> {
         net.telemetry_mut().add(Counter::FlowsOpened, 1);
         // The event label is only materialised when the run keeps an event
         // stream — the disabled path must not allocate.
-        let ev_label = if net.telemetry().wants_events() {
-            Some(label())
-        } else {
-            None
-        };
+        let ev_label = net.telemetry().wants_events().then(|| label.to_string());
         Probe {
             ue: self.att.ue,
-            flow: Flow::open(seed),
+            // Hash the label bytes directly — no `fmt` machinery on this path.
+            flow: Flow::open(flow_seed(self.att.flow_stamp, label)),
             transport: TransportKind::current().transport(),
             ev_label,
             net,
@@ -132,7 +106,7 @@ impl ProbeRtt {
 /// Base backoff delay after a fully-lost probe, ms.
 const BACKOFF_BASE_MS: f64 = 200.0;
 /// Extra retry rounds a probe gets when the fault plane is active. Each
-/// round is itself a 3-echo [`Network::rtt_probe`]-style exchange.
+/// round is itself a 3-echo [`Network::rtt_probe_checked`] exchange.
 const BACKOFF_ROUNDS: u32 = 2;
 /// A probe (including its backoff waits) never runs longer than this.
 const PROBE_DEADLINE_MS: f64 = 2_000.0;
@@ -157,21 +131,14 @@ impl Probe<'_> {
         self.flow.id()
     }
 
-    /// RTT to `dst` with retries, reporting the echo attempts consumed.
+    /// RTT to `dst` with retries and typed failures, reporting the echo
+    /// attempts consumed. With the fault plane active, lost rounds retry
+    /// with deterministic exponential backoff.
     ///
     /// Successful samples land in the [`Hist::ProbeRttMs`] histogram and —
     /// in `jsonl` mode — as a flow-scoped `rtt` event. RTTs are walked
     /// packet-by-packet, independent of the transport backend, so they are
     /// safe observables for the byte-stable telemetry plane.
-    pub fn rtt(&mut self, dst: NodeId) -> Option<RttSample> {
-        self.rtt_checked(dst).ok().map(|p| RttSample {
-            rtt_ms: p.rtt_ms,
-            attempts: p.attempts,
-        })
-    }
-
-    /// [`Probe::rtt`] with typed failure semantics and — when the fault
-    /// plane is active — deterministic retry with exponential backoff.
     ///
     /// An unroutable or silent destination fails immediately as
     /// [`MeasureError::Unreachable`]; a fully-lost exchange earns up to
@@ -241,7 +208,10 @@ impl Probe<'_> {
 
     /// A single echo exchange with `dst`.
     pub fn ping(&mut self, dst: NodeId) -> Option<PingResult> {
-        let r = self.net.ping_flow(self.ue, dst, &mut self.flow);
+        let r = self
+            .net
+            .ping_flow_checked(self.ue, dst, &mut self.flow)
+            .ok();
         if let Some(p) = &r {
             self.net.telemetry_mut().observe(Hist::ProbeRttMs, p.rtt_ms);
         }
@@ -286,13 +256,6 @@ impl Probe<'_> {
     /// time, cache luck, channel quality).
     pub fn rng(&mut self) -> &mut SmallRng {
         self.flow.rng()
-    }
-
-    /// Split borrow: the network and the flow at once, for clients that
-    /// need both (e.g. resolver selection reads topology while drawing
-    /// from the flow's stream).
-    pub fn parts(&mut self) -> (&mut Network, &mut Flow) {
-        (&mut *self.net, &mut self.flow)
     }
 }
 

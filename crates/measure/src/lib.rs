@@ -45,10 +45,7 @@ pub use campaign::{
     TraceRecord, VideoRecord, WebRecord,
 };
 pub use cdn::{fetch_jquery, fetch_jquery_checked, CdnProvider, CdnResult};
-pub use dns::{
-    resolve, resolve_checked, resolve_timing, resolve_timing_args, select_resolver, DnsResult,
-    DnsTiming, ResolverPlan,
-};
+pub use dns::{resolve_checked, resolve_timing, DnsResult, DnsTiming, ResolverPlan};
 pub use endpoint::{Endpoint, Probe, ProbeRtt};
 pub use error::{MeasureError, MeasureStatus};
 pub use export::{

@@ -34,7 +34,6 @@ use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
-use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Derive a flow's RNG seed from the master seed and its stable key.
@@ -50,28 +49,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub fn flow_seed(master: u64, key: &str) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_absorb(&mut h, key.as_bytes());
-    fnv_absorb(&mut h, &master.to_le_bytes());
-    splitmix(h)
-}
-
-/// [`flow_seed`] over a *formatted* key without materialising the string:
-/// `flow_seed_args(m, format_args!("fleet/u{uid}"))` hashes the formatted
-/// bytes as they are produced and returns exactly
-/// `flow_seed(m, &format!("fleet/u{uid}"))`. The hot loops (one seed per
-/// user, per session, per fault entity) derive millions of seeds; this
-/// keeps them allocation-free.
-#[must_use]
-pub fn flow_seed_args(master: u64, key: fmt::Arguments<'_>) -> u64 {
-    struct Fnv(u64);
-    impl fmt::Write for Fnv {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            fnv_absorb(&mut self.0, s.as_bytes());
-            Ok(())
-        }
-    }
-    let mut w = Fnv(FNV_OFFSET);
-    fmt::Write::write_fmt(&mut w, key).expect("hashing formatter cannot fail");
-    let mut h = w.0;
     fnv_absorb(&mut h, &master.to_le_bytes());
     splitmix(h)
 }
@@ -367,20 +344,6 @@ mod tests {
         assert_ne!(flow_seed(7, "flow/a"), flow_seed(8, "flow/a"));
         // SplitMix finalisation spreads adjacent masters.
         assert!(flow_seed(1, "x").abs_diff(flow_seed(2, "x")) > 1 << 32);
-    }
-
-    #[test]
-    fn flow_seed_args_matches_the_string_derivation() {
-        for (master, uid, li) in [(7u64, 0u64, 0usize), (123, 42, 3), (u64::MAX, 999_999, 1)] {
-            assert_eq!(
-                flow_seed_args(master, format_args!("fleet/u{uid}/l{li}/s0")),
-                flow_seed(master, &format!("fleet/u{uid}/l{li}/s0")),
-            );
-        }
-        assert_eq!(
-            flow_seed_args(9, format_args!("flow/a")),
-            flow_seed(9, "flow/a")
-        );
     }
 
     #[test]

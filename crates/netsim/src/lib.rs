@@ -7,10 +7,13 @@
 //!   (great-circle distance × fiber speed × a circuitousness factor per link
 //!   class), per-hop processing delay, bounded jitter, and loss injection;
 //! * real **wire formats** (IPv4 with checksums, UDP, ICMP echo /
-//!   time-exceeded, GTP-U, DNS) encoded and decoded through [`bytes`] — the
-//!   TTL walk in [`net::Network::traceroute`] mutates actual IPv4 headers;
-//! * an **event queue** (binary heap keyed by [`time::SimTime`] with
-//!   monotonic sequence tie-breaking) driving hop-by-hop packet delivery;
+//!   time-exceeded, GTP-U, DNS) encoded and decoded through [`bytes`];
+//! * a **hop-by-hop packet walk** ([`net::Network::traceroute`],
+//!   [`net::Network::ping`]) that decrements each probe's TTL at every
+//!   router and answers expiry with a time-exceeded retracing the path;
+//! * an **event queue** (a timing wheel keyed by [`time::SimTime`] with
+//!   monotonic sequence tie-breaking, or its binary-heap fallback) behind
+//!   the stepped transport and the agent's scheduler;
 //! * an **IP registry** mapping prefixes to ASN / organisation / geolocation,
 //!   playing the role ipinfo and WHOIS play in the paper's methodology;
 //! * **CG-NAT** semantics: private hops inside a PGW provider's core answer

@@ -1,23 +1,22 @@
 //! The network graph and its packet-walking engine.
 //!
 //! A [`Network`] is a set of nodes (hosts, routers, CG-NATs, service-provider
-//! edges, DNS servers) joined by [`Link`]s. Probes are real encoded packets:
-//! the traceroute engine builds an IPv4+ICMP echo, and every router on the
-//! way decrements the TTL *in the encoded bytes* (recomputing the checksum),
-//! exactly as `mtr` would experience it. When the TTL expires the router
-//! answers with an ICMP time-exceeded quoting the offending header, and the
-//! probe's RTT is the event-queue timestamp difference — jitter, loss and
-//! unresponsive hops included.
+//! edges, DNS servers) joined by [`Link`]s. A probe is walked hop by hop:
+//! every router on the way decrements the packet's TTL, exactly as `mtr`
+//! would experience it. When the TTL expires the router answers with an
+//! ICMP time-exceeded that retraces the path, and the probe's RTT is the
+//! walk clock's arrival time back at the source — jitter, loss, fault
+//! outages and unresponsive hops included. One walk kernel serves pings and
+//! traceroutes alike; it is generic over a telemetry observer, so the
+//! telemetry-off walk books nothing and the recording walk books every
+//! packet event. The on-wire formats live in [`crate::wire`].
 
 use crate::engine::Flow;
-use crate::event::EventQueue;
 use crate::faults::{FaultPlane, FaultSpec, NodeFaultState};
 use crate::ip::is_private;
 use crate::link::{LatencyModel, Link, LinkClass};
 use crate::registry::IpRegistry;
 use crate::time::SimTime;
-use crate::wire::{IcmpMessage, IpProto, Ipv4Header};
-use bytes::{BufMut, Bytes, BytesMut};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use roam_geo::City;
@@ -289,7 +288,7 @@ impl WalkPlan {
 
     /// Sample one traversal of hop `i` — exactly [`LatencyModel::sample`]'s
     /// draw sequence (jitter first, then the spike gate) over the baked
-    /// arrays, so fast and slow walks consume identical RNG streams.
+    /// arrays, so a walk consumes exactly the stream the link model would.
     /// `inline(always)`: this runs per hop, and the call frame alone is
     /// measurable at population scale (the `#[inline]` hint was not taken).
     #[inline(always)]
@@ -393,20 +392,10 @@ pub struct Network {
     rng: SmallRng,
     master_seed: u64,
     route_cache: HashMap<(u32, u32), Option<RoutePath>, BuildRouteKeyHasher>,
-    icmp_ident: u16,
     /// The telemetry plane: counters, histograms, events and the packet
     /// story all accumulate here. Disabled by default (one branch per
-    /// call site, no allocation).
+    /// walk leg, no allocation).
     telemetry: Recorder,
-    /// Persistent calendar driving packet walks: reset (allocation kept)
-    /// at the start of each walk, so hop scheduling never reallocates.
-    walk_queue: EventQueue<usize>,
-    /// Reusable packet buffer: probes are encoded here and mutated in
-    /// place while walking, so the hot loops never allocate.
-    pkt_buf: BytesMut,
-    /// Reusable scratch for ICMP bodies (encoded before the IP header,
-    /// whose `total_len` needs the body length).
-    icmp_buf: BytesMut,
     /// The fault-injection plane: keyed-seed calendars of link flaps,
     /// gateway outages, DNS blackholes and CG-NAT rebinds, plus the
     /// failover detours the session layer registers. Disabled (one bool
@@ -505,11 +494,7 @@ impl Network {
             rng: SmallRng::seed_from_u64(seed),
             master_seed: seed,
             route_cache: HashMap::default(),
-            icmp_ident: 1,
             telemetry: Recorder::off(),
-            walk_queue: EventQueue::new(),
-            pkt_buf: BytesMut::with_capacity(128),
-            icmp_buf: BytesMut::with_capacity(64),
             faults: FaultPlane::new(FaultSpec::current()),
         }
     }
@@ -617,12 +602,6 @@ impl Network {
     /// shard hand-off point). The recorder's mode and packet story stay.
     pub fn take_telemetry(&mut self) -> TelemetrySnapshot {
         self.telemetry.take()
-    }
-
-    fn record(&mut self, at: SimTime, node: NodeId, kind: PacketEventKind) {
-        self.telemetry.add(kind.counter(), 1);
-        let (code, arg) = kind.code();
-        self.telemetry.packet(at.as_nanos(), node.0, code, arg);
     }
 
     /// Add a node. The name is interned in a lookup table, so scenario
@@ -835,7 +814,8 @@ impl Network {
     /// or the probe (or its reply) is lost.
     ///
     /// Draws loss/jitter from the network's shared RNG — results depend on
-    /// call order. Measurement clients use [`Network::ping_flow`] instead.
+    /// call order. Measurement clients use [`Network::ping_flow_checked`]
+    /// instead.
     pub fn ping(&mut self, src: NodeId, dst: NodeId) -> Option<PingResult> {
         // An ICMP-silent destination never answers echo, matching the
         // traceroute engine's handling of silent hops.
@@ -843,23 +823,15 @@ impl Network {
             return None;
         }
         let path = self.route(src, dst)?;
-        let ident = self.next_ident();
-        let mut pkt = std::mem::take(&mut self.pkt_buf);
         let mut rng = self.rng.clone();
-        let result = self.ping_with(&path, ident, &mut pkt, &mut rng);
+        let result = self.ping_with(&path, &mut rng);
         self.rng = rng;
-        self.pkt_buf = pkt;
         result
     }
 
-    /// [`Network::ping`] on a flow's private RNG stream: the result is a
-    /// function of the flow, not of whatever ran before it.
-    pub fn ping_flow(&mut self, src: NodeId, dst: NodeId, flow: &mut Flow) -> Option<PingResult> {
-        self.ping_flow_checked(src, dst, flow).ok()
-    }
-
-    /// [`Network::ping_flow`] with a typed failure cause instead of a
-    /// silent `None`.
+    /// [`Network::ping`] on a flow's private RNG stream — the result is a
+    /// function of the flow, not of whatever ran before it — with a typed
+    /// failure cause instead of a silent `None`.
     pub fn ping_flow_checked(
         &mut self,
         src: NodeId,
@@ -872,47 +844,23 @@ impl Network {
         let Some(path) = self.route(src, dst) else {
             return Err(ProbeError::NoRoute);
         };
-        let ident = self.next_ident();
-        let mut pkt = std::mem::take(&mut self.pkt_buf);
-        let result = self.ping_with(&path, ident, &mut pkt, flow.rng());
-        self.pkt_buf = pkt;
-        result.ok_or(ProbeError::Lost)
+        self.ping_with(&path, flow.rng()).ok_or(ProbeError::Lost)
     }
 
-    fn ping_with(
-        &mut self,
-        path: &RoutePath,
-        ident: u16,
-        pkt: &mut BytesMut,
-        rng: &mut SmallRng,
-    ) -> Option<PingResult> {
+    fn ping_with(&mut self, path: &RoutePath, rng: &mut SmallRng) -> Option<PingResult> {
         let last = path.len() - 1;
-        // Fast path: with telemetry inactive (no counters, no packet
-        // story) and the path far shorter than the echo TTL of 64 (so
-        // expiry is impossible), the encoded packet bytes are pure
-        // ceremony — the walk's only observable outputs are its RNG draws
-        // and the arrival clock. Walk the baked plan arrays
-        // arithmetically; the draw sequence is identical, so results are
-        // bit-for-bit those of the calendar walk below (pinned by the
-        // `fast_and_slow_ping_walks_agree_exactly` test).
-        if !self.telemetry.active() && last < 64 {
-            let t_fwd = self.walk_fast(path, last, WalkDir::Forward, SimTime::ZERO, rng)?;
-            let t_total = self.walk_fast(path, last, WalkDir::Reverse, t_fwd, rng)?;
-            return Some(PingResult {
-                rtt_ms: t_total.as_ms(),
-            });
-        }
-        let (src, dst) = (path[0], path[last]);
-        self.build_echo_into(pkt, src, dst, ident, 0, 64);
-        let (arrived, t_fwd, _expired_at) =
-            self.walk(path, last, WalkDir::Forward, pkt, SimTime::ZERO, rng)?;
-        if !arrived {
+        let WalkEnd::Delivered(t_fwd) =
+            self.leg(path, last, WalkDir::Forward, ECHO_TTL, SimTime::ZERO, rng)
+        else {
             return None;
-        }
-        // Reply retraces the path in reverse.
-        self.build_echo_into(pkt, dst, src, ident, 1, 64);
-        let (arrived, t_total, _) = self.walk(path, last, WalkDir::Reverse, pkt, t_fwd, rng)?;
-        arrived.then_some(PingResult {
+        };
+        // The reply retraces the path in reverse.
+        let WalkEnd::Delivered(t_total) =
+            self.leg(path, last, WalkDir::Reverse, ECHO_TTL, t_fwd, rng)
+        else {
+            return None;
+        };
+        Some(PingResult {
             rtt_ms: t_total.as_ms(),
         })
     }
@@ -928,11 +876,9 @@ impl Network {
                 reached: false,
             };
         };
-        let mut pkt = std::mem::take(&mut self.pkt_buf);
         let mut rng = self.rng.clone();
-        let result = self.traceroute_with(&path, opts, &mut pkt, &mut rng);
+        let result = self.traceroute_with(&path, opts, &mut rng);
         self.rng = rng;
-        self.pkt_buf = pkt;
         result
     }
 
@@ -950,21 +896,16 @@ impl Network {
                 reached: false,
             };
         };
-        let mut pkt = std::mem::take(&mut self.pkt_buf);
-        let result = self.traceroute_with(&path, opts, &mut pkt, flow.rng());
-        self.pkt_buf = pkt;
-        result
+        self.traceroute_with(&path, opts, flow.rng())
     }
 
     fn traceroute_with(
         &mut self,
         path: &RoutePath,
         opts: TracerouteOpts,
-        pkt: &mut BytesMut,
         rng: &mut SmallRng,
     ) -> Traceroute {
         let last = path.len() - 1;
-        let (src, dst) = (path[0], path[last]);
         let mut hops = Vec::new();
         let mut reached = false;
         // TTL 1 expires at the first node *after* the source.
@@ -976,24 +917,15 @@ impl Network {
                 rtts: vec![],
             };
             let mut hit_dst = false;
-            for probe in 0..opts.probes_per_hop {
-                let ident = self.next_ident();
-                self.build_echo_into(pkt, src, dst, ident, probe as u16, ttl);
-                let Some((arrived, t_fwd, expired_at)) =
-                    self.walk(path, last, WalkDir::Forward, pkt, SimTime::ZERO, rng)
-                else {
-                    continue; // probe lost on the way out
-                };
+            for _ in 0..opts.probes_per_hop {
                 // `pos` is the responder's index on the path: the walk
                 // reports where the TTL ran out, so no scan is needed.
-                let pos = if arrived {
-                    last
-                } else {
-                    match expired_at {
-                        Some(n) => n,
-                        None => continue,
-                    }
-                };
+                let (arrived, pos, t_fwd) =
+                    match self.leg(path, last, WalkDir::Forward, ttl, SimTime::ZERO, rng) {
+                        WalkEnd::Delivered(t) => (true, last, t),
+                        WalkEnd::Expired { pos, at } => (false, pos, at),
+                        WalkEnd::Lost => continue, // probe lost on the way out
+                    };
                 let responder = path[pos];
                 let (r_ip, r_responds) = {
                     let n = self.node(responder);
@@ -1004,15 +936,11 @@ impl Network {
                 }
                 // The ICMP answer (echo reply or time exceeded) retraces the
                 // path from the responder back to the source.
-                self.build_answer_into(pkt, responder, src, arrived);
-                let Some((back_ok, t_total, _)) =
-                    self.walk(path, pos, WalkDir::Reverse, pkt, t_fwd, rng)
+                let WalkEnd::Delivered(t_total) =
+                    self.leg(path, pos, WalkDir::Reverse, ECHO_TTL, t_fwd, rng)
                 else {
                     continue; // reply lost
                 };
-                if !back_ok {
-                    continue;
-                }
                 hop.node = Some(responder);
                 hop.ip = Some(r_ip);
                 hop.rtts.push(t_total.as_ms());
@@ -1036,8 +964,8 @@ impl Network {
 
     /// Round-trip time measured by a single ping with retries (up to 3).
     /// Shared-RNG variant retained for scenario tooling; measurement
-    /// clients use [`Network::rtt_probe`], which also reports how many
-    /// probes the retries burned.
+    /// clients use [`Network::rtt_probe_checked`], which also reports how
+    /// many probes the retries burned.
     pub fn rtt_ms(&mut self, src: NodeId, dst: NodeId) -> Option<f64> {
         for attempt in 1..=3u32 {
             if let Some(r) = self.ping(src, dst) {
@@ -1056,15 +984,10 @@ impl Network {
 
     /// RTT with retries (up to 3) on a flow's private stream, reporting the
     /// attempt count so probe loss surfaces in campaign datasets instead of
-    /// being silently swallowed.
-    pub fn rtt_probe(&mut self, src: NodeId, dst: NodeId, flow: &mut Flow) -> Option<RttSample> {
-        self.rtt_probe_checked(src, dst, flow).ok()
-    }
-
-    /// [`Network::rtt_probe`] with a typed failure cause. Permanent
-    /// conditions (no route, ICMP-silent destination) return immediately
-    /// — retrying cannot help — but book the same probe cost as a full
-    /// retry burn, matching the untyped path's counter arithmetic.
+    /// being silently swallowed. Permanent conditions (no route,
+    /// ICMP-silent destination) return immediately — retrying cannot help
+    /// — but book the same probe cost as a full retry burn, matching
+    /// [`Network::rtt_ms`]'s counter arithmetic.
     pub fn rtt_probe_checked(
         &mut self,
         src: NodeId,
@@ -1099,108 +1022,48 @@ impl Network {
 
     // -- internals ---------------------------------------------------------
 
-    fn next_ident(&mut self) -> u16 {
-        self.icmp_ident = self.icmp_ident.wrapping_add(1);
-        self.icmp_ident
-    }
-
-    /// Encode an IPv4+ICMP echo request into `pkt` (replacing its
-    /// contents). Uses the persistent ICMP scratch buffer, so steady-state
-    /// probe construction performs no allocation.
-    fn build_echo_into(
-        &mut self,
-        pkt: &mut BytesMut,
-        src: NodeId,
-        dst: NodeId,
-        ident: u16,
-        seq: u16,
-        ttl: u8,
-    ) {
-        let mut icmp = std::mem::take(&mut self.icmp_buf);
-        icmp.clear();
-        IcmpMessage::EchoRequest {
-            ident,
-            seq,
-            payload: Bytes::from_static(&[0u8; 32]),
-        }
-        .encode_into(&mut icmp);
-        let hdr = Ipv4Header {
-            dscp_ecn: 0,
-            total_len: (Ipv4Header::LEN + icmp.len()) as u16,
-            ident,
-            ttl,
-            proto: IpProto::Icmp,
-            src: self.node(src).ip,
-            dst: self.node(dst).ip,
-        };
-        pkt.clear();
-        hdr.encode(pkt);
-        pkt.put_slice(&icmp);
-        self.icmp_buf = icmp;
-    }
-
-    /// Encode the ICMP answer a responder sends (echo reply when the probe
-    /// was delivered, time-exceeded when its TTL ran out) into `pkt`.
-    fn build_answer_into(
-        &mut self,
-        pkt: &mut BytesMut,
-        from: NodeId,
-        to: NodeId,
-        was_delivered: bool,
-    ) {
-        let mut icmp = std::mem::take(&mut self.icmp_buf);
-        icmp.clear();
-        if was_delivered {
-            IcmpMessage::EchoReply {
-                ident: 0,
-                seq: 0,
-                payload: Bytes::new(),
-            }
-            .encode_into(&mut icmp);
-        } else {
-            IcmpMessage::TimeExceeded {
-                original: Bytes::new(),
-            }
-            .encode_into(&mut icmp);
-        }
-        let hdr = Ipv4Header {
-            dscp_ecn: 0,
-            total_len: (Ipv4Header::LEN + icmp.len()) as u16,
-            ident: 0,
-            ttl: 64,
-            proto: IpProto::Icmp,
-            src: self.node(from).ip,
-            dst: self.node(to).ip,
-        };
-        pkt.clear();
-        hdr.encode(pkt);
-        pkt.put_slice(&icmp);
-        self.icmp_buf = icmp;
-    }
-
-    /// Walk the encoded packet in `bytes` along `route`, starting at
-    /// `start` time, drawing loss/jitter from `rng`.
-    ///
-    /// `Forward` visits `nodes[0..=upto]` in order; `Reverse` visits
-    /// `nodes[upto..=0]` (how ICMP answers retrace the path) — neither
-    /// direction materializes a path copy. Each intermediate node
-    /// decrements the TTL in the encoded bytes in place. Hop arrivals go
-    /// through the persistent event calendar: each traversed link
-    /// schedules the arrival at the next node, and popping the heap
-    /// advances the clock — the discrete-event core that future work
-    /// extends with competing in-flight packets. Returns `None` when a
-    /// link drops the packet; otherwise `(delivered_to_last_node,
-    /// arrival_time, path_index_where_ttl_expired)`.
-    fn walk(
+    /// Walk one leg, booking it in the telemetry plane only when the
+    /// recorder is active (counters on, or a packet story being captured).
+    fn leg(
         &mut self,
         route: &RoutePath,
         upto: usize,
         dir: WalkDir,
-        bytes: &mut [u8],
+        ttl: u8,
         start: SimTime,
         rng: &mut SmallRng,
-    ) -> Option<(bool, SimTime, Option<usize>)> {
+    ) -> WalkEnd {
+        if self.telemetry.active() {
+            self.walk::<Recording>(route, upto, dir, ttl, start, rng)
+        } else {
+            self.walk::<Quiet>(route, upto, dir, ttl, start, rng)
+        }
+    }
+
+    /// Walk a packet with initial TTL `ttl` along `route`, starting at
+    /// `start`, drawing loss/jitter from `rng`.
+    ///
+    /// `Forward` visits `nodes[0..=upto]` in order; `Reverse` visits
+    /// `nodes[upto..=0]` (how ICMP answers retrace the path) — neither
+    /// direction materializes a path copy. Every node after the first
+    /// decrements the TTL before forwarding; the hop loop is index
+    /// arithmetic over the route's baked [`WalkPlan`], with one arrival in
+    /// flight at a time. Per walk the RNG draws are: the fault-calendar
+    /// phase (only with the fault plane on), then per traversed link the
+    /// loss coin (only when the link can lose) and the latency sample.
+    /// `O` decides what the telemetry plane hears; it never touches the
+    /// draws or the clock, so results are identical whatever observes.
+    fn walk<O: WalkObserver>(
+        &mut self,
+        route: &RoutePath,
+        upto: usize,
+        dir: WalkDir,
+        mut ttl: u8,
+        start: SimTime,
+        rng: &mut SmallRng,
+    ) -> WalkEnd {
         let entry = &*route.entry;
+        let plan = &entry.plan;
         let faults_on = self.faults.enabled();
         // One phase draw per walk from the caller's own stream: different
         // flows (and retries) land on different regions of the cyclic
@@ -1213,17 +1076,8 @@ impl Network {
             0
         };
         let master = self.master_seed;
-        // `replace` (not `take`): a Default queue would consult
-        // `ROAM_CALENDAR` — an env read per walk. The hollow stand-in is
-        // an unallocated wheel that is never scheduled on.
-        let mut q = std::mem::replace(
-            &mut self.walk_queue,
-            EventQueue::with_kind(crate::event::CalendarKind::Wheel),
-        );
-        q.rewind();
-        q.schedule(start, 0usize); // the packet leaves the first node
-        let mut outcome: Option<Option<(bool, SimTime, Option<usize>)>> = None;
-        while let Some((now, step)) = q.pop() {
+        let mut now = start;
+        for step in 0..=upto {
             let phys = match dir {
                 WalkDir::Forward => step,
                 WalkDir::Reverse => upto - step,
@@ -1235,9 +1089,9 @@ impl Network {
             // registered failover detours instead, paying extra delay on
             // its outgoing hop.
             let mut detour = SimTime::ZERO;
-            if faults_on && step != 0 {
+            if faults_on && step != 0 && plan.fault_kind[phys] != FaultClass::Plain {
                 let at = SimTime::from_nanos(phase.wrapping_add(now.as_nanos()));
-                let state = match entry.plan.fault_kind[phys] {
+                let state = match plan.fault_kind[phys] {
                     FaultClass::CgNat => self.faults.cgnat_state(master, here.0, at),
                     FaultClass::Dns => {
                         if self.faults.dns_dark(master, here.0, at) {
@@ -1252,127 +1106,35 @@ impl Network {
                     NodeFaultState::Up => {}
                     NodeFaultState::Failover(d) => {
                         detour = d;
-                        self.telemetry.add(Counter::FaultFailovers, 1);
+                        O::count(&mut self.telemetry, Counter::FaultFailovers);
                     }
                     NodeFaultState::Dark => {
-                        self.telemetry.add(Counter::FaultDrops, 1);
-                        self.record(now, here, PacketEventKind::Dropped);
-                        outcome = Some(None); // the fault ate the packet
-                        break;
+                        O::count(&mut self.telemetry, Counter::FaultDrops);
+                        O::packet(&mut self.telemetry, now, here, PacketEventKind::Dropped);
+                        return WalkEnd::Lost; // the fault ate the packet
                     }
                 }
             }
             if step == upto {
-                self.record(now, here, PacketEventKind::Delivered);
-                outcome = Some(Some((true, now, None)));
-                break;
+                O::packet(&mut self.telemetry, now, here, PacketEventKind::Delivered);
+                return WalkEnd::Delivered(now);
             }
             // Intermediate forwarding: routers (not the source host itself)
             // decrement the TTL before sending the packet onward.
             if step == 0 {
-                self.record(now, here, PacketEventKind::Sent);
+                O::packet(&mut self.telemetry, now, here, PacketEventKind::Sent);
             } else {
-                match Ipv4Header::decrement_ttl(bytes) {
-                    Ok(0) => {
-                        self.record(now, here, PacketEventKind::TtlExpired);
-                        outcome = Some(Some((false, now, Some(phys))));
-                        break;
-                    }
-                    Ok(ttl) => self.record(now, here, PacketEventKind::Forwarded { ttl }),
-                    Err(_) => {
-                        outcome = Some(Some((false, now, Some(phys))));
-                        break;
-                    }
+                ttl -= 1;
+                if ttl == 0 {
+                    O::packet(&mut self.telemetry, now, here, PacketEventKind::TtlExpired);
+                    return WalkEnd::Expired { pos: phys, at: now };
                 }
-            }
-            let hop = match dir {
-                WalkDir::Forward => step,
-                WalkDir::Reverse => upto - 1 - step,
-            };
-            let mut loss = entry.plan.loss[hop];
-            if faults_on {
-                // A flapping link in its Gilbert–Elliott bad window loses
-                // in bursts: the burst rate replaces the base rate.
-                let at = SimTime::from_nanos(phase.wrapping_add(now.as_nanos()));
-                let li = entry.hop_links[hop];
-                if let Some(burst) = self.faults.link_burst_loss(master, li, at) {
-                    loss = loss.max(burst);
-                }
-            }
-            if loss > 0.0 && rng.gen_bool(loss) {
-                self.record(now, here, PacketEventKind::Dropped);
-                outcome = Some(None); // dropped on this link
-                break;
-            }
-            let delay = SimTime::from_ms(entry.plan.sample_ms(hop, rng)) + detour;
-            q.schedule_after(delay, step + 1);
-            if self.telemetry.active() {
-                self.telemetry.add(Counter::CalendarEvents, 1);
-                self.telemetry.observe(Hist::CalendarDepth, q.len() as f64);
-            }
-        }
-        let result = outcome.unwrap_or(Some((false, q.now(), None)));
-        self.walk_queue = q;
-        result
-    }
-
-    /// The allocation- and packet-free walk: identical RNG draws, fault
-    /// consults and clock arithmetic to [`Network::walk`], minus the
-    /// encoded packet, the event calendar and the telemetry hooks. Valid
-    /// only when telemetry is inactive (there is nothing to record — every
-    /// `record`/`add` in the calendar walk is a no-op) and `upto < 64`
-    /// (the echo TTL cannot expire, so the in-byte decrement is
-    /// unobservable). Returns the arrival time at the far end of the leg,
-    /// or `None` when a lossy link or a dark node ate the packet — the
-    /// fault plane's own drop/failover tallies still advance, because they
-    /// live in [`FaultPlane`], not in telemetry.
-    fn walk_fast(
-        &mut self,
-        route: &RoutePath,
-        upto: usize,
-        dir: WalkDir,
-        start: SimTime,
-        rng: &mut SmallRng,
-    ) -> Option<SimTime> {
-        let entry = &*route.entry;
-        let plan = &entry.plan;
-        let faults_on = self.faults.enabled();
-        // Same per-walk phase draw as the calendar walk.
-        let phase = if faults_on {
-            rng.gen_range(0..self.faults.spec().period_ns())
-        } else {
-            0
-        };
-        let master = self.master_seed;
-        let mut now = start;
-        for step in 0..=upto {
-            let phys = match dir {
-                WalkDir::Forward => step,
-                WalkDir::Reverse => upto - step,
-            };
-            let mut detour = SimTime::ZERO;
-            if faults_on && step != 0 && plan.fault_kind[phys] != FaultClass::Plain {
-                let at = SimTime::from_nanos(phase.wrapping_add(now.as_nanos()));
-                let node = entry.nodes[phys].0;
-                let state = match plan.fault_kind[phys] {
-                    FaultClass::CgNat => self.faults.cgnat_state(master, node, at),
-                    FaultClass::Dns => {
-                        if self.faults.dns_dark(master, node, at) {
-                            NodeFaultState::Dark
-                        } else {
-                            NodeFaultState::Up
-                        }
-                    }
-                    FaultClass::Plain => NodeFaultState::Up,
-                };
-                match state {
-                    NodeFaultState::Up => {}
-                    NodeFaultState::Failover(d) => detour = d,
-                    NodeFaultState::Dark => return None,
-                }
-            }
-            if step == upto {
-                return Some(now);
+                O::packet(
+                    &mut self.telemetry,
+                    now,
+                    here,
+                    PacketEventKind::Forwarded { ttl },
+                );
             }
             let hop = match dir {
                 WalkDir::Forward => step,
@@ -1380,6 +1142,8 @@ impl Network {
             };
             let mut loss = plan.loss[hop];
             if faults_on {
+                // A flapping link in its Gilbert–Elliott bad window loses
+                // in bursts: the burst rate replaces the base rate.
                 let at = SimTime::from_nanos(phase.wrapping_add(now.as_nanos()));
                 if let Some(burst) = self
                     .faults
@@ -1389,11 +1153,74 @@ impl Network {
                 }
             }
             if loss > 0.0 && rng.gen_bool(loss) {
-                return None;
+                O::packet(&mut self.telemetry, now, here, PacketEventKind::Dropped);
+                return WalkEnd::Lost; // dropped on this link
             }
             now = now.after(SimTime::from_ms(plan.sample_ms(hop, rng)) + detour);
+            O::hop_scheduled(&mut self.telemetry);
         }
         unreachable!("the loop returns at step == upto")
+    }
+}
+
+/// The TTL every echo request and ICMP answer leaves its sender with.
+const ECHO_TTL: u8 = 64;
+
+/// How one walk leg ended.
+#[derive(Debug, Clone, Copy)]
+enum WalkEnd {
+    /// Delivered to the far end of the leg at this time.
+    Delivered(SimTime),
+    /// The TTL ran out at path index `pos` at time `at`.
+    Expired { pos: usize, at: SimTime },
+    /// A lossy link or a dark node ate the packet.
+    Lost,
+}
+
+/// What the telemetry plane hears from a walk. The kernel is generic over
+/// it, so the telemetry-off instantiation compiles every hook away.
+trait WalkObserver {
+    /// A packet event at `node`: bumps its counter and extends the packet
+    /// story.
+    fn packet(rec: &mut Recorder, at: SimTime, node: NodeId, kind: PacketEventKind);
+    /// A fault-plane tally ([`Counter::FaultDrops`] or
+    /// [`Counter::FaultFailovers`]).
+    fn count(rec: &mut Recorder, counter: Counter);
+    /// The next hop's arrival is in flight — one event on the walk's
+    /// calendar, which never holds more than that one.
+    fn hop_scheduled(rec: &mut Recorder);
+}
+
+/// The observer for an inactive recorder: every hook is a no-op.
+struct Quiet;
+
+impl WalkObserver for Quiet {
+    #[inline(always)]
+    fn packet(_: &mut Recorder, _: SimTime, _: NodeId, _: PacketEventKind) {}
+    #[inline(always)]
+    fn count(_: &mut Recorder, _: Counter) {}
+    #[inline(always)]
+    fn hop_scheduled(_: &mut Recorder) {}
+}
+
+/// The observer for an active recorder: books packet events, their
+/// counters and the `calendar_events`/`calendar_depth` entries.
+struct Recording;
+
+impl WalkObserver for Recording {
+    fn packet(rec: &mut Recorder, at: SimTime, node: NodeId, kind: PacketEventKind) {
+        rec.add(kind.counter(), 1);
+        let (code, arg) = kind.code();
+        rec.packet(at.as_nanos(), node.0, code, arg);
+    }
+
+    fn count(rec: &mut Recorder, counter: Counter) {
+        rec.add(counter, 1);
+    }
+
+    fn hop_scheduled(rec: &mut Recorder) {
+        rec.add(Counter::CalendarEvents, 1);
+        rec.observe(Hist::CalendarDepth, 1.0);
     }
 }
 
@@ -1408,7 +1235,11 @@ mod tests {
     /// A small chain: host(private) - router(private) - cgnat(public) -
     /// router(public) - spedge(public), with geography spanning Europe.
     fn chain() -> (Network, NodeId, NodeId, NodeId) {
-        let mut net = Network::new(99);
+        chain_seeded(99)
+    }
+
+    fn chain_seeded(seed: u64) -> (Network, NodeId, NodeId, NodeId) {
+        let mut net = Network::new(seed);
         let ue = net.add_node("ue", NodeKind::Host, City::Berlin, ip("10.55.0.2"));
         let r1 = net.add_node("core-r1", NodeKind::Router, City::Berlin, ip("10.55.0.1"));
         let nat = net.add_node("cgnat", NodeKind::CgNat, City::Amsterdam, ip("131.188.1.1"));
@@ -1669,7 +1500,6 @@ mod tests {
 
     #[test]
     fn telemetry_counts_packets_and_probes() {
-        use roam_telemetry::TelemetryMode;
         let (mut net, ue, sp, _) = chain();
         net.set_telemetry_mode(TelemetryMode::Summary);
         assert!(net.ping(ue, sp).is_some());
@@ -1678,6 +1508,14 @@ mod tests {
         assert_eq!(snap.counters[Counter::PacketsSent as usize], 4);
         assert_eq!(snap.counters[Counter::PacketsDelivered as usize], 4);
         assert!(snap.counters[Counter::CalendarEvents as usize] > 0);
+        // Walks keep exactly one arrival in flight: one depth-1 entry per
+        // scheduled hop.
+        let depth = &snap.hists[Hist::CalendarDepth as usize];
+        assert_eq!(
+            depth.count(),
+            snap.counters[Counter::CalendarEvents as usize]
+        );
+        assert_eq!(depth.sum(), depth.count() as f64);
         assert!(snap.counters[Counter::EchoAttempts as usize] >= 1);
         assert_eq!(snap.counters[Counter::ProbesLost as usize], 0);
         // Taking resets the tallies but keeps recording.
@@ -1711,24 +1549,27 @@ mod tests {
         let (mut net, ue, sp, _) = chain();
         net.set_link_loss(0, 0.2);
         let open = |key: &str| Flow::open(flow_seed(99, key));
-        let first = net.ping_flow(ue, sp, &mut open("p/a"));
+        let first = net.ping_flow_checked(ue, sp, &mut open("p/a"));
         // Perturb the shared stream and run unrelated flows in between:
         // the repeat of flow "p/a" must not notice.
         let _ = net.ping(ue, sp);
-        let _ = net.ping_flow(ue, sp, &mut open("p/b"));
-        let _ = net.rtt_probe(ue, sp, &mut open("p/c"));
-        let again = net.ping_flow(ue, sp, &mut open("p/a"));
+        let _ = net.ping_flow_checked(ue, sp, &mut open("p/b"));
+        let _ = net.rtt_probe_checked(ue, sp, &mut open("p/c"));
+        let again = net.ping_flow_checked(ue, sp, &mut open("p/a"));
         assert_eq!(first, again);
-        let s1 = net.rtt_probe(ue, sp, &mut open("p/c"));
-        let s2 = net.rtt_probe(ue, sp, &mut open("p/c"));
+        let s1 = net.rtt_probe_checked(ue, sp, &mut open("p/c"));
+        let s2 = net.rtt_probe_checked(ue, sp, &mut open("p/c"));
         assert_eq!(s1, s2);
     }
 
     /// A chain with every stochastic feature armed (jitter, spikes, loss)
-    /// — the workload where a draw-order divergence between the fast and
-    /// calendar walks would show immediately.
+    /// — the workload where an observer that perturbed the draw order
+    /// would show immediately.
     fn spiky_chain() -> (Network, NodeId, NodeId) {
-        let (mut net, ue, sp, _) = chain();
+        // Master 0 gives the CG-NAT an outage calendar once outages are
+        // on, so a registered failover gets taken.
+        let (mut net, ue, sp, nat) = chain_seeded(0);
+        net.set_failover(nat, SimTime::from_ms(30.0));
         net.set_link_loss(0, 0.15);
         let li = net.link_with(
             ue,
@@ -1743,68 +1584,183 @@ mod tests {
         (net, ue, sp)
     }
 
-    #[test]
-    fn fast_and_slow_ping_walks_agree_exactly() {
-        use crate::engine::{flow_seed, Flow};
-        use roam_telemetry::TelemetryMode;
-        // Same flows, same network build: telemetry off takes the
-        // arithmetic fast path, Summary mode takes the calendar walk. The
-        // draw sequences must be identical, so every outcome (including
-        // which probes are lost) matches bit for bit.
-        let run = |mode: Option<TelemetryMode>| {
-            let (mut net, ue, sp) = spiky_chain();
-            if let Some(m) = mode {
-                net.set_telemetry_mode(m);
+    /// Who watches a walk: nobody, the counters, or the packet story.
+    #[derive(Debug, Clone, Copy)]
+    enum Watch {
+        Off,
+        Summary,
+        Tracing,
+    }
+
+    impl Watch {
+        const ALL: [Watch; 3] = [Watch::Off, Watch::Summary, Watch::Tracing];
+
+        fn arm(self, net: &mut Network) {
+            match self {
+                Watch::Off => {}
+                Watch::Summary => net.set_telemetry_mode(TelemetryMode::Summary),
+                Watch::Tracing => net.enable_tracing(),
             }
-            (0..200u32)
-                .map(|i| {
-                    let mut flow = Flow::open(flow_seed(7, &format!("eq/{i}")));
-                    net.ping_flow(ue, sp, &mut flow).map(|r| r.rtt_ms.to_bits())
-                })
-                .collect::<Vec<_>>()
-        };
-        let fast = run(None);
-        let slow = run(Some(TelemetryMode::Summary));
-        assert_eq!(fast, slow);
-        assert!(fast.iter().any(Option::is_some));
-        assert!(fast.iter().any(Option::is_none), "loss must fire at 15%");
+        }
+    }
+
+    /// A traceroute as exact bits: `(ttl, responder, rtt bits)` per hop.
+    type TraceBits = (Vec<(u8, Option<NodeId>, Vec<u64>)>, bool);
+
+    fn trace_bits(tr: &Traceroute) -> TraceBits {
+        let hops = tr
+            .hops
+            .iter()
+            .map(|h| (h.ttl, h.node, h.rtts.iter().map(|r| r.to_bits()).collect()))
+            .collect();
+        (hops, tr.reached)
     }
 
     #[test]
-    fn walk_reuse_never_reallocates_the_calendar() {
-        use roam_telemetry::TelemetryMode;
-        let (mut net, ue, sp, _) = chain();
-        // Telemetry on forces the calendar walk (the allocation-prone
-        // path) and books calendar depth per scheduled hop.
-        net.set_telemetry_mode(TelemetryMode::Summary);
-        // Warm-up: jittered arrival times land in different wheel slots,
-        // and each slot's bucket is allocated lazily on first touch, so
-        // capacity climbs until the walk's reachable slot set is covered.
-        for _ in 0..400 {
-            assert!(net.ping(ue, sp).is_some());
-        }
-        let cap = net.walk_queue.capacity();
-        assert!(cap > 0, "warm walk must have reserved slots");
-        // Steady state: reuse must be allocation-free, walk after walk.
-        for _ in 0..100 {
-            assert!(net.ping(ue, sp).is_some());
-            assert!(net.rtt_ms(ue, sp).is_some());
-            assert_eq!(
-                net.walk_queue.capacity(),
-                cap,
-                "a walk grew the calendar: per-walk allocation"
+    fn walk_results_do_not_depend_on_the_observer() {
+        use crate::engine::{flow_seed, Flow};
+        // Heavy faults as shipped, and the same spec with every entity on
+        // the path fault-prone, so drops and failovers are sure to fire.
+        let saturated = FaultSpec {
+            link_flap_rate: 1.0,
+            gateway_outage_rate: 1.0,
+            cgnat_rebind_rate: 1.0,
+            ..FaultSpec::heavy()
+        };
+        for (faults, must_fire) in [
+            (FaultSpec::off(), false),
+            (FaultSpec::heavy(), false),
+            (saturated, true),
+        ] {
+            let runs: Vec<_> = Watch::ALL
+                .iter()
+                .map(|&watch| {
+                    let (mut net, ue, sp) = spiky_chain();
+                    net.set_faults(faults);
+                    watch.arm(&mut net);
+                    let results: Vec<_> = (0..200u32)
+                        .map(|i| {
+                            let mut flow = Flow::open(flow_seed(7, &format!("eq/{i}")));
+                            let ping = net
+                                .ping_flow_checked(ue, sp, &mut flow)
+                                .map(|r| r.rtt_ms.to_bits());
+                            let tr =
+                                net.traceroute_flow(ue, sp, TracerouteOpts::default(), &mut flow);
+                            (ping, trace_bits(&tr))
+                        })
+                        .collect();
+                    let snap = net.take_telemetry();
+                    let booked = snap.counters[Counter::PacketsSent as usize];
+                    let story = net.take_trace().len();
+                    match watch {
+                        Watch::Off => assert_eq!((booked, story), (0, 0), "{watch:?}"),
+                        Watch::Summary => {
+                            assert!(booked > 0 && story == 0, "{watch:?}");
+                            // The fault hooks book exactly the plane's tallies.
+                            assert_eq!(
+                                snap.counters[Counter::FaultDrops as usize],
+                                net.fault_drops()
+                            );
+                            assert_eq!(
+                                snap.counters[Counter::FaultFailovers as usize],
+                                net.fault_failovers()
+                            );
+                        }
+                        Watch::Tracing => assert!(story > 0, "{watch:?}"),
+                    }
+                    if must_fire {
+                        assert!(net.fault_drops() > 0 && net.fault_failovers() > 0);
+                    }
+                    results
+                })
+                .collect();
+            assert_eq!(runs[0], runs[1], "Off vs Summary under {faults:?}");
+            assert_eq!(runs[0], runs[2], "Off vs tracing under {faults:?}");
+            assert!(runs[0].iter().any(|(p, _)| p.is_ok()));
+            assert!(
+                runs[0].iter().any(|(p, _)| *p == Err(ProbeError::Lost)),
+                "loss must fire at 15%"
             );
         }
-        // The calendar-depth histogram confirms walks ran through the
-        // event core one in-flight hop at a time: depth stays at 1.
-        let snap = net.take_telemetry();
-        let depth = &snap.hists[Hist::CalendarDepth as usize];
-        assert!(depth.count() > 0, "calendar depth must be booked");
-        assert_eq!(
-            depth.sum(),
-            depth.count() as f64,
-            "walks keep exactly one scheduled arrival in flight"
-        );
+    }
+
+    /// `hops` lossless, jitter-free 1 ms links in a row, host to SP edge.
+    fn long_chain(hops: u8) -> (Network, RoutePath) {
+        let mut net = Network::new(11);
+        let src = net.add_node("n0", NodeKind::Host, City::Berlin, ip("10.0.0.1"));
+        let mut prev = src;
+        for i in 1..=hops {
+            let kind = if i == hops {
+                NodeKind::SpEdge
+            } else {
+                NodeKind::Router
+            };
+            let node = net.add_node(
+                &format!("n{i}"),
+                kind,
+                City::Berlin,
+                Ipv4Addr::new(80, 0, 0, i),
+            );
+            net.link_with(
+                prev,
+                node,
+                LinkClass::Metro,
+                LatencyModel::fixed(1.0, 0.0),
+                0.0,
+            );
+            prev = node;
+        }
+        let path = net.route(src, prev).unwrap();
+        (net, path)
+    }
+
+    #[test]
+    fn echo_ttl_expires_on_a_seventy_hop_chain() {
+        use crate::engine::{flow_seed, Flow};
+        let opts = TracerouteOpts {
+            max_ttl: 80,
+            probes_per_hop: 1,
+        };
+        let runs: Vec<_> = Watch::ALL
+            .iter()
+            .map(|&watch| {
+                let (mut net, path) = long_chain(70);
+                let (src, dst) = (path[0], path[70]);
+                watch.arm(&mut net);
+                let mut flow = Flow::open(flow_seed(1, "long/0"));
+                // The echo leaves with TTL 64: the 64th node after the
+                // source decrements it to zero and the probe dies there.
+                let ping = net.ping_flow_checked(src, dst, &mut flow);
+                assert_eq!(ping, Err(ProbeError::Lost), "{watch:?}");
+                if let Watch::Tracing = watch {
+                    let story = net.take_trace();
+                    let expired: Vec<_> = story
+                        .iter()
+                        .filter(|e| e.kind == PacketEventKind::TtlExpired)
+                        .collect();
+                    assert_eq!(expired.len(), 1);
+                    assert_eq!(expired[0].node, path[64]);
+                    assert_eq!(expired[0].at, SimTime::from_ms(64.0));
+                }
+                let tr = net.traceroute_flow(src, dst, opts, &mut flow);
+                // TTLs up to 64 are answered in 2·ttl ms; beyond that the
+                // answer's own TTL of 64 runs out on the way back, so the
+                // far hops — the destination included — stay dark.
+                for h in &tr.hops {
+                    if h.ttl <= 64 {
+                        assert_eq!(h.node, Some(path[usize::from(h.ttl)]));
+                        assert_eq!(h.rtts, vec![2.0 * f64::from(h.ttl)]);
+                    } else {
+                        assert!(!h.responded(), "ttl {} answered", h.ttl);
+                    }
+                }
+                assert!(!tr.reached);
+                assert_eq!(tr.hops.len(), 73, "mtr stops two TTLs past the path");
+                (ping, trace_bits(&tr))
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0], runs[2]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use roam_netsim::engine::{flow_seed, flow_seed_args};
+use roam_netsim::engine::flow_seed;
 use roam_netsim::EventQueue;
 use roam_netsim::SimTime;
 
@@ -149,7 +149,7 @@ impl Scheduler {
         let seq = self.slots.len();
         self.slots.push(Slot {
             id: id.to_string(),
-            stream: flow_seed_args(self.master, format_args!("service/job/{id}")),
+            stream: flow_seed(self.master, &format!("service/job/{id}")),
             period,
             next,
             fires,
@@ -261,10 +261,7 @@ impl Scheduler {
     /// The raw seed behind [`Scheduler::fire_rng`].
     #[must_use]
     pub fn fire_seed(&self, fire: &Fire) -> u64 {
-        flow_seed_args(
-            self.slots[fire.job.0].stream,
-            format_args!("f{}", fire.index),
-        )
+        flow_seed(self.slots[fire.job.0].stream, &format!("f{}", fire.index))
     }
 
     /// The job's stream seed — `flow_seed(master, "service/job/<id>")`,

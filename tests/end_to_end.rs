@@ -6,8 +6,8 @@ use roamsim::core::TomographyReport;
 use roamsim::geo::{City, Country};
 use roamsim::ipx::RoamingArch;
 use roamsim::measure::{
-    fetch_jquery, mtr, ookla_speedtest, play_youtube, resolve, run_device_campaign, CdnProvider,
-    DeviceCampaignSpec, Service,
+    fetch_jquery, mtr, ookla_speedtest, play_youtube, resolve_checked, run_device_campaign,
+    CdnProvider, DeviceCampaignSpec, Service,
 };
 use roamsim::stats::median;
 use roamsim::world::World;
@@ -128,14 +128,14 @@ fn measurement_clients_work_on_every_archetype() {
             "{country} cdn"
         );
         assert!(
-            resolve(
+            resolve_checked(
                 &mut world.net,
                 &ep,
                 &world.internet.targets,
                 "example.org",
                 "e2e/dns"
             )
-            .is_some(),
+            .is_ok(),
             "{country} dns"
         );
         assert!(
@@ -150,7 +150,7 @@ fn dns_mode_follows_architecture() {
     let mut world = World::build(15);
     // HR: operator resolver in Singapore.
     let hr = world.attach_esim(Country::PAK);
-    let r = resolve(&mut world.net, &hr, &world.internet.targets, "x.org", "d/0")
+    let r = resolve_checked(&mut world.net, &hr, &world.internet.targets, "x.org", "d/0")
         .expect("resolver reachable");
     assert!(!r.doh);
     assert_eq!(
@@ -160,7 +160,7 @@ fn dns_mode_follows_architecture() {
     );
     // IHBO: Google DoH near the PGW.
     let ihbo = world.attach_esim(Country::GEO);
-    let r2 = resolve(
+    let r2 = resolve_checked(
         &mut world.net,
         &ihbo,
         &world.internet.targets,
