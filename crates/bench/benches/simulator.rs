@@ -301,16 +301,16 @@ fn bench_engine(c: &mut Criterion) {
 /// The event calendar under the schedule/pop mixes the simulator actually
 /// produces, on both backends (`wheel` is the default hierarchical timing
 /// wheel, `heap` the classic binary-heap reference). Each iteration
-/// `rewind()`s a long-lived queue — the walk-reuse pattern — so slot and
-/// heap capacity persist and the numbers are steady-state schedule+pop
-/// cost, not allocator churn. `bench_json.sh` reports the wheel/heap
+/// `rewind()`s a long-lived queue — how the engine transport reuses its
+/// per-thread transfer calendar — so slot and heap capacity persist and
+/// the numbers are steady-state schedule+pop cost, not allocator churn. `bench_json.sh` reports the wheel/heap
 /// ratio per mix.
 fn bench_event_core(c: &mut Criterion) {
     use roam_netsim::CalendarKind;
     let mut g = c.benchmark_group("event_core");
     for (kind, tag) in [(CalendarKind::Wheel, "wheel"), (CalendarKind::Heap, "heap")] {
         // Uniform: timers scattered over ~4 ms (Knuth-hashed so insertion
-        // order fights pop order) — the packet-walk steady state.
+        // order fights pop order).
         let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
         g.bench_function(&format!("uniform_4k_{tag}"), |b| {
             b.iter(|| {

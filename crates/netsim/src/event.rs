@@ -21,8 +21,8 @@
 //!
 //! Both backends [`rewind`](EventQueue::rewind) to an empty calendar at
 //! time zero without giving back their allocations, which is what lets one
-//! persistent queue drive packet walk after packet walk with no per-walk
-//! allocation.
+//! persistent queue time transfer after transfer (the engine transport)
+//! with no per-transfer allocation.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -426,8 +426,8 @@ impl<E> EventQueue<E> {
 
     /// Rewind to an empty calendar at time zero, keeping every allocation
     /// (heap buffer, wheel slots, overflow list). This is what lets a
-    /// persistent queue drive one packet walk after another without
-    /// reallocating per walk.
+    /// persistent queue time one transfer after another without
+    /// reallocating per transfer.
     pub fn rewind(&mut self) {
         match &mut self.backend {
             Backend::Heap(heap) => heap.clear(),
@@ -496,7 +496,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Total reserved event capacity across the backend's buffers — the
-    /// no-per-walk-allocation tests assert this is stable across reuse.
+    /// rewind-reuse tests assert this is stable across reuse.
     #[must_use]
     pub fn capacity(&self) -> usize {
         match &self.backend {

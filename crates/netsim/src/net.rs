@@ -7,9 +7,9 @@
 //! ICMP time-exceeded that retraces the path, and the probe's RTT is the
 //! walk clock's arrival time back at the source — jitter, loss, fault
 //! outages and unresponsive hops included. One walk kernel serves pings and
-//! traceroutes alike; it is generic over a telemetry observer, so the
-//! telemetry-off walk books nothing and the recording walk books every
-//! packet event. The on-wire formats live in [`crate::wire`].
+//! traceroutes alike and books every packet event with the telemetry
+//! recorder, which drops them unless it is on. The on-wire formats live
+//! in [`crate::wire`].
 
 use crate::engine::Flow;
 use crate::faults::{FaultPlane, FaultSpec, NodeFaultState};
@@ -850,13 +850,13 @@ impl Network {
     fn ping_with(&mut self, path: &RoutePath, rng: &mut SmallRng) -> Option<PingResult> {
         let last = path.len() - 1;
         let WalkEnd::Delivered(t_fwd) =
-            self.leg(path, last, WalkDir::Forward, ECHO_TTL, SimTime::ZERO, rng)
+            self.walk(path, last, WalkDir::Forward, ECHO_TTL, SimTime::ZERO, rng)
         else {
             return None;
         };
         // The reply retraces the path in reverse.
         let WalkEnd::Delivered(t_total) =
-            self.leg(path, last, WalkDir::Reverse, ECHO_TTL, t_fwd, rng)
+            self.walk(path, last, WalkDir::Reverse, ECHO_TTL, t_fwd, rng)
         else {
             return None;
         };
@@ -921,7 +921,7 @@ impl Network {
                 // `pos` is the responder's index on the path: the walk
                 // reports where the TTL ran out, so no scan is needed.
                 let (arrived, pos, t_fwd) =
-                    match self.leg(path, last, WalkDir::Forward, ttl, SimTime::ZERO, rng) {
+                    match self.walk(path, last, WalkDir::Forward, ttl, SimTime::ZERO, rng) {
                         WalkEnd::Delivered(t) => (true, last, t),
                         WalkEnd::Expired { pos, at } => (false, pos, at),
                         WalkEnd::Lost => continue, // probe lost on the way out
@@ -937,7 +937,7 @@ impl Network {
                 // The ICMP answer (echo reply or time exceeded) retraces the
                 // path from the responder back to the source.
                 let WalkEnd::Delivered(t_total) =
-                    self.leg(path, pos, WalkDir::Reverse, ECHO_TTL, t_fwd, rng)
+                    self.walk(path, pos, WalkDir::Reverse, ECHO_TTL, t_fwd, rng)
                 else {
                     continue; // reply lost
                 };
@@ -1022,24 +1022,6 @@ impl Network {
 
     // -- internals ---------------------------------------------------------
 
-    /// Walk one leg, booking it in the telemetry plane only when the
-    /// recorder is active (counters on, or a packet story being captured).
-    fn leg(
-        &mut self,
-        route: &RoutePath,
-        upto: usize,
-        dir: WalkDir,
-        ttl: u8,
-        start: SimTime,
-        rng: &mut SmallRng,
-    ) -> WalkEnd {
-        if self.telemetry.active() {
-            self.walk::<Recording>(route, upto, dir, ttl, start, rng)
-        } else {
-            self.walk::<Quiet>(route, upto, dir, ttl, start, rng)
-        }
-    }
-
     /// Walk a packet with initial TTL `ttl` along `route`, starting at
     /// `start`, drawing loss/jitter from `rng`.
     ///
@@ -1051,9 +1033,9 @@ impl Network {
     /// flight at a time. Per walk the RNG draws are: the fault-calendar
     /// phase (only with the fault plane on), then per traversed link the
     /// loss coin (only when the link can lose) and the latency sample.
-    /// `O` decides what the telemetry plane hears; it never touches the
-    /// draws or the clock, so results are identical whatever observes.
-    fn walk<O: WalkObserver>(
+    /// Telemetry bookings never touch the draws or the clock, so results
+    /// are identical whatever the recorder's mode.
+    fn walk(
         &mut self,
         route: &RoutePath,
         upto: usize,
@@ -1106,35 +1088,30 @@ impl Network {
                     NodeFaultState::Up => {}
                     NodeFaultState::Failover(d) => {
                         detour = d;
-                        O::count(&mut self.telemetry, Counter::FaultFailovers);
+                        self.telemetry.add(Counter::FaultFailovers, 1);
                     }
                     NodeFaultState::Dark => {
-                        O::count(&mut self.telemetry, Counter::FaultDrops);
-                        O::packet(&mut self.telemetry, now, here, PacketEventKind::Dropped);
+                        self.telemetry.add(Counter::FaultDrops, 1);
+                        self.book(now, here, PacketEventKind::Dropped);
                         return WalkEnd::Lost; // the fault ate the packet
                     }
                 }
             }
             if step == upto {
-                O::packet(&mut self.telemetry, now, here, PacketEventKind::Delivered);
+                self.book(now, here, PacketEventKind::Delivered);
                 return WalkEnd::Delivered(now);
             }
             // Intermediate forwarding: routers (not the source host itself)
             // decrement the TTL before sending the packet onward.
             if step == 0 {
-                O::packet(&mut self.telemetry, now, here, PacketEventKind::Sent);
+                self.book(now, here, PacketEventKind::Sent);
             } else {
                 ttl -= 1;
                 if ttl == 0 {
-                    O::packet(&mut self.telemetry, now, here, PacketEventKind::TtlExpired);
+                    self.book(now, here, PacketEventKind::TtlExpired);
                     return WalkEnd::Expired { pos: phys, at: now };
                 }
-                O::packet(
-                    &mut self.telemetry,
-                    now,
-                    here,
-                    PacketEventKind::Forwarded { ttl },
-                );
+                self.book(now, here, PacketEventKind::Forwarded { ttl });
             }
             let hop = match dir {
                 WalkDir::Forward => step,
@@ -1153,13 +1130,26 @@ impl Network {
                 }
             }
             if loss > 0.0 && rng.gen_bool(loss) {
-                O::packet(&mut self.telemetry, now, here, PacketEventKind::Dropped);
+                self.book(now, here, PacketEventKind::Dropped);
                 return WalkEnd::Lost; // dropped on this link
             }
             now = now.after(SimTime::from_ms(plan.sample_ms(hop, rng)) + detour);
-            O::hop_scheduled(&mut self.telemetry);
+            // The next hop's arrival is the one event in flight: book it
+            // as a depth-1 calendar entry.
+            if self.telemetry.active() {
+                self.telemetry.add(Counter::CalendarEvents, 1);
+                self.telemetry.observe(Hist::CalendarDepth, 1.0);
+            }
         }
         unreachable!("the loop returns at step == upto")
+    }
+
+    /// Book one packet event: its counter, and a line of the packet story
+    /// when tracing is on.
+    fn book(&mut self, at: SimTime, node: NodeId, kind: PacketEventKind) {
+        self.telemetry.add(kind.counter(), 1);
+        let (code, arg) = kind.code();
+        self.telemetry.packet(at.as_nanos(), node.0, code, arg);
     }
 }
 
@@ -1175,53 +1165,6 @@ enum WalkEnd {
     Expired { pos: usize, at: SimTime },
     /// A lossy link or a dark node ate the packet.
     Lost,
-}
-
-/// What the telemetry plane hears from a walk. The kernel is generic over
-/// it, so the telemetry-off instantiation compiles every hook away.
-trait WalkObserver {
-    /// A packet event at `node`: bumps its counter and extends the packet
-    /// story.
-    fn packet(rec: &mut Recorder, at: SimTime, node: NodeId, kind: PacketEventKind);
-    /// A fault-plane tally ([`Counter::FaultDrops`] or
-    /// [`Counter::FaultFailovers`]).
-    fn count(rec: &mut Recorder, counter: Counter);
-    /// The next hop's arrival is in flight — one event on the walk's
-    /// calendar, which never holds more than that one.
-    fn hop_scheduled(rec: &mut Recorder);
-}
-
-/// The observer for an inactive recorder: every hook is a no-op.
-struct Quiet;
-
-impl WalkObserver for Quiet {
-    #[inline(always)]
-    fn packet(_: &mut Recorder, _: SimTime, _: NodeId, _: PacketEventKind) {}
-    #[inline(always)]
-    fn count(_: &mut Recorder, _: Counter) {}
-    #[inline(always)]
-    fn hop_scheduled(_: &mut Recorder) {}
-}
-
-/// The observer for an active recorder: books packet events, their
-/// counters and the `calendar_events`/`calendar_depth` entries.
-struct Recording;
-
-impl WalkObserver for Recording {
-    fn packet(rec: &mut Recorder, at: SimTime, node: NodeId, kind: PacketEventKind) {
-        rec.add(kind.counter(), 1);
-        let (code, arg) = kind.code();
-        rec.packet(at.as_nanos(), node.0, code, arg);
-    }
-
-    fn count(rec: &mut Recorder, counter: Counter) {
-        rec.add(counter, 1);
-    }
-
-    fn hop_scheduled(rec: &mut Recorder) {
-        rec.add(Counter::CalendarEvents, 1);
-        rec.observe(Hist::CalendarDepth, 1.0);
-    }
 }
 
 #[cfg(test)]
@@ -1563,8 +1506,8 @@ mod tests {
     }
 
     /// A chain with every stochastic feature armed (jitter, spikes, loss)
-    /// — the workload where an observer that perturbed the draw order
-    /// would show immediately.
+    /// — the workload where telemetry that perturbed the draw order would
+    /// show immediately.
     fn spiky_chain() -> (Network, NodeId, NodeId) {
         // Master 0 gives the CG-NAT an outage calendar once outages are
         // on, so a registered failover gets taken.
@@ -1617,7 +1560,7 @@ mod tests {
     }
 
     #[test]
-    fn walk_results_do_not_depend_on_the_observer() {
+    fn walk_results_do_not_depend_on_the_telemetry_mode() {
         use crate::engine::{flow_seed, Flow};
         // Heavy faults as shipped, and the same spec with every entity on
         // the path fault-prone, so drops and failovers are sure to fire.

@@ -153,25 +153,25 @@ fn same_instant_bursts_pop_fifo() {
     }
 }
 
-/// Rewound queues keep their buffers: scheduling the same walk-sized load
-/// again allocates nothing new (the telemetry calendar-depth counter in
-/// `roam-netsim`'s network tests pins the same property end-to-end).
+/// Rewound queues keep their buffers: scheduling the same load again
+/// allocates nothing new, which is what lets the engine transport reuse
+/// one per-thread calendar across every transfer it times.
 #[test]
 fn rewind_reuse_holds_capacity_steady() {
     for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
         let mut q = EventQueue::with_kind(kind);
-        let walk = |q: &mut EventQueue<u32>| {
+        let run = |q: &mut EventQueue<u32>| {
             for hop in 0..24u64 {
                 q.schedule(SimTime::from_nanos(hop * 3_000_017), hop as u32);
             }
             while q.pop().is_some() {}
             q.rewind();
         };
-        walk(&mut q);
+        run(&mut q);
         let cap = q.capacity();
         for _ in 0..64 {
-            walk(&mut q);
-            assert_eq!(q.capacity(), cap, "{kind:?} reallocated across walks");
+            run(&mut q);
+            assert_eq!(q.capacity(), cap, "{kind:?} reallocated across runs");
         }
     }
 }
