@@ -13,7 +13,7 @@ use roam_econ::{median_per_gb_by_country, Crawler, Market, Vantage};
 use roam_geo::Country;
 use roam_measure::Service;
 use roam_netsim::engine::{flow_seed, ClosedFormTransport, EngineSteppedTransport, Transport};
-use roam_netsim::wire::{GtpuHeader, IcmpMessage, Ipv4Header};
+use roam_netsim::wire::GtpuHeader;
 use roam_netsim::{EventQueue, FaultSpec, SimTime, TracerouteOpts, TransferSpec};
 use roam_stats::test::LeveneCenter;
 use roam_stats::{levene_test, quantile, welch_t_test, Ecdf};
@@ -22,48 +22,6 @@ use std::hint::black_box;
 
 fn bench_wire(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
-    let hdr = Ipv4Header {
-        dscp_ecn: 0,
-        total_len: 84,
-        ident: 7,
-        ttl: 64,
-        proto: roam_netsim::wire::IpProto::Icmp,
-        src: "10.0.0.2".parse().expect("static"),
-        dst: "8.8.8.8".parse().expect("static"),
-    };
-    g.bench_function("ipv4_encode_decode", |b| {
-        b.iter(|| {
-            let mut buf = bytes::BytesMut::with_capacity(20);
-            hdr.encode(&mut buf);
-            black_box(Ipv4Header::decode(&buf).expect("self-encoded"))
-        })
-    });
-    let mut pkt = {
-        let mut buf = bytes::BytesMut::new();
-        hdr.encode(&mut buf);
-        buf.to_vec()
-    };
-    g.bench_function("ttl_decrement", |b| {
-        b.iter(|| {
-            pkt[8] = 64;
-            pkt[10] = 0;
-            pkt[11] = 0;
-            let cksum = roam_netsim::wire::internet_checksum(&pkt[..20]);
-            pkt[10..12].copy_from_slice(&cksum.to_be_bytes());
-            black_box(Ipv4Header::decrement_ttl(&mut pkt).expect("fresh ttl"))
-        })
-    });
-    let echo = IcmpMessage::EchoRequest {
-        ident: 1,
-        seq: 2,
-        payload: bytes::Bytes::from_static(&[0u8; 32]),
-    };
-    g.bench_function("icmp_roundtrip", |b| {
-        b.iter(|| {
-            let enc = echo.encode();
-            black_box(IcmpMessage::decode(&enc).expect("self-encoded"))
-        })
-    });
     g.bench_function("gtpu_encap_decap", |b| {
         b.iter(|| {
             let t = GtpuHeader::encapsulate(0xBEEF, b"payload-of-a-probe");
@@ -153,8 +111,8 @@ fn bench_netsim(c: &mut Criterion) {
 fn bench_faults(c: &mut Criterion) {
     let mut g = c.benchmark_group("faults");
     let ping_under = |g: &mut criterion::BenchmarkGroup<'_>, name: &str, spec: FaultSpec| {
-        let prev = FaultSpec::override_faults(Some(spec));
         let mut world = World::build(7);
+        world.net.set_faults(spec);
         let ep = world.attach_esim(Country::PAK);
         let google = world
             .internet
@@ -165,7 +123,6 @@ fn bench_faults(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| black_box(world.net.ping(ep.att.ue, google)))
         });
-        FaultSpec::override_faults(prev);
     };
     ping_under(&mut g, "ping_faults_off", FaultSpec::off());
     ping_under(&mut g, "ping_faults_heavy", FaultSpec::heavy());
@@ -268,7 +225,7 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             let mut q: EventQueue<u32> = EventQueue::new();
             for i in 0..1_000u32 {
-                // Knuth-hash the index so insertion order fights heap order.
+                // Knuth-hash the index so insertion order fights pop order.
                 q.schedule(
                     SimTime::from_nanos(u64::from(i.wrapping_mul(2_654_435_761))),
                     i,
@@ -298,70 +255,65 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// The event calendar under the schedule/pop mixes the simulator actually
-/// produces, on both backends (`wheel` is the default hierarchical timing
-/// wheel, `heap` the classic binary-heap reference). Each iteration
-/// `rewind()`s a long-lived queue — how the engine transport reuses its
-/// per-thread transfer calendar — so slot and heap capacity persist and
-/// the numbers are steady-state schedule+pop cost, not allocator churn. `bench_json.sh` reports the wheel/heap
-/// ratio per mix.
+/// The timing-wheel calendar under three schedule/pop mixes. Each
+/// iteration `rewind()`s a long-lived queue — how the engine transport
+/// reuses its per-thread transfer calendar — so slot capacity persists
+/// and the numbers are steady-state schedule+pop cost, not allocator
+/// churn.
 fn bench_event_core(c: &mut Criterion) {
-    use roam_netsim::CalendarKind;
     let mut g = c.benchmark_group("event_core");
-    for (kind, tag) in [(CalendarKind::Wheel, "wheel"), (CalendarKind::Heap, "heap")] {
-        // Uniform: timers scattered over ~4 ms (Knuth-hashed so insertion
-        // order fights pop order).
-        let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-        g.bench_function(&format!("uniform_4k_{tag}"), |b| {
-            b.iter(|| {
-                q.rewind();
-                for i in 0..4_000u32 {
-                    q.schedule(
-                        SimTime::from_nanos(u64::from(i.wrapping_mul(2_654_435_761))),
-                        i,
-                    );
-                }
-                let mut popped = 0u32;
-                while q.pop().is_some() {
-                    popped += 1;
-                }
-                black_box(popped)
-            })
-        });
-        // Bursty: 64 instants of 64 same-tick events each — the FIFO
-        // tie-break path (batched fleet sessions land like this).
-        let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-        g.bench_function(&format!("bursty_4k_{tag}"), |b| {
-            b.iter(|| {
-                q.rewind();
-                for i in 0..4_000u32 {
-                    q.schedule(SimTime::from_nanos(u64::from(i / 64) * 1_000_000), i);
-                }
-                let mut popped = 0u32;
-                while q.pop().is_some() {
-                    popped += 1;
-                }
-                black_box(popped)
-            })
-        });
-        // Long-tail: exponentially spread timers from 1 ns out to ~9 min,
-        // forcing events through the wheel's upper levels (cascades).
-        let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-        g.bench_function(&format!("longtail_4k_{tag}"), |b| {
-            b.iter(|| {
-                q.rewind();
-                for i in 0..4_000u32 {
-                    let exp = i % 40;
-                    q.schedule(SimTime::from_nanos((1u64 << exp) | u64::from(i)), i);
-                }
-                let mut popped = 0u32;
-                while q.pop().is_some() {
-                    popped += 1;
-                }
-                black_box(popped)
-            })
-        });
-    }
+    // Uniform: timers scattered over ~4 ms (Knuth-hashed so insertion
+    // order fights pop order).
+    let mut q: EventQueue<u32> = EventQueue::new();
+    g.bench_function("uniform_4k_wheel", |b| {
+        b.iter(|| {
+            q.rewind();
+            for i in 0..4_000u32 {
+                q.schedule(
+                    SimTime::from_nanos(u64::from(i.wrapping_mul(2_654_435_761))),
+                    i,
+                );
+            }
+            let mut popped = 0u32;
+            while q.pop().is_some() {
+                popped += 1;
+            }
+            black_box(popped)
+        })
+    });
+    // Bursty: 64 instants of 64 same-tick events each — the FIFO
+    // tie-break path (batched fleet sessions land like this).
+    let mut q: EventQueue<u32> = EventQueue::new();
+    g.bench_function("bursty_4k_wheel", |b| {
+        b.iter(|| {
+            q.rewind();
+            for i in 0..4_000u32 {
+                q.schedule(SimTime::from_nanos(u64::from(i / 64) * 1_000_000), i);
+            }
+            let mut popped = 0u32;
+            while q.pop().is_some() {
+                popped += 1;
+            }
+            black_box(popped)
+        })
+    });
+    // Long-tail: exponentially spread timers from 1 ns out to ~9 min,
+    // forcing events through the wheel's upper levels (cascades).
+    let mut q: EventQueue<u32> = EventQueue::new();
+    g.bench_function("longtail_4k_wheel", |b| {
+        b.iter(|| {
+            q.rewind();
+            for i in 0..4_000u32 {
+                let exp = i % 40;
+                q.schedule(SimTime::from_nanos((1u64 << exp) | u64::from(i)), i);
+            }
+            let mut popped = 0u32;
+            while q.pop().is_some() {
+                popped += 1;
+            }
+            black_box(popped)
+        })
+    });
     g.finish();
 }
 

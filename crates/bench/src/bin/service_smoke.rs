@@ -18,7 +18,7 @@
 //!
 //! Knobs: `ROAM_SERVICE_*` (sizing), `ROAM_SERVICE_BENCH_DAYS` (horizon,
 //! default 30), `ROAM_SEED`, plus the repo-wide `ROAM_PARALLEL`,
-//! `ROAM_TRANSPORT`, `ROAM_CALENDAR`, `ROAM_FAULTS`, `ROAM_TELEMETRY`.
+//! `ROAM_TRANSPORT`, `ROAM_FAULTS`, `ROAM_TELEMETRY`.
 //!
 //! [`AgentRun::render`]: roam_service::AgentRun::render
 

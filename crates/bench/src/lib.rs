@@ -29,7 +29,7 @@ use roam_measure::{
     run_device_campaign, run_shards, run_web_measurement, CampaignData, DeviceCampaignSpec,
     Endpoint, Exporter, RunMode, SharedSink, WebRecord,
 };
-use roam_netsim::{FaultSpec, TransportKind};
+use roam_netsim::{FaultSpec, RunKnobs, TransportKind};
 use roam_telemetry::{merge_shards, TelemetryMode, TelemetryReport, TelemetrySnapshot};
 use roam_world::{DeviceCountrySpec, World};
 use std::time::Instant;
@@ -115,24 +115,26 @@ pub fn run_device_shard(
     scale: f64,
     spec: &DeviceCountrySpec,
 ) -> (DeviceCountryRun, CampaignData) {
-    let (run, data, _, _) = run_device_shard_with(seed, scale, spec, TelemetryMode::Off);
+    let knobs = CampaignRunner::new(seed).knobs();
+    let (run, data, _, _) = run_device_shard_with(seed, scale, spec, knobs);
     (run, data)
 }
 
-/// [`run_device_shard`] with a telemetry mode, also returning the shard's
-/// telemetry snapshot and its wall-clock milliseconds. This is the unit
-/// the [`CampaignRunner`] merges: snapshots fold together in shard-key
-/// order, wall times stay outside the byte-stable report.
+/// [`run_device_shard`] under a run's knobs (telemetry mode, transport,
+/// faults), also returning the shard's telemetry snapshot and its
+/// wall-clock milliseconds. This is the unit the [`CampaignRunner`]
+/// merges: snapshots fold together in shard-key order, wall times stay
+/// outside the byte-stable report.
 #[must_use]
 pub fn run_device_shard_with(
     seed: u64,
     scale: f64,
     spec: &DeviceCountrySpec,
-    telemetry: TelemetryMode,
+    knobs: RunKnobs,
 ) -> (DeviceCountryRun, CampaignData, TelemetrySnapshot, f64) {
     let started = Instant::now();
     let mut world = World::build(seed);
-    world.net.set_telemetry_mode(telemetry);
+    world.net.set_knobs(knobs);
     let mut data = CampaignData::default();
     let mut esims = Vec::new();
     let chunks = spec.days.clamp(2, 6);
@@ -257,8 +259,9 @@ impl CampaignRunner {
     }
 
     /// A runner configured from the environment: worker count from
-    /// `ROAM_PARALLEL`, telemetry from `ROAM_TELEMETRY`; the transport is
-    /// resolved per probe from `ROAM_TRANSPORT` (no override installed).
+    /// `ROAM_PARALLEL`, telemetry from `ROAM_TELEMETRY`; the transport and
+    /// fault schedule resolve once per run from `ROAM_TRANSPORT` and
+    /// `ROAM_FAULTS`.
     #[must_use]
     pub fn from_env(seed: u64) -> Self {
         CampaignRunner {
@@ -293,17 +296,16 @@ impl CampaignRunner {
         self
     }
 
-    /// Pin the transport backend for the run, overriding `ROAM_TRANSPORT`
-    /// (restored when the run finishes).
+    /// Pin the transport backend for the run, overriding `ROAM_TRANSPORT`.
     #[must_use]
     pub fn transport(mut self, kind: TransportKind) -> Self {
         self.transport = Some(kind);
         self
     }
 
-    /// Pin the fault schedule for the run, overriding `ROAM_FAULTS`
-    /// (restored when the run finishes). Every shard's world resolves the
-    /// same spec, so all shards see identical fault windows.
+    /// Pin the fault schedule for the run, overriding `ROAM_FAULTS`. Every
+    /// shard's world runs the same spec, so all shards see identical fault
+    /// windows.
     #[must_use]
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
@@ -329,14 +331,13 @@ impl CampaignRunner {
         self
     }
 
-    fn pin_transport(&self) -> (TransportPin, FaultsPin) {
-        (
-            TransportPin(
-                self.transport
-                    .map(|k| TransportKind::override_transport(Some(k))),
-            ),
-            FaultsPin(self.faults.map(|s| FaultSpec::override_faults(Some(s)))),
-        )
+    /// The knobs every shard world of one run gets, resolved once.
+    fn knobs(&self) -> RunKnobs {
+        RunKnobs {
+            telemetry: self.telemetry,
+            transport: self.transport.unwrap_or_else(TransportKind::from_env),
+            faults: self.faults.unwrap_or_else(FaultSpec::current),
+        }
     }
 
     /// Run the device campaign across the 10 Table-4 countries.
@@ -347,10 +348,10 @@ impl CampaignRunner {
     /// measurement.
     #[must_use]
     pub fn run(&self) -> DeviceCampaignRun {
-        let _pin = self.pin_transport();
+        let knobs = self.knobs();
         let specs = World::device_campaign_specs();
         let results = run_shards(self.mode, specs.len(), |i| {
-            run_device_shard_with(self.seed, self.scale, &specs[i], self.telemetry)
+            run_device_shard_with(self.seed, self.scale, &specs[i], knobs)
         });
         let mut data = CampaignData::default();
         let mut shards = Vec::with_capacity(results.len());
@@ -383,13 +384,13 @@ impl CampaignRunner {
     /// what the campaign reproduces.
     #[must_use]
     pub fn run_web(&self) -> WebCampaignRun {
-        let _pin = self.pin_transport();
+        let knobs = self.knobs();
         let specs = World::web_campaign_specs();
         let out = run_shards(self.mode, specs.len(), |i| {
             let started = Instant::now();
             let spec = &specs[i];
             let mut world = World::build(self.seed);
-            world.net.set_telemetry_mode(self.telemetry);
+            world.net.set_knobs(knobs);
             let ep = world.attach_esim(spec.country);
             let mut records = Vec::new();
             for m in 0..spec.measurements {
@@ -428,14 +429,14 @@ impl CampaignRunner {
     /// shard per country.
     #[must_use]
     pub fn run_survey(&self, attaches_per_country: u32) -> SurveyRun {
-        let _pin = self.pin_transport();
+        let knobs = self.knobs();
         let world = World::build(self.seed);
         let countries = world.measured_countries();
         let out = run_shards(self.mode, countries.len(), |i| {
             let started = Instant::now();
             let country = countries[i];
             let mut shard_world = World::build(self.seed);
-            shard_world.net.set_telemetry_mode(self.telemetry);
+            shard_world.net.set_knobs(knobs);
             let eps: Vec<Endpoint> = (0..attaches_per_country)
                 .map(|_| shard_world.attach_esim(country))
                 .collect();
@@ -458,30 +459,6 @@ impl CampaignRunner {
             observations,
             telemetry: merge_shards(self.telemetry, snaps),
             timings,
-        }
-    }
-}
-
-/// Restores the previous process-wide transport override when a pinned
-/// run finishes (even on unwind).
-struct TransportPin(Option<Option<TransportKind>>);
-
-impl Drop for TransportPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            TransportKind::override_transport(prev);
-        }
-    }
-}
-
-/// Restores the previous process-wide fault-spec override when a pinned
-/// run finishes (even on unwind).
-struct FaultsPin(Option<Option<FaultSpec>>);
-
-impl Drop for FaultsPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            FaultSpec::override_faults(prev);
         }
     }
 }
@@ -694,17 +671,16 @@ mod tests {
     }
 
     #[test]
-    fn pinned_transport_restores_the_override() {
-        use roam_netsim::TransportKind;
-        let before = TransportKind::override_transport(None);
-        TransportKind::override_transport(before);
-        let _ = CampaignRunner::new(5)
+    fn runner_knobs_reach_every_shard_world() {
+        let run = CampaignRunner::new(5)
             .scale(0.02)
             .transport(TransportKind::Engine)
+            .faults(FaultSpec::heavy())
             .run();
-        let after = TransportKind::override_transport(None);
-        TransportKind::override_transport(after);
-        assert_eq!(before, after, "pin must restore the previous override");
+        for shard in &run.shards {
+            assert_eq!(shard.world.net.transport(), TransportKind::Engine);
+            assert_eq!(*shard.world.net.faults().spec(), FaultSpec::heavy());
+        }
     }
 
     #[test]

@@ -13,16 +13,17 @@
 //! Determinism is inherited wholesale from the shard contract: every
 //! per-user observable derives from `flow_seed(seed, "fleet/…/<uid>")`,
 //! so a batch's report and session stream depend only on
-//! `(seed, config, lo, hi)` — not on the sub-shard count, the thread
-//! count, the transport backend, or which other cohorts tick in the
-//! same process. Two cohorts with disjoint uid ranges draw from
-//! disjoint stream families by construction.
+//! `(seed, config, faults, lo, hi)` — not on the sub-shard count, the
+//! thread count, the transport backend, or which other cohorts (or
+//! runs) execute in the same process. Two cohorts with disjoint uid
+//! ranges draw from disjoint stream families by construction.
 
 use crate::config::FleetConfig;
 use crate::exec::{run_fleet_shard, ShardSpec};
 use crate::report::FleetReport;
 use crate::sink::SessionRecord;
 use roam_measure::{run_shards, RunMode};
+use roam_netsim::{FaultSpec, RunKnobs, TransportKind};
 use roam_telemetry::{merge_shards, TelemetryMode, TelemetryReport};
 
 /// One cohort tick's work order: drive users `[lo, hi)` of `seed`'s
@@ -46,6 +47,8 @@ pub struct UserBatch {
     pub mode: RunMode,
     /// What the telemetry plane records.
     pub telemetry: TelemetryMode,
+    /// The fault schedule every sub-shard's network runs under.
+    pub faults: FaultSpec,
     /// Record per-session [`SessionRecord`]s (the service's export
     /// stream) in addition to the aggregates.
     pub record_sessions: bool,
@@ -64,7 +67,7 @@ pub struct BatchRun {
 }
 
 impl UserBatch {
-    /// A sequential, telemetry-off batch of users `[lo, hi)`.
+    /// A sequential, telemetry-off, fault-free batch of users `[lo, hi)`.
     #[must_use]
     pub fn new(seed: u64, config: FleetConfig, lo: u64, hi: u64) -> Self {
         UserBatch {
@@ -75,6 +78,7 @@ impl UserBatch {
             shards: 1,
             mode: RunMode::Sequential,
             telemetry: TelemetryMode::Off,
+            faults: FaultSpec::off(),
             record_sessions: false,
         }
     }
@@ -105,6 +109,13 @@ impl UserBatch {
             };
         }
         let n = (self.shards.max(1) as u64).min(span) as usize;
+        let knobs = RunKnobs {
+            telemetry: self.telemetry,
+            // Output-invariant: which transport times the transfers
+            // changes the cost of a batch, never its bytes.
+            transport: TransportKind::from_env(),
+            faults: self.faults,
+        };
         let mut outcomes = run_shards(self.mode, n, |i| {
             let (lo, hi) = self.sub_range(i, n);
             run_fleet_shard(
@@ -117,7 +128,7 @@ impl UserBatch {
                     resume: None,
                     attempt: 0,
                 },
-                self.telemetry,
+                knobs,
                 None,
                 self.record_sessions,
             )

@@ -21,8 +21,8 @@ use roam_econ::{EsimOffer, Market};
 use roam_measure::campaign::RecordTag;
 use roam_measure::{resolve_timing, Endpoint, MeasureError, MeasureStatus, ResolverPlan, Service};
 use roam_netsim::engine::flow_seed;
-use roam_netsim::{Network, NodeId, TransferSpec, TransportKind};
-use roam_telemetry::{Counter, Sink, TelemetryMode, TelemetrySnapshot};
+use roam_netsim::{Network, NodeId, RunKnobs, TransferSpec};
+use roam_telemetry::{Counter, Sink, TelemetrySnapshot};
 use roam_world::World;
 use std::time::Instant;
 
@@ -218,6 +218,11 @@ fn draw_kind(rng: &mut SmallRng, mix: SessionMix) -> SessionKind {
 
 /// Drive one shard through the stack.
 ///
+/// The shard's world runs under `knobs` — the run's resolved telemetry
+/// mode, transport and fault schedule — and nothing else: no
+/// process-global setting reaches it, so concurrent runs in one process
+/// stay independent.
+///
 /// With `spec.resume` set, the world and endpoint pool are rebuilt from
 /// scratch (cheap, deterministic), the report and telemetry are restored
 /// wholesale from the checkpoint, and the user loop starts at
@@ -238,13 +243,13 @@ pub(crate) fn run_fleet_shard(
     seed: u64,
     config: &FleetConfig,
     spec: ShardSpec,
-    telemetry: TelemetryMode,
+    knobs: RunKnobs,
     ckpt: Option<&CheckpointPolicy>,
     record_sessions: bool,
 ) -> ShardOutcome {
     let started = Instant::now();
     let mut world = World::build(seed);
-    world.net.set_telemetry_mode(telemetry);
+    world.net.set_knobs(knobs);
     let market = Market::generate(seed);
     let countries = world.measured_countries();
 
@@ -321,7 +326,7 @@ pub(crate) fn run_fleet_shard(
     // Transfers batch per user: their durations are discarded (see the
     // comment at the push site), so the specs accumulate and run through
     // the transport in one `transfer_ms_batch` call per user.
-    let transport = TransportKind::current().transport();
+    let transport = world.net.transport().transport();
     let mut pending_transfers: Vec<TransferSpec> = Vec::new();
     let mut transfer_out: Vec<f64> = Vec::new();
     // Checkpoint cadence: sim-days accumulated since the last write.

@@ -29,10 +29,10 @@
 //!
 //! Together these make [`FleetReport::render`] byte-identical across
 //! `ROAM_PARALLEL` (threads), `ROAM_FLEET_WORKERS` (processes),
-//! `ROAM_FLEET_SHARDS` (partitioning), `ROAM_TRANSPORT` and
-//! `ROAM_CALENDAR` — and, with checkpointing on, across a kill and
-//! resume: the per-user streams mean a shard's `next_uid` cursor plus
-//! its mergeable aggregates are its *complete* state.
+//! `ROAM_FLEET_SHARDS` (partitioning) and `ROAM_TRANSPORT` — and, with
+//! checkpointing on, across a kill and resume: the per-user streams
+//! mean a shard's `next_uid` cursor plus its mergeable aggregates are
+//! its *complete* state.
 
 use crate::checkpoint::{self, CheckpointPolicy, Manifest, ResumeError, ShardState};
 use crate::config::{env_parse, FleetConfig, SessionMix};
@@ -40,13 +40,11 @@ use crate::exec::run_fleet_shard;
 use crate::merge::merge_outcomes;
 use crate::plan;
 use crate::report::FleetReport;
-use crate::supervisor::{
-    self, CalendarPin, FaultsPin, SupervisionStats, SupervisorPolicy, TransportPin, WorkerFaultSpec,
-};
+use crate::supervisor::{self, SupervisionStats, SupervisorPolicy, WorkerFaultSpec};
 use crate::worker::WorkerJob;
 use roam_codec::CodecError;
 use roam_measure::{run_shards, Dataset, DegradationSummary, Exporter, RunMode, SharedSink};
-use roam_netsim::{CalendarKind, FaultSpec, TransportKind};
+use roam_netsim::{FaultSpec, RunKnobs, TransportKind};
 use roam_telemetry::{TelemetryMode, TelemetryReport};
 use std::path::PathBuf;
 
@@ -278,8 +276,8 @@ impl FleetRunner {
     /// `ROAM_FLEET_*`, threads from `ROAM_PARALLEL`, worker processes
     /// from `ROAM_FLEET_WORKERS`, checkpointing from
     /// `ROAM_CHECKPOINT_DIR` / `ROAM_CHECKPOINT_EVERY`, telemetry from
-    /// `ROAM_TELEMETRY`; the transport resolves per probe from
-    /// `ROAM_TRANSPORT`.
+    /// `ROAM_TELEMETRY`; the transport and fault schedule resolve once
+    /// per run, when it starts (see [`FleetRunner::try_run`]).
     #[must_use]
     pub fn from_env(seed: u64) -> Self {
         FleetRunner {
@@ -504,16 +502,17 @@ impl FleetRunner {
         self
     }
 
-    /// Pin the transport backend for the run (restored afterwards).
+    /// Pin the transport backend for the run, overriding
+    /// `ROAM_TRANSPORT`.
     #[must_use]
     pub fn transport(mut self, kind: TransportKind) -> Self {
         self.transport = Some(kind);
         self
     }
 
-    /// Pin the fault schedule for the run, overriding `ROAM_FAULTS`
-    /// (restored afterwards). Every shard's world resolves the same spec,
-    /// so fault windows are identical across shard counts.
+    /// Pin the fault schedule for the run, overriding `ROAM_FAULTS`.
+    /// Every shard's world runs the same spec, so fault windows are
+    /// identical across shard counts.
     #[must_use]
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
@@ -601,12 +600,15 @@ impl FleetRunner {
         self.validate()?;
         let users = self.config.users.max(1);
         let shards = plan::effective_shards(users, self.config.shards);
-        // Resolve every output-relevant knob once, up front: the resolved
-        // values go into worker jobs and the checkpoint manifest, so a
-        // resumed or worker-run fleet can never see different ones.
-        let resolved_transport = self.transport.unwrap_or_else(TransportKind::current);
-        let resolved_calendar = CalendarKind::current();
-        let resolved_faults = self.faults.unwrap_or_else(FaultSpec::current);
+        // Resolve every knob once, up front: the resolved values go to
+        // every shard's world, into worker jobs and into the checkpoint
+        // manifest, so no shard, worker or resumed run can see different
+        // ones — and no other run in this process can change them.
+        let knobs = RunKnobs {
+            telemetry: self.telemetry,
+            transport: self.transport.unwrap_or_else(TransportKind::from_env),
+            faults: self.faults.unwrap_or_else(FaultSpec::current),
+        };
         let policy = self.checkpoint_dir.as_ref().map(|dir| CheckpointPolicy {
             dir: dir.clone(),
             every_days: self.checkpoint_every.max(1),
@@ -619,13 +621,13 @@ impl FleetRunner {
                     self.seed,
                     &self.config,
                     self.telemetry,
-                    &resolved_faults,
+                    &knobs.faults,
                 ),
                 shards,
                 every: policy.every_days,
                 config: self.config,
                 telemetry: self.telemetry,
-                faults: resolved_faults,
+                faults: knobs.faults,
             };
             checkpoint::write_manifest(&policy.dir, &manifest).map_err(|source| {
                 FleetError::Checkpoint {
@@ -639,11 +641,8 @@ impl FleetRunner {
             let job = WorkerJob {
                 seed: self.seed,
                 config: self.config,
-                telemetry: self.telemetry,
-                transport: resolved_transport,
-                calendar: resolved_calendar,
-                faults: resolved_faults,
-                worker_faults: self.worker_faults.unwrap_or_else(WorkerFaultSpec::current),
+                knobs,
+                worker_faults: self.worker_faults.unwrap_or_else(WorkerFaultSpec::from_env),
                 deadline_ms: self
                     .worker_deadline_ms
                     .unwrap_or_else(|| SupervisorPolicy::from_env().deadline_ms)
@@ -675,29 +674,16 @@ impl FleetRunner {
             run.supervision = supervised.stats;
             return Ok(run);
         }
-        let outcomes = {
-            // Pin the transport and calendar for the whole run even when
-            // they come from the environment: `TransportKind::current()`
-            // runs once per probe and `CalendarKind::current()` once per
-            // transfer, and with no override installed each call is an
-            // `env::var` lookup — pure overhead at population scale.
-            // Snapshotting the resolved kind into the override turns both
-            // into one atomic load, without changing which backend runs
-            // (both knobs are output-invariant).
-            let _pin = TransportPin::install(resolved_transport);
-            let _calendar_pin = CalendarPin::install(resolved_calendar);
-            let _fault_pin = self.faults.map(FaultsPin::install);
-            run_shards(self.mode, shards, |i| {
-                run_fleet_shard(
-                    self.seed,
-                    &self.config,
-                    plans[i].clone(),
-                    self.telemetry,
-                    policy.as_ref(),
-                    self.sink.is_some(),
-                )
-            })
-        };
+        let outcomes = run_shards(self.mode, shards, |i| {
+            run_fleet_shard(
+                self.seed,
+                &self.config,
+                plans[i].clone(),
+                knobs,
+                policy.as_ref(),
+                self.sink.is_some(),
+            )
+        });
         if let Some(sink) = &self.sink {
             // Stream in shard-index order (sessions within a shard are
             // already in session order), locking once for the whole walk

@@ -56,7 +56,6 @@ use crate::exec::{run_fleet_shard, ShardOutcome, ShardSpec};
 use crate::worker::{self, WorkerEvent, WorkerJob};
 use roam_codec::CodecError;
 use roam_netsim::engine::flow_seed;
-use roam_netsim::{CalendarKind, FaultSpec, TransportKind};
 use roam_telemetry::{Counter, Recorder, Sink as _, TelemetrySnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
@@ -92,8 +91,9 @@ const BACKOFF_CAP_MS: u64 = 400;
 /// What fraction of shard attempts a worker sabotages, per failure
 /// class. Mirrors [`FaultSpec`](roam_netsim::FaultSpec): presets
 /// ([`WorkerFaultSpec::off`]/[`light`](WorkerFaultSpec::light)/
-/// [`heavy`](WorkerFaultSpec::heavy)), a `key=value` custom parser, an
-/// environment knob (`ROAM_WORKER_FAULTS`) and a process-wide override.
+/// [`heavy`](WorkerFaultSpec::heavy)), a `key=value` custom parser and
+/// an environment knob (`ROAM_WORKER_FAULTS`) that the runner resolves
+/// once per run.
 ///
 /// Each probability is evaluated per `(shard, attempt)` with one keyed
 /// uniform draw, cumulatively: `crash`, then `stall`, then `torn`, then
@@ -156,12 +156,19 @@ impl WorkerFaultSpec {
         self.crash > 0.0 || self.stall > 0.0 || self.torn > 0.0 || self.exit > 0.0
     }
 
-    /// Parse a custom spec: comma-separated `key=value` pairs over a
-    /// base of [`WorkerFaultSpec::off`]. Keys: `crash`, `stall`,
-    /// `torn`, `exit`; each value a probability in `[0, 1]`. `None`
-    /// when a key is unknown or a value is out of range.
+    /// Parse a spec: `off` or empty disable injection, `light` and
+    /// `heavy` select the presets, anything else is comma-separated
+    /// `key=value` pairs over a base of [`WorkerFaultSpec::off`]. Keys:
+    /// `crash`, `stall`, `torn`, `exit`; each value a probability in
+    /// `[0, 1]`. `None` when a key is unknown or a value is out of range.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
+        match s.trim() {
+            "off" => return Some(WorkerFaultSpec::off()),
+            "light" => return Some(WorkerFaultSpec::light()),
+            "heavy" => return Some(WorkerFaultSpec::heavy()),
+            _ => {}
+        }
         let mut spec = WorkerFaultSpec::off();
         for pair in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) = pair.split_once('=')?;
@@ -180,48 +187,18 @@ impl WorkerFaultSpec {
         Some(spec)
     }
 
-    /// Read the spec from `ROAM_WORKER_FAULTS`: `off`/unset/empty
-    /// disable injection, `light` and `heavy` select the presets,
-    /// anything else parses as a custom spec. Read per call (never
-    /// cached) so tests can flip it mid-process.
+    /// Read the spec from `ROAM_WORKER_FAULTS` (see
+    /// [`WorkerFaultSpec::parse`]; unset disables injection).
     ///
     /// # Panics
-    /// On an unparseable custom spec — a misspelt knob should fail
-    /// loudly at startup, not silently run the happy path.
+    /// On an unparseable spec — a misspelt knob should fail loudly at
+    /// startup, not silently run the happy path.
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("ROAM_WORKER_FAULTS") {
-            Err(_) => WorkerFaultSpec::off(),
-            Ok(v) => match v.trim() {
-                "" | "off" => WorkerFaultSpec::off(),
-                "light" => WorkerFaultSpec::light(),
-                "heavy" => WorkerFaultSpec::heavy(),
-                other => WorkerFaultSpec::parse(other)
-                    .unwrap_or_else(|| panic!("ROAM_WORKER_FAULTS: unparseable spec {other:?}")),
-            },
-        }
-    }
-
-    /// Install (or clear, with `None`) a process-wide override that
-    /// takes precedence over `ROAM_WORKER_FAULTS`. Returns the previous
-    /// override so callers can restore it.
-    pub fn override_worker_faults(spec: Option<WorkerFaultSpec>) -> Option<WorkerFaultSpec> {
-        let mut slot = match WORKER_FAULTS_OVERRIDE.lock() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        std::mem::replace(&mut slot, spec)
-    }
-
-    /// The effective spec for this call: the process-wide override if
-    /// installed, otherwise whatever `ROAM_WORKER_FAULTS` says.
-    #[must_use]
-    pub fn current() -> Self {
-        let slot = match WORKER_FAULTS_OVERRIDE.lock() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        slot.unwrap_or_else(WorkerFaultSpec::from_env)
+        std::env::var("ROAM_WORKER_FAULTS").map_or(WorkerFaultSpec::off(), |v| {
+            WorkerFaultSpec::parse(&v)
+                .unwrap_or_else(|| panic!("ROAM_WORKER_FAULTS: unparseable spec {:?}", v.trim()))
+        })
     }
 
     /// The injected fate of one `(shard, attempt)` execution: one keyed
@@ -263,10 +240,6 @@ impl WorkerFaultSpec {
         None
     }
 }
-
-/// `Some(spec)` = override installed, `None` = follow the environment.
-static WORKER_FAULTS_OVERRIDE: std::sync::Mutex<Option<WorkerFaultSpec>> =
-    std::sync::Mutex::new(None);
 
 /// One injected worker sabotage, decided by [`WorkerFaultSpec::decide`]
 /// and executed by the worker's serve loop.
@@ -512,63 +485,6 @@ impl SupervisionStats {
 }
 
 // ---------------------------------------------------------------------
-// Restore guards for the process-wide knob overrides (shared with the
-// runner's in-process backend).
-// ---------------------------------------------------------------------
-
-/// Restores the previous process-wide transport override on drop (even
-/// on unwind).
-pub(crate) struct TransportPin(Option<Option<TransportKind>>);
-
-impl TransportPin {
-    pub(crate) fn install(kind: TransportKind) -> Self {
-        TransportPin(Some(TransportKind::override_transport(Some(kind))))
-    }
-}
-
-impl Drop for TransportPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            TransportKind::override_transport(prev);
-        }
-    }
-}
-
-/// Restores the previous process-wide calendar override on drop.
-pub(crate) struct CalendarPin(Option<Option<CalendarKind>>);
-
-impl CalendarPin {
-    pub(crate) fn install(kind: CalendarKind) -> Self {
-        CalendarPin(Some(CalendarKind::override_calendar(Some(kind))))
-    }
-}
-
-impl Drop for CalendarPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            CalendarKind::override_calendar(prev);
-        }
-    }
-}
-
-/// Restores the previous process-wide fault-spec override on drop.
-pub(crate) struct FaultsPin(Option<Option<FaultSpec>>);
-
-impl FaultsPin {
-    pub(crate) fn install(spec: FaultSpec) -> Self {
-        FaultsPin(Some(FaultSpec::override_faults(Some(spec))))
-    }
-}
-
-impl Drop for FaultsPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            FaultSpec::override_faults(prev);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The supervisor.
 // ---------------------------------------------------------------------
 
@@ -630,7 +546,7 @@ pub(crate) fn supervise(
     let mut outcomes: BTreeMap<usize, ShardOutcome> = BTreeMap::new();
     let mut quarantine: Vec<usize> = Vec::new();
     let mut stats = SupervisionStats::default();
-    let mut tel = Recorder::new(job_proto.telemetry);
+    let mut tel = Recorder::new(job_proto.knobs.telemetry);
 
     let (tx, rx) = mpsc::channel::<Tagged>();
     let mut slots: Vec<Slot> = stripes
@@ -789,9 +705,6 @@ pub(crate) fn supervise(
     // shard function is the exact one the workers run, so the bytes
     // cannot differ.
     if !quarantine.is_empty() {
-        let _transport = TransportPin::install(job_proto.transport);
-        let _calendar = CalendarPin::install(job_proto.calendar);
-        let _faults = FaultsPin::install(job_proto.faults);
         quarantine.sort_unstable();
         quarantine.dedup();
         for index in quarantine {
@@ -806,7 +719,7 @@ pub(crate) fn supervise(
                 job_proto.seed,
                 &job_proto.config,
                 spec.clone(),
-                job_proto.telemetry,
+                job_proto.knobs,
                 job_proto.checkpoint.as_ref(),
                 false,
             );
@@ -867,10 +780,7 @@ fn spawn_slot(
         let job = WorkerJob {
             seed: job_proto.seed,
             config: job_proto.config,
-            telemetry: job_proto.telemetry,
-            transport: job_proto.transport,
-            calendar: job_proto.calendar,
-            faults: job_proto.faults,
+            knobs: job_proto.knobs,
             worker_faults: job_proto.worker_faults,
             deadline_ms: job_proto.deadline_ms,
             shards,
@@ -1095,6 +1005,15 @@ mod tests {
     #[test]
     fn spec_parses_and_mirrors_the_fault_plane_knob() {
         assert_eq!(WorkerFaultSpec::parse(""), Some(WorkerFaultSpec::off()));
+        assert_eq!(WorkerFaultSpec::parse("off"), Some(WorkerFaultSpec::off()));
+        assert_eq!(
+            WorkerFaultSpec::parse(" light"),
+            Some(WorkerFaultSpec::light())
+        );
+        assert_eq!(
+            WorkerFaultSpec::parse("heavy"),
+            Some(WorkerFaultSpec::heavy())
+        );
         let spec = WorkerFaultSpec::parse("crash=0.5, torn=0.25").expect("valid spec");
         assert!((spec.crash - 0.5).abs() < f64::EPSILON);
         assert!((spec.torn - 0.25).abs() < f64::EPSILON);

@@ -7,9 +7,10 @@
 //!
 //! 1. The parent spawns `fleet_worker` processes, writes one
 //!    [`KIND_JOB`] frame to each worker's stdin, and closes it. The job
-//!    carries everything the worker needs — seed, sizing, telemetry
-//!    mode, the *resolved* transport/calendar/fault knobs (workers never
-//!    consult the environment, so parent and workers can't diverge), its
+//!    carries everything the worker needs — seed, sizing, the run's
+//!    resolved [`RunKnobs`] (telemetry mode, transport, faults; workers
+//!    never consult the environment, so parent and workers can't
+//!    diverge), its
 //!    striped shard list with per-shard resume states, and the
 //!    checkpoint policy.
 //! 2. The worker runs its shards sequentially. Before each shard it
@@ -47,7 +48,7 @@ use crate::exec::{run_fleet_shard, ShardOutcome, ShardSpec};
 use crate::report::FleetReport;
 use crate::supervisor::{InjectedFault, ProtocolViolation, WorkerFaultSpec};
 use roam_codec::{CodecError, Decoder, Encoder, Frame};
-use roam_netsim::{CalendarKind, FaultSpec, TransportKind};
+use roam_netsim::{RunKnobs, TransportKind};
 use roam_telemetry::{TelemetryMode, TelemetrySnapshot};
 use std::path::PathBuf;
 
@@ -57,7 +58,6 @@ mod job_tag {
     pub const CONFIG: u32 = 2;
     pub const TELEMETRY: u32 = 3;
     pub const TRANSPORT: u32 = 4;
-    pub const CALENDAR: u32 = 5;
     pub const FAULTS: u32 = 6;
     pub const SHARD: u32 = 7;
     pub const CKPT_DIR: u32 = 8;
@@ -104,10 +104,8 @@ mod result_tag {
 pub(crate) struct WorkerJob {
     pub seed: u64,
     pub config: FleetConfig,
-    pub telemetry: TelemetryMode,
-    pub transport: TransportKind,
-    pub calendar: CalendarKind,
-    pub faults: FaultSpec,
+    /// The run's resolved telemetry mode, transport and fault schedule.
+    pub knobs: RunKnobs,
     /// The resolved worker-fault injection spec — shipped in the job
     /// (like every other knob) so parent and workers cannot diverge on
     /// which executions get sabotaged.
@@ -124,22 +122,15 @@ impl WorkerJob {
         let mut e = Encoder::new();
         e.u64(job_tag::SEED, self.seed);
         e.section(job_tag::CONFIG, |se| encode_config(se, &self.config));
-        e.u64(job_tag::TELEMETRY, telemetry_to_wire(self.telemetry));
+        e.u64(job_tag::TELEMETRY, telemetry_to_wire(self.knobs.telemetry));
         e.u64(
             job_tag::TRANSPORT,
-            match self.transport {
+            match self.knobs.transport {
                 TransportKind::ClosedForm => 0,
                 TransportKind::Engine => 1,
             },
         );
-        e.u64(
-            job_tag::CALENDAR,
-            match self.calendar {
-                CalendarKind::Wheel => 0,
-                CalendarKind::Heap => 1,
-            },
-        );
-        e.section(job_tag::FAULTS, |se| encode_faults(se, &self.faults));
+        e.section(job_tag::FAULTS, |se| encode_faults(se, &self.knobs.faults));
         if self.worker_faults.enabled() {
             e.section(job_tag::WORKER_FAULTS, |se| {
                 se.f64(wfault_tag::CRASH, self.worker_faults.crash);
@@ -178,7 +169,6 @@ impl WorkerJob {
         let mut config = None;
         let mut telemetry = TelemetryMode::Off;
         let mut transport = TransportKind::ClosedForm;
-        let mut calendar = CalendarKind::Wheel;
         let mut faults = None;
         let mut worker_faults = WorkerFaultSpec::off();
         let mut deadline_ms = crate::supervisor::DEFAULT_WORKER_DEADLINE_MS;
@@ -194,13 +184,6 @@ impl WorkerJob {
                         0 => TransportKind::ClosedForm,
                         1 => TransportKind::Engine,
                         _ => return Err(CodecError::BadValue("transport kind")),
-                    };
-                }
-                job_tag::CALENDAR => {
-                    calendar = match v.as_u64(tag)? {
-                        0 => CalendarKind::Wheel,
-                        1 => CalendarKind::Heap,
-                        _ => return Err(CodecError::BadValue("calendar kind")),
                     };
                 }
                 job_tag::FAULTS => faults = Some(decode_faults(&mut v.as_section(tag)?)?),
@@ -273,10 +256,11 @@ impl WorkerJob {
         Ok(WorkerJob {
             seed: seed.ok_or(CodecError::MissingField("seed"))?,
             config: config.ok_or(CodecError::MissingField("config"))?,
-            telemetry,
-            transport,
-            calendar,
-            faults: faults.ok_or(CodecError::MissingField("faults"))?,
+            knobs: RunKnobs {
+                telemetry,
+                transport,
+                faults: faults.ok_or(CodecError::MissingField("faults"))?,
+            },
             worker_faults,
             deadline_ms,
             shards,
@@ -508,11 +492,6 @@ pub fn serve(
         ));
     }
     let job = WorkerJob::decode(frame.payload).map_err(|e| format!("decoding job: {e}"))?;
-    // Pin the resolved knobs for the life of the process. No restore
-    // guards: the process exits when the job is done.
-    TransportKind::override_transport(Some(job.transport));
-    CalendarKind::override_calendar(Some(job.calendar));
-    FaultSpec::override_faults(Some(job.faults));
     for spec in job.shards {
         let (index, attempt) = (spec.index, spec.attempt);
         output
@@ -544,7 +523,7 @@ pub fn serve(
             job.seed,
             &job.config,
             spec,
-            job.telemetry,
+            job.knobs,
             job.checkpoint.as_ref(),
             false,
         );
@@ -591,10 +570,11 @@ mod tests {
         let job = WorkerJob {
             seed: 42,
             config: FleetConfig::default(),
-            telemetry: TelemetryMode::Summary,
-            transport: TransportKind::Engine,
-            calendar: CalendarKind::Heap,
-            faults: FaultSpec::heavy(),
+            knobs: RunKnobs {
+                telemetry: TelemetryMode::Summary,
+                transport: TransportKind::Engine,
+                faults: roam_netsim::FaultSpec::heavy(),
+            },
             worker_faults: WorkerFaultSpec::light(),
             deadline_ms: 12_345,
             shards: vec![
@@ -629,8 +609,7 @@ mod tests {
         assert_eq!(parsed.kind, KIND_JOB);
         let back = WorkerJob::decode(parsed.payload).expect("job decodes");
         assert_eq!(back.seed, 42);
-        assert_eq!(back.transport, TransportKind::Engine);
-        assert_eq!(back.calendar, CalendarKind::Heap);
+        assert_eq!(back.knobs, job.knobs);
         assert_eq!(back.worker_faults, WorkerFaultSpec::light());
         assert_eq!(back.deadline_ms, 12_345);
         assert_eq!(back.shards.len(), 2);

@@ -7,7 +7,7 @@ use rand::Rng;
 use roam_cellular::{phy_rate_mbps, ChannelSampler, Cqi, Rat, SimType};
 use roam_geo::Country;
 use roam_ipx::Attachment;
-use roam_netsim::engine::{flow_seed, Flow, FlowId, Transport, TransportKind};
+use roam_netsim::engine::{flow_seed, Flow, FlowId, Transport};
 use roam_netsim::{
     Network, NodeId, PingResult, ProbeError, Traceroute, TracerouteOpts, TransferSpec,
 };
@@ -73,7 +73,7 @@ impl Endpoint {
             ue: self.att.ue,
             // Hash the label bytes directly — no `fmt` machinery on this path.
             flow: Flow::open(flow_seed(self.att.flow_stamp, label)),
-            transport: TransportKind::current().transport(),
+            transport: net.transport().transport(),
             ev_label,
             net,
         }

@@ -23,18 +23,19 @@
 //!   buys is a real clock that future work can interleave with competing
 //!   flows for congestion coupling.
 //!
-//! Select with `ROAM_TRANSPORT=engine` (anything else, or unset, means
-//! closed form) via [`TransportKind::from_env`], or programmatically with
-//! [`TransportKind::override_transport`]; measurement code should resolve
-//! the effective choice through [`TransportKind::current`].
+//! Every [`Network`](crate::Network) carries its [`TransportKind`]: it
+//! starts from `ROAM_TRANSPORT` ([`TransportKind::from_env`]; `engine`
+//! selects the stepped transport, anything else the closed form), and
+//! a runner that resolved its own choice hands it over with
+//! [`Network::set_transport`](crate::Network::set_transport). Probes and
+//! batched fleet transfers read the kind from the network they run on.
 
-use crate::event::{CalendarKind, EventQueue};
+use crate::event::EventQueue;
 use crate::throughput::{mathis_cap_mbps, TransferSpec, INIT_CWND_SEGMENTS, MSS};
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Derive a flow's RNG seed from the master seed and its stable key.
 ///
@@ -108,7 +109,7 @@ impl Flow {
 
 /// How bulk transfers over a path are timed. Measurement clients never call
 /// the throughput formulas directly — they hand a [`TransferSpec`] to
-/// whichever transport [`TransportKind::from_env`] selected.
+/// whichever transport their network carries ([`TransportKind`]).
 pub trait Transport: Sync {
     /// Completion time of the transfer described by `spec`, milliseconds.
     fn transfer_ms(&self, spec: &TransferSpec) -> f64;
@@ -167,7 +168,7 @@ enum TransferEvent {
 
 /// The same TCP phases as the closed form, stepped through an event
 /// calendar: one [`TransferEvent`] per congestion window, clock advanced by
-/// popping the heap rather than by accumulating a float.
+/// popping the calendar rather than by accumulating a float.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineSteppedTransport;
 
@@ -233,16 +234,9 @@ impl EngineSteppedTransport {
         ms
     }
 
-    /// Borrow the thread-local calendar, rebuilt if the process-wide
-    /// calendar kind changed since this thread last timed a transfer.
+    /// Borrow the thread-local calendar.
     fn with_calendar<R>(f: impl FnOnce(&mut EventQueue<TransferEvent>) -> R) -> R {
-        TRANSFER_CALENDAR.with(|cell| {
-            let mut q = cell.borrow_mut();
-            if q.kind() != CalendarKind::current() {
-                *q = EventQueue::new();
-            }
-            f(&mut q)
-        })
+        TRANSFER_CALENDAR.with(|cell| f(&mut cell.borrow_mut()))
     }
 }
 
@@ -265,8 +259,7 @@ impl Transport for EngineSteppedTransport {
     }
 }
 
-/// Which [`Transport`] a run uses, selected by the `ROAM_TRANSPORT`
-/// environment variable.
+/// Which [`Transport`] a network times bulk transfers with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// The analytic model — the default.
@@ -277,44 +270,21 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Read the kind from `ROAM_TRANSPORT`: `engine` selects the stepped
-    /// transport; unset, empty, or anything else means closed form. Read
-    /// on every call (never cached) so tests can flip it mid-process.
+    /// Parse a transport name: `engine` selects the stepped transport;
+    /// empty or anything else means closed form.
     #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("ROAM_TRANSPORT") {
-            Ok(v) if v.trim() == "engine" => TransportKind::Engine,
+    pub fn parse(s: &str) -> Self {
+        match s.trim() {
+            "engine" => TransportKind::Engine,
             _ => TransportKind::ClosedForm,
         }
     }
 
-    /// Install (or clear, with `None`) a process-wide override that takes
-    /// precedence over `ROAM_TRANSPORT`. Returns the previous override so
-    /// callers can restore it — the campaign runner's `.transport(..)`
-    /// builder uses this with a restore guard.
-    pub fn override_transport(kind: Option<TransportKind>) -> Option<TransportKind> {
-        let encode = |k: Option<TransportKind>| match k {
-            None => 0u8,
-            Some(TransportKind::ClosedForm) => 1,
-            Some(TransportKind::Engine) => 2,
-        };
-        let prev = TRANSPORT_OVERRIDE.swap(encode(kind), Ordering::SeqCst);
-        match prev {
-            1 => Some(TransportKind::ClosedForm),
-            2 => Some(TransportKind::Engine),
-            _ => None,
-        }
-    }
-
-    /// The effective kind for this call: the process-wide override if one
-    /// is installed, otherwise whatever `ROAM_TRANSPORT` says.
+    /// Read the kind from `ROAM_TRANSPORT` (see [`TransportKind::parse`];
+    /// unset means closed form).
     #[must_use]
-    pub fn current() -> Self {
-        match TRANSPORT_OVERRIDE.load(Ordering::SeqCst) {
-            1 => TransportKind::ClosedForm,
-            2 => TransportKind::Engine,
-            _ => TransportKind::from_env(),
-        }
+    pub fn from_env() -> Self {
+        std::env::var("ROAM_TRANSPORT").map_or(TransportKind::ClosedForm, |v| Self::parse(&v))
     }
 
     /// The transport this kind names.
@@ -328,9 +298,6 @@ impl TransportKind {
         }
     }
 }
-
-/// 0 = no override (follow the env), 1 = closed form, 2 = engine.
-static TRANSPORT_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 #[cfg(test)]
 mod tests {
@@ -414,34 +381,13 @@ mod tests {
     }
 
     #[test]
-    fn transport_kind_reads_env_per_call() {
-        std::env::remove_var("ROAM_TRANSPORT");
-        assert_eq!(TransportKind::from_env(), TransportKind::ClosedForm);
-        std::env::set_var("ROAM_TRANSPORT", "engine");
-        assert_eq!(TransportKind::from_env(), TransportKind::Engine);
-        std::env::set_var("ROAM_TRANSPORT", "closed");
-        assert_eq!(TransportKind::from_env(), TransportKind::ClosedForm);
-        std::env::remove_var("ROAM_TRANSPORT");
-        assert_eq!(
-            TransportKind::transport(TransportKind::Engine).name(),
-            "engine"
-        );
-        assert_eq!(
-            TransportKind::transport(TransportKind::ClosedForm).name(),
-            "closed-form"
-        );
-    }
-
-    #[test]
-    fn override_beats_env_while_installed() {
-        // Only assert while the override is pinned: other tests in this
-        // binary mutate ROAM_TRANSPORT concurrently, so the env-following
-        // path is exercised in transport_kind_reads_env_per_call, not here.
-        let prev = TransportKind::override_transport(Some(TransportKind::Engine));
-        assert_eq!(TransportKind::current(), TransportKind::Engine);
-        let inner = TransportKind::override_transport(Some(TransportKind::ClosedForm));
-        assert_eq!(inner, Some(TransportKind::Engine));
-        assert_eq!(TransportKind::current(), TransportKind::ClosedForm);
-        TransportKind::override_transport(prev);
+    fn transport_kind_parses_names() {
+        assert_eq!(TransportKind::parse("engine"), TransportKind::Engine);
+        assert_eq!(TransportKind::parse(" engine\n"), TransportKind::Engine);
+        assert_eq!(TransportKind::parse(""), TransportKind::ClosedForm);
+        assert_eq!(TransportKind::parse("closed"), TransportKind::ClosedForm);
+        assert_eq!(TransportKind::parse("Engine"), TransportKind::ClosedForm);
+        assert_eq!(TransportKind::Engine.transport().name(), "engine");
+        assert_eq!(TransportKind::ClosedForm.transport().name(), "closed-form");
     }
 }

@@ -1,33 +1,27 @@
-//! The discrete-event calendar.
+//! The discrete-event calendar: a hierarchical timing wheel.
 //!
-//! Two backends implement the same contract — events pop in strict
-//! `(time, seq)` order, where `seq` is a monotonically increasing
-//! tie-breaker assigned at scheduling time, so same-instant events pop in
-//! scheduling (FIFO) order:
+//! Events pop in strict `(time, seq)` order, where `seq` is a
+//! monotonically increasing tie-breaker assigned at scheduling time, so
+//! same-instant events pop in scheduling (FIFO) order.
 //!
-//! * [`CalendarKind::Wheel`] (default) — a hierarchical timing wheel:
-//!   six levels of 64 slots each, 2^16 ns (~65 µs) of resolution at level
-//!   zero and a 2^52 ns (~52 day) horizon overall. Schedule and pop are
-//!   O(1) amortised: an event lands in the slot selected by the highest
-//!   bit in which its quantised time differs from the cursor, each level
-//!   keeps a 64-bit occupancy bitmap so the next non-empty slot is a
-//!   `trailing_zeros`, and far-future events cascade down one level at a
-//!   time as the cursor approaches them. Events beyond the horizon sit in
-//!   an overflow list that re-enters the wheel when the cursor jumps.
-//! * [`CalendarKind::Heap`] — the classic binary min-heap of
-//!   `(time, seq, event)`; the pre-wheel implementation, kept as a
-//!   byte-for-byte fallback behind `ROAM_CALENDAR=heap` and as the
-//!   reference model the property tests compare the wheel against.
+//! The wheel has six levels of 64 slots each, 2^16 ns (~65 µs) of
+//! resolution at level zero and a 2^52 ns (~52 day) horizon overall.
+//! Schedule and pop are O(1) amortised: an event lands in the slot
+//! selected by the highest bit in which its quantised time differs from
+//! the cursor, each level keeps a 64-bit occupancy bitmap so the next
+//! non-empty slot is a `trailing_zeros`, and far-future events cascade
+//! down one level at a time as the cursor approaches them. Events beyond
+//! the horizon sit in an overflow list that re-enters the wheel when the
+//! cursor jumps. `tests/prop_event_order.rs` checks the pop order against
+//! a binary-heap reference model.
 //!
-//! Both backends [`rewind`](EventQueue::rewind) to an empty calendar at
-//! time zero without giving back their allocations, which is what lets one
-//! persistent queue time transfer after transfer (the engine transport)
-//! with no per-transfer allocation.
+//! [`rewind`](EventQueue::rewind) empties the calendar back to time zero
+//! without giving back its allocations, which is what lets one persistent
+//! queue time transfer after transfer (the engine transport) with no
+//! per-transfer allocation.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// log2 of the wheel's slot granularity in nanoseconds: 2^16 ns ≈ 65.5 µs.
 /// Walk hops are hundreds of microseconds to hundreds of milliseconds, so
@@ -41,96 +35,12 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// simulated time from the cursor before the overflow list is needed.
 const LEVELS: usize = 6;
 
-/// Which calendar backend [`EventQueue::new`] builds, selected by the
-/// `ROAM_CALENDAR` environment variable (mirroring `ROAM_TRANSPORT`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CalendarKind {
-    /// The hierarchical timing wheel — the default.
-    #[default]
-    Wheel,
-    /// The binary-heap calendar, kept as a fallback and reference model.
-    Heap,
-}
-
-impl CalendarKind {
-    /// Read the kind from `ROAM_CALENDAR`: `heap` selects the binary-heap
-    /// fallback; unset, empty, or anything else means the wheel. Read on
-    /// every call (never cached) so tests can flip it mid-process.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("ROAM_CALENDAR") {
-            Ok(v) if v.trim() == "heap" => CalendarKind::Heap,
-            _ => CalendarKind::Wheel,
-        }
-    }
-
-    /// Install (or clear, with `None`) a process-wide override that takes
-    /// precedence over `ROAM_CALENDAR`. Returns the previous override so
-    /// callers can restore it.
-    pub fn override_calendar(kind: Option<CalendarKind>) -> Option<CalendarKind> {
-        let encode = |k: Option<CalendarKind>| match k {
-            None => 0u8,
-            Some(CalendarKind::Wheel) => 1,
-            Some(CalendarKind::Heap) => 2,
-        };
-        let prev = CALENDAR_OVERRIDE.swap(encode(kind), Ordering::SeqCst);
-        match prev {
-            1 => Some(CalendarKind::Wheel),
-            2 => Some(CalendarKind::Heap),
-            _ => None,
-        }
-    }
-
-    /// The effective kind for this call: the process-wide override if one
-    /// is installed, otherwise whatever `ROAM_CALENDAR` says.
-    #[must_use]
-    pub fn current() -> Self {
-        match CALENDAR_OVERRIDE.load(Ordering::SeqCst) {
-            1 => CalendarKind::Wheel,
-            2 => CalendarKind::Heap,
-            _ => CalendarKind::from_env(),
-        }
-    }
-}
-
-/// 0 = no override (follow the env), 1 = wheel, 2 = heap.
-static CALENDAR_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
 /// A time-ordered event calendar.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: Wheel<E>,
     next_seq: u64,
     now: SimTime,
-}
-
-#[derive(Debug)]
-enum Backend<E> {
-    Heap(BinaryHeap<HeapEntry<E>>),
-    Wheel(Wheel<E>),
-}
-
-#[derive(Debug)]
-struct HeapEntry<E> {
-    key: Reverse<(SimTime, u64)>,
-    event: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
 }
 
 /// One pending event inside the wheel: absolute nanoseconds, scheduling
@@ -356,34 +266,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time zero, on the backend [`CalendarKind::current`]
-    /// selects.
+    /// An empty queue at time zero.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_kind(CalendarKind::current())
-    }
-
-    /// An empty queue at time zero on an explicit backend — benches and the
-    /// order-equivalence property tests construct both sides with this.
-    #[must_use]
-    pub fn with_kind(kind: CalendarKind) -> Self {
-        let backend = match kind {
-            CalendarKind::Heap => Backend::Heap(BinaryHeap::new()),
-            CalendarKind::Wheel => Backend::Wheel(Wheel::new()),
-        };
         EventQueue {
-            backend,
+            wheel: Wheel::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    #[must_use]
-    pub fn kind(&self) -> CalendarKind {
-        match self.backend {
-            Backend::Heap(_) => CalendarKind::Heap,
-            Backend::Wheel(_) => CalendarKind::Wheel,
         }
     }
 
@@ -406,17 +295,11 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(HeapEntry {
-                key: Reverse((at, seq)),
-                event,
-            }),
-            Backend::Wheel(wheel) => wheel.place(Slot {
-                at: at.as_nanos(),
-                seq,
-                event,
-            }),
-        }
+        self.wheel.place(Slot {
+            at: at.as_nanos(),
+            seq,
+            event,
+        });
     }
 
     /// Schedule `event` after a relative delay from now.
@@ -425,21 +308,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Rewind to an empty calendar at time zero, keeping every allocation
-    /// (heap buffer, wheel slots, overflow list). This is what lets a
+    /// (wheel slots, cursor bucket, overflow list). This is what lets a
     /// persistent queue time one transfer after another without
     /// reallocating per transfer.
     pub fn rewind(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.clear(),
-            Backend::Wheel(wheel) => wheel.rewind(),
-        }
+        self.wheel.rewind();
         self.next_seq = 0;
         self.now = SimTime::ZERO;
-    }
-
-    /// Alias for [`rewind`](Self::rewind), kept for the pre-wheel name.
-    pub fn reset(&mut self) {
-        self.rewind();
     }
 
     /// Timestamp and payload of the next event without popping it — the
@@ -449,33 +324,18 @@ impl<E> EventQueue<E> {
     /// order is unaffected). The service scheduler uses this to look at
     /// the next fire time before deciding whether to advance the clock.
     pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.peek().map(|entry| {
-                let Reverse((at, _)) = entry.key;
-                (at, &entry.event)
-            }),
-            Backend::Wheel(wheel) => {
-                if wheel.current.is_empty() {
-                    wheel.advance();
-                }
-                wheel
-                    .current
-                    .last()
-                    .map(|slot| (SimTime::from_nanos(slot.at), &slot.event))
-            }
+        if self.wheel.current.is_empty() {
+            self.wheel.advance();
         }
+        self.wheel
+            .current
+            .last()
+            .map(|slot| (SimTime::from_nanos(slot.at), &slot.event))
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, event) = match &mut self.backend {
-            Backend::Heap(heap) => {
-                let entry = heap.pop()?;
-                let Reverse((at, _)) = entry.key;
-                (at, entry.event)
-            }
-            Backend::Wheel(wheel) => wheel.pop()?,
-        };
+        let (at, event) = self.wheel.pop()?;
         self.now = at;
         Some((at, event))
     }
@@ -483,10 +343,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len(),
-        }
+        self.wheel.len()
     }
 
     /// True when no events are pending.
@@ -495,14 +352,11 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total reserved event capacity across the backend's buffers — the
+    /// Total reserved event capacity across the wheel's buffers — the
     /// rewind-reuse tests assert this is stable across reuse.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.capacity(),
-            Backend::Wheel(wheel) => wheel.capacity(),
-        }
+        self.wheel.capacity()
     }
 }
 
@@ -510,56 +364,44 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    fn kinds() -> [CalendarKind; 2] {
-        [CalendarKind::Wheel, CalendarKind::Heap]
-    }
-
     #[test]
     fn events_pop_in_time_order() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_ms(5.0), "c");
-            q.schedule(SimTime::from_ms(1.0), "a");
-            q.schedule(SimTime::from_ms(3.0), "b");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, ["a", "b", "c"], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ms(5.0), "c");
+        q.schedule(SimTime::from_ms(1.0), "a");
+        q.schedule(SimTime::from_ms(3.0), "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["a", "b", "c"]);
     }
 
     #[test]
     fn ties_break_by_scheduling_order() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_ms(2.0);
-            for i in 0..10 {
-                q.schedule(t, i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>(), "{kind:?}");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ms(2.0);
+        for i in 0..10 {
+            q.schedule(t, i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_ms(7.5), ());
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_ms(7.5));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ms(7.5), ());
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_ms(7.5));
     }
 
     #[test]
     fn schedule_after_is_relative_to_now() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_ms(10.0), "first");
-            q.pop();
-            q.schedule_after(SimTime::from_ms(5.0), "second");
-            let (at, _) = q.pop().unwrap();
-            assert_eq!(at, SimTime::from_ms(15.0));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ms(10.0), "first");
+        q.pop();
+        q.schedule_after(SimTime::from_ms(5.0), "second");
+        let (at, _) = q.pop().unwrap();
+        assert_eq!(at, SimTime::from_ms(15.0));
     }
 
     #[test]
@@ -572,53 +414,47 @@ mod tests {
     }
 
     #[test]
-    fn reset_rewinds_time_and_clears_events() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_ms(10.0), "a");
-            q.pop();
-            q.schedule(SimTime::from_ms(20.0), "b");
-            q.reset();
-            assert!(q.is_empty());
-            assert_eq!(q.now(), SimTime::ZERO);
-            // Scheduling at t=0 is legal again after a rewind.
-            q.schedule(SimTime::ZERO, "c");
-            assert_eq!(q.pop(), Some((SimTime::ZERO, "c")));
-        }
+    fn rewind_resets_time_and_clears_events() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ms(10.0), "a");
+        q.pop();
+        q.schedule(SimTime::from_ms(20.0), "b");
+        q.rewind();
+        assert!(q.is_empty());
+        assert_eq!(q.now(), SimTime::ZERO);
+        // Scheduling at t=0 is legal again after a rewind.
+        q.schedule(SimTime::ZERO, "c");
+        assert_eq!(q.pop(), Some((SimTime::ZERO, "c")));
     }
 
     #[test]
     fn len_and_empty_track_contents() {
-        for kind in kinds() {
-            let mut q: EventQueue<()> = EventQueue::with_kind(kind);
-            assert!(q.is_empty());
-            q.schedule(SimTime::from_ms(1.0), ());
-            q.schedule(SimTime::from_ms(2.0), ());
-            assert_eq!(q.len(), 2);
-            q.pop();
-            assert_eq!(q.len(), 1);
-        }
+        let mut q: EventQueue<()> = EventQueue::new();
+        assert!(q.is_empty());
+        q.schedule(SimTime::from_ms(1.0), ());
+        q.schedule(SimTime::from_ms(2.0), ());
+        assert_eq!(q.len(), 2);
+        q.pop();
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn rewind_keeps_capacity() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
+        let mut q = EventQueue::new();
+        for i in 0..256u64 {
+            q.schedule(SimTime::from_nanos(i * 1_000_003), i);
+        }
+        while q.pop().is_some() {}
+        q.rewind();
+        let cap = q.capacity();
+        assert!(cap > 0, "the wheel should retain its buffers");
+        for round in 0..8 {
             for i in 0..256u64 {
                 q.schedule(SimTime::from_nanos(i * 1_000_003), i);
             }
             while q.pop().is_some() {}
             q.rewind();
-            let cap = q.capacity();
-            assert!(cap > 0, "{kind:?} should retain buffers");
-            for round in 0..8 {
-                for i in 0..256u64 {
-                    q.schedule(SimTime::from_nanos(i * 1_000_003), i);
-                }
-                while q.pop().is_some() {}
-                q.rewind();
-                assert_eq!(q.capacity(), cap, "{kind:?} round {round} reallocated");
-            }
+            assert_eq!(q.capacity(), cap, "round {round} reallocated");
         }
     }
 
@@ -626,8 +462,7 @@ mod tests {
     fn wheel_handles_far_future_and_overflow() {
         // Events spread over every level plus the overflow list, with
         // same-instant ties, must still pop in exact (time, seq) order.
-        let mut wheel = EventQueue::with_kind(CalendarKind::Wheel);
-        let mut heap = EventQueue::with_kind(CalendarKind::Heap);
+        let mut q = EventQueue::new();
         let times: Vec<u64> = vec![
             0,
             1,
@@ -643,126 +478,45 @@ mod tests {
             1,
             0,
         ];
-        for &t in &times {
-            wheel.schedule(SimTime::from_nanos(t), t);
-            heap.schedule(SimTime::from_nanos(t), t);
+        for (seq, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_nanos(t), seq);
         }
-        loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            assert_eq!(w, h);
-            if w.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn wheel_interleaves_scheduling_with_popping() {
-        // A walk-like workload: pop one, schedule the next hop relative to
-        // now, across slot and level boundaries.
-        let mut wheel = EventQueue::with_kind(CalendarKind::Wheel);
-        let mut heap = EventQueue::with_kind(CalendarKind::Heap);
-        wheel.schedule(SimTime::ZERO, 0u64);
-        heap.schedule(SimTime::ZERO, 0u64);
-        let mut step = 0u64;
-        while let Some((wt, we)) = wheel.pop() {
-            let (ht, he) = heap.pop().expect("heap ran dry first");
-            assert_eq!((wt, we), (ht, he));
-            if step < 500 {
-                step += 1;
-                // Growing, slot-straddling delays: ~65 µs … ~8 ms.
-                let delay = SimTime::from_nanos((step % 7 + 1) * 69_997 * (step % 17 + 1));
-                wheel.schedule_after(delay, step);
-                heap.schedule_after(delay, step);
-                if step.is_multiple_of(3) {
-                    // Plus a same-instant tie.
-                    wheel.schedule(wheel.now(), step + 1000);
-                    heap.schedule(heap.now(), step + 1000);
-                }
-            }
-        }
-        assert!(heap.pop().is_none());
+        // A stable sort by time is exactly (time, seq) order.
+        let mut want: Vec<(SimTime, usize)> = times
+            .iter()
+            .enumerate()
+            .map(|(seq, &t)| (SimTime::from_nanos(t), seq))
+            .collect();
+        want.sort_by_key(|&(at, _)| at);
+        let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
     fn peek_matches_pop_without_consuming() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            assert!(q.peek().is_none(), "{kind:?}");
-            // Spread across slots, levels, and the overflow list, with a
-            // same-instant tie, so the wheel has to cascade to peek.
-            let times: Vec<u64> = vec![
-                5 * 1_000_000,
-                1_000_000,
-                1_000_000,
-                1 << (GRAIN_BITS + 2 * SLOT_BITS),
-                1 << (GRAIN_BITS + 6 * SLOT_BITS),
-            ];
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_nanos(t), i);
-            }
-            let before = q.len();
-            while !q.is_empty() {
-                let now_before = q.now();
-                let (peek_at, &peek_ev) = q.peek().expect("non-empty queue peeks");
-                assert_eq!(q.now(), now_before, "{kind:?}: peek moved the clock");
-                let (at, ev) = q.pop().unwrap();
-                assert_eq!((peek_at, peek_ev), (at, ev), "{kind:?}");
-            }
-            assert_eq!(before, times.len());
-            assert!(q.peek().is_none());
+        let mut q = EventQueue::new();
+        assert!(q.peek().is_none());
+        // Spread across slots, levels, and the overflow list, with a
+        // same-instant tie, so the wheel has to cascade to peek.
+        let times: Vec<u64> = vec![
+            5 * 1_000_000,
+            1_000_000,
+            1_000_000,
+            1 << (GRAIN_BITS + 2 * SLOT_BITS),
+            1 << (GRAIN_BITS + 6 * SLOT_BITS),
+        ];
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_nanos(t), i);
         }
-    }
-
-    #[test]
-    fn scheduling_behind_a_peeked_cursor_keeps_time_order() {
-        // A recurring-job pattern: drain an instant, peek (the wheel
-        // cascades its cursor to the next occupied slot — possibly far
-        // ahead), then schedule the next recurrence *earlier* than the
-        // peeked time. Both backends must deliver in time order anyway.
-        const DAY: u64 = 86_400_000_000_000;
-        let mut orders: Vec<Vec<(u64, u32)>> = Vec::new();
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::ZERO, 0u32); // daily job, fires at 0
-            q.schedule(SimTime::from_nanos(7 * DAY), 1u32); // weekly job
-            let mut order = Vec::new();
-            while let Some((at, ev)) = q.pop() {
-                order.push((at.as_nanos() / DAY, ev));
-                let t = at.as_nanos();
-                if ev == 0 && t < 10 * DAY {
-                    // Peek first — on the wheel this cascades the cursor
-                    // up to the weekly entry before the daily one lands.
-                    let _ = q.peek();
-                    q.schedule(SimTime::from_nanos(t + DAY), 0u32);
-                }
-            }
-            let sorted_ok = order.windows(2).all(|w| w[0].0 <= w[1].0);
-            assert!(sorted_ok, "{kind:?} delivered out of order: {order:?}");
-            orders.push(order);
+        let before = q.len();
+        while !q.is_empty() {
+            let now_before = q.now();
+            let (peek_at, &peek_ev) = q.peek().expect("non-empty queue peeks");
+            assert_eq!(q.now(), now_before, "peek moved the clock");
+            let (at, ev) = q.pop().unwrap();
+            assert_eq!((peek_at, peek_ev), (at, ev));
         }
-        assert_eq!(orders[0], orders[1], "backends disagree on order");
-    }
-
-    #[test]
-    fn calendar_kind_reads_env_per_call() {
-        std::env::remove_var("ROAM_CALENDAR");
-        assert_eq!(CalendarKind::from_env(), CalendarKind::Wheel);
-        std::env::set_var("ROAM_CALENDAR", "heap");
-        assert_eq!(CalendarKind::from_env(), CalendarKind::Heap);
-        std::env::set_var("ROAM_CALENDAR", "wheel");
-        assert_eq!(CalendarKind::from_env(), CalendarKind::Wheel);
-        std::env::remove_var("ROAM_CALENDAR");
-    }
-
-    #[test]
-    fn override_beats_env_while_installed() {
-        let prev = CalendarKind::override_calendar(Some(CalendarKind::Heap));
-        assert_eq!(CalendarKind::current(), CalendarKind::Heap);
-        assert_eq!(EventQueue::<u32>::new().kind(), CalendarKind::Heap);
-        let inner = CalendarKind::override_calendar(Some(CalendarKind::Wheel));
-        assert_eq!(inner, Some(CalendarKind::Heap));
-        assert_eq!(CalendarKind::current(), CalendarKind::Wheel);
-        CalendarKind::override_calendar(prev);
+        assert_eq!(before, times.len());
+        assert!(q.peek().is_none());
     }
 }

@@ -37,10 +37,11 @@
 //! see different fault alignments, retries (which re-draw the phase) can
 //! escape a window, and everything stays a function of flow identity.
 //!
-//! Selection is via `ROAM_FAULTS=off|light|heavy|<spec>` (see
-//! [`FaultSpec::from_env`]) or the process-wide
-//! [`FaultSpec::override_faults`], mirroring how
-//! [`TransportKind`](crate::engine::TransportKind) is chosen.
+//! A [`Network`](crate::Network) starts from
+//! `ROAM_FAULTS=off|light|heavy|<spec>` (see [`FaultSpec::parse`] and
+//! [`FaultSpec::current`]); a runner that resolved its own spec hands it
+//! over with [`Network::set_faults`](crate::Network::set_faults), the
+//! same way it hands over its [`TransportKind`](crate::engine::TransportKind).
 
 use crate::engine::flow_seed;
 use crate::time::SimTime;
@@ -268,14 +269,21 @@ impl FaultSpec {
         SimTime::from_ms(self.period_ms).as_nanos().max(1)
     }
 
-    /// Parse a custom spec: comma-separated `key=value` pairs over a base
-    /// of [`FaultSpec::off`]. Keys: `flap`, `burst`, `flap_good_ms`,
-    /// `flap_bad_ms`, `outage`, `outage_up_ms`, `outage_dark_ms`, `dns`,
-    /// `rebind`, `rebind_up_ms`, `rebind_dark_ms`, `period_ms`.
-    /// `None` when a key is unknown or a value is not a finite number in
-    /// range.
+    /// Parse a spec: `off` or empty disable the plane, `light` and
+    /// `heavy` select the presets, anything else is comma-separated
+    /// `key=value` pairs over a base of [`FaultSpec::off`]. Keys: `flap`,
+    /// `burst`, `flap_good_ms`, `flap_bad_ms`, `outage`, `outage_up_ms`,
+    /// `outage_dark_ms`, `dns`, `rebind`, `rebind_up_ms`, `rebind_dark_ms`,
+    /// `period_ms`. `None` when a key is unknown or a value is not a
+    /// finite number in range.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
+        match s.trim() {
+            "off" => return Some(FaultSpec::off()),
+            "light" => return Some(FaultSpec::light()),
+            "heavy" => return Some(FaultSpec::heavy()),
+            _ => {}
+        }
         let mut spec = FaultSpec::off();
         for pair in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) = pair.split_once('=')?;
@@ -303,39 +311,35 @@ impl FaultSpec {
         Some(spec)
     }
 
-    /// Read the spec from `ROAM_FAULTS`: `off`/unset/empty disable the
-    /// plane, `light` and `heavy` select the presets, anything else is
-    /// parsed as a custom spec (see [`FaultSpec::parse`]). Read on every
-    /// call (never cached) so tests can flip it mid-process.
+    /// Read the spec from `ROAM_FAULTS` (see [`FaultSpec::parse`]; unset
+    /// disables the plane).
     ///
     /// # Panics
-    /// On an unparseable custom spec — a misspelt knob should fail loudly
-    /// at startup, not silently run the happy path.
+    /// On an unparseable spec — a misspelt knob should fail loudly at
+    /// startup, not silently run the happy path.
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("ROAM_FAULTS") {
-            Err(_) => FaultSpec::off(),
-            Ok(v) => match v.trim() {
-                "" | "off" => FaultSpec::off(),
-                "light" => FaultSpec::light(),
-                "heavy" => FaultSpec::heavy(),
-                other => FaultSpec::parse(other)
-                    .unwrap_or_else(|| panic!("ROAM_FAULTS: unparseable spec {other:?}")),
-            },
-        }
+        std::env::var("ROAM_FAULTS").map_or(FaultSpec::off(), |v| {
+            FaultSpec::parse(&v)
+                .unwrap_or_else(|| panic!("ROAM_FAULTS: unparseable spec {:?}", v.trim()))
+        })
     }
 
-    /// Install (or clear, with `None`) a process-wide override that takes
-    /// precedence over `ROAM_FAULTS`. Returns the previous override so
-    /// callers can restore it — the campaign and fleet runners' builder
-    /// knobs use this with a restore guard.
+    /// Install (or clear, with `None`) a process-wide override that
+    /// [`FaultSpec::current`] — and so every new network's default —
+    /// prefers over `ROAM_FAULTS`. Returns the previous override so the
+    /// caller can restore it. No runner installs one: runners hand their
+    /// spec to each network they build. It remains for harnesses that
+    /// build worlds themselves and want a spec other than the
+    /// environment's.
     pub fn override_faults(spec: Option<FaultSpec>) -> Option<FaultSpec> {
         let mut slot = FAULTS_OVERRIDE.lock().expect("faults override poisoned");
         std::mem::replace(&mut slot, spec)
     }
 
-    /// The effective spec for this call: the process-wide override if one
-    /// is installed, otherwise whatever `ROAM_FAULTS` says.
+    /// The default spec a new network starts from: the process-wide
+    /// override if one is installed, otherwise whatever `ROAM_FAULTS`
+    /// says.
     #[must_use]
     pub fn current() -> Self {
         let slot = FAULTS_OVERRIDE.lock().expect("faults override poisoned");
@@ -605,26 +609,33 @@ mod tests {
     }
 
     #[test]
-    fn env_selects_presets_and_custom_specs() {
-        // Single test exercising the env path end-to-end: parallel tests
-        // in this binary never touch ROAM_FAULTS, so this is race-free.
-        std::env::remove_var("ROAM_FAULTS");
-        assert_eq!(FaultSpec::from_env(), FaultSpec::off());
-        std::env::set_var("ROAM_FAULTS", "light");
-        assert_eq!(FaultSpec::from_env(), FaultSpec::light());
-        std::env::set_var("ROAM_FAULTS", "heavy");
-        assert_eq!(FaultSpec::from_env(), FaultSpec::heavy());
-        std::env::set_var("ROAM_FAULTS", "flap=0.4,burst=0.8");
-        assert_eq!(FaultSpec::from_env().link_flap_rate, 0.4);
-        std::env::remove_var("ROAM_FAULTS");
+    fn parse_selects_presets_and_custom_specs() {
+        assert_eq!(FaultSpec::parse(""), Some(FaultSpec::off()));
+        assert_eq!(FaultSpec::parse("off"), Some(FaultSpec::off()));
+        assert_eq!(FaultSpec::parse(" light "), Some(FaultSpec::light()));
+        assert_eq!(FaultSpec::parse("heavy\n"), Some(FaultSpec::heavy()));
+        let custom = FaultSpec::parse("flap=0.4,burst=0.8").unwrap();
+        assert_eq!(custom.link_flap_rate, 0.4);
+        assert!(
+            FaultSpec::parse("heavy,flap=0.1").is_none(),
+            "preset plus keys"
+        );
     }
 
     #[test]
     fn override_beats_env_while_installed() {
-        let prev = FaultSpec::override_faults(Some(FaultSpec::heavy()));
-        assert_eq!(FaultSpec::current(), FaultSpec::heavy());
-        let inner = FaultSpec::override_faults(Some(FaultSpec::off()));
-        assert_eq!(inner, Some(FaultSpec::heavy()));
+        // Pin disabled specs only: every `Network::new` in this test
+        // binary reads the override, and a disabled spec cannot change
+        // what a concurrent test's network does.
+        let quiet = |period_ms| FaultSpec {
+            period_ms,
+            ..FaultSpec::off()
+        };
+        let prev = FaultSpec::override_faults(Some(quiet(500.0)));
+        assert_eq!(FaultSpec::current(), quiet(500.0));
+        let inner = FaultSpec::override_faults(Some(quiet(700.0)));
+        assert_eq!(inner, Some(quiet(500.0)));
+        assert_eq!(FaultSpec::current(), quiet(700.0));
         assert!(!FaultSpec::current().enabled());
         FaultSpec::override_faults(prev);
     }

@@ -6,14 +6,14 @@
 //! * a **node/link graph** with geographically derived propagation delays
 //!   (great-circle distance × fiber speed × a circuitousness factor per link
 //!   class), per-hop processing delay, bounded jitter, and loss injection;
-//! * real **wire formats** (IPv4 with checksums, UDP, ICMP echo /
-//!   time-exceeded, GTP-U, DNS) encoded and decoded through [`bytes`];
+//! * real **wire formats** for the tunnel and resolver traffic (GTP-U,
+//!   DNS) encoded and decoded through [`bytes`];
 //! * a **hop-by-hop packet walk** ([`net::Network::traceroute`],
 //!   [`net::Network::ping`]) that decrements each probe's TTL at every
 //!   router and answers expiry with a time-exceeded retracing the path;
 //! * an **event queue** (a timing wheel keyed by [`time::SimTime`] with
-//!   monotonic sequence tie-breaking, or its binary-heap fallback) behind
-//!   the stepped transport and the agent's scheduler;
+//!   monotonic sequence tie-breaking) behind the stepped transport and
+//!   the agent's scheduler;
 //! * an **IP registry** mapping prefixes to ASN / organisation / geolocation,
 //!   playing the role ipinfo and WHOIS play in the paper's methodology;
 //! * **CG-NAT** semantics: private hops inside a PGW provider's core answer
@@ -26,7 +26,10 @@
 //! Everything is deterministic: all randomness (jitter, loss) flows from a
 //! seed supplied at [`net::Network::new`]. Two simulations with the same
 //! seed and the same call sequence produce bit-identical results — a
-//! property the integration suite checks explicitly.
+//! property the integration suite checks explicitly. A run's knobs
+//! (telemetry, transport, faults) travel with each network as a
+//! [`net::RunKnobs`] value, so concurrent runs in one process never
+//! share them.
 
 pub mod engine;
 pub mod event;
@@ -42,13 +45,13 @@ pub mod wire;
 pub use engine::{
     flow_seed, ClosedFormTransport, EngineSteppedTransport, Flow, FlowId, Transport, TransportKind,
 };
-pub use event::{CalendarKind, EventQueue};
+pub use event::EventQueue;
 pub use faults::{FaultCalendar, FaultPlane, FaultSpec, GilbertElliott, NodeFaultState};
 pub use ip::{is_private, Ipv4Net};
 pub use link::{LatencyModel, Link, LinkClass};
 pub use net::{
     Network, NodeId, NodeKind, PacketEvent, PacketEventKind, PingResult, ProbeError, RttSample,
-    TraceHop, Traceroute, TracerouteOpts,
+    RunKnobs, TraceHop, Traceroute, TracerouteOpts,
 };
 pub use registry::{Asn, IpRegistry, PrefixInfo};
 pub use throughput::{transfer_time_ms, TokenBucket, TransferSpec};

@@ -1,19 +1,16 @@
-//! Wire formats: IPv4, UDP, ICMP, GTP-U and DNS.
+//! Wire formats: GTP-U and DNS.
 //!
-//! The simulator does not shuttle abstract records around — probes are
-//! encoded to bytes, headers are mutated in flight (TTL decrement +
-//! incremental checksum update at every router) and decoded back by the
-//! receiver, in the smoltcp spirit of representation-faithful networking
-//! code. Formats implemented:
+//! The tunnel and resolver traffic the paper's methodology reasons about
+//! is encoded to bytes and decoded back, in the smoltcp spirit of
+//! representation-faithful networking code. Formats implemented:
 //!
-//! * **IPv4** (RFC 791): fixed 20-byte header, internet checksum;
-//! * **UDP** (RFC 768): 8-byte header (checksum optional, as on the wire);
-//! * **ICMP** (RFC 792): echo request/reply and time-exceeded, the two
-//!   message types `mtr`-style traceroute needs;
 //! * **GTP-U** (3GPP TS 29.281): the 8-byte mandatory header with a G-PDU
 //!   payload — what the SGW↔PGW tunnels of §4.3 actually carry;
 //! * **DNS** (RFC 1035, subset): one-question queries with A-record answers,
 //!   enough for the resolver-discovery experiment of §5.1.
+//!
+//! The packet walk itself keeps no header bytes: it tracks each probe's
+//! TTL as an integer (see [`crate::net`]).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
@@ -25,8 +22,6 @@ pub enum WireError {
     Truncated,
     /// A version/type field had an unsupported value.
     BadField(&'static str),
-    /// The internet checksum did not verify.
-    BadChecksum,
 }
 
 impl std::fmt::Display for WireError {
@@ -34,317 +29,11 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "truncated packet"),
             WireError::BadField(name) => write!(f, "bad field: {name}"),
-            WireError::BadChecksum => write!(f, "checksum mismatch"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
-
-/// RFC 1071 internet checksum over `data` (pads odd length with zero).
-#[must_use]
-pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum > 0xFFFF {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    !(sum as u16)
-}
-
-// ---------------------------------------------------------------------------
-// IPv4
-// ---------------------------------------------------------------------------
-
-/// IP protocol numbers the simulator uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IpProto {
-    /// ICMP (1).
-    Icmp,
-    /// UDP (17).
-    Udp,
-    /// Anything else, kept verbatim.
-    Other(u8),
-}
-
-impl IpProto {
-    /// Protocol number.
-    #[must_use]
-    pub fn number(self) -> u8 {
-        match self {
-            IpProto::Icmp => 1,
-            IpProto::Udp => 17,
-            IpProto::Other(n) => n,
-        }
-    }
-
-    /// From a protocol number.
-    #[must_use]
-    pub fn from_number(n: u8) -> Self {
-        match n {
-            1 => IpProto::Icmp,
-            17 => IpProto::Udp,
-            other => IpProto::Other(other),
-        }
-    }
-}
-
-/// A fixed (no-options) IPv4 header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ipv4Header {
-    /// Differentiated services byte (kept for completeness).
-    pub dscp_ecn: u8,
-    /// Total length of header + payload in bytes.
-    pub total_len: u16,
-    /// Identification field.
-    pub ident: u16,
-    /// Time to live — the field traceroute plays with.
-    pub ttl: u8,
-    /// Payload protocol.
-    pub proto: IpProto,
-    /// Source address.
-    pub src: Ipv4Addr,
-    /// Destination address.
-    pub dst: Ipv4Addr,
-}
-
-impl Ipv4Header {
-    /// Encoded size (no options).
-    pub const LEN: usize = 20;
-
-    /// Encode the header (checksum computed here) followed by nothing; the
-    /// caller appends the payload.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        let start = buf.len();
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(self.dscp_ecn);
-        buf.put_u16(self.total_len);
-        buf.put_u16(self.ident);
-        buf.put_u16(0); // flags/fragment: never fragmented in-sim
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.proto.number());
-        buf.put_u16(0); // checksum placeholder
-        buf.put_slice(&self.src.octets());
-        buf.put_slice(&self.dst.octets());
-        let cksum = internet_checksum(&buf[start..start + Self::LEN]);
-        buf[start + 10..start + 12].copy_from_slice(&cksum.to_be_bytes());
-    }
-
-    /// Decode and verify a header from the front of `data`.
-    pub fn decode(data: &[u8]) -> Result<Self, WireError> {
-        if data.len() < Self::LEN {
-            return Err(WireError::Truncated);
-        }
-        let mut b = &data[..Self::LEN];
-        let vihl = b.get_u8();
-        if vihl != 0x45 {
-            return Err(WireError::BadField("version/ihl"));
-        }
-        if internet_checksum(&data[..Self::LEN]) != 0 {
-            return Err(WireError::BadChecksum);
-        }
-        let dscp_ecn = b.get_u8();
-        let total_len = b.get_u16();
-        let ident = b.get_u16();
-        let _flags_frag = b.get_u16();
-        let ttl = b.get_u8();
-        let proto = IpProto::from_number(b.get_u8());
-        let _cksum = b.get_u16();
-        let src = Ipv4Addr::new(b.get_u8(), b.get_u8(), b.get_u8(), b.get_u8());
-        let dst = Ipv4Addr::new(b.get_u8(), b.get_u8(), b.get_u8(), b.get_u8());
-        Ok(Ipv4Header {
-            dscp_ecn,
-            total_len,
-            ident,
-            ttl,
-            proto,
-            src,
-            dst,
-        })
-    }
-
-    /// Decrement the TTL of an encoded packet in place, recomputing the
-    /// checksum. Returns the new TTL, or an error if the packet is not a
-    /// valid IPv4 header. This is what every simulated router does.
-    pub fn decrement_ttl(packet: &mut [u8]) -> Result<u8, WireError> {
-        let hdr = Self::decode(packet)?;
-        if hdr.ttl == 0 {
-            return Err(WireError::BadField("ttl already zero"));
-        }
-        let new_ttl = hdr.ttl - 1;
-        packet[8] = new_ttl;
-        packet[10] = 0;
-        packet[11] = 0;
-        let cksum = internet_checksum(&packet[..Self::LEN]);
-        packet[10..12].copy_from_slice(&cksum.to_be_bytes());
-        Ok(new_ttl)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// UDP
-// ---------------------------------------------------------------------------
-
-/// A UDP header (checksum left zero, i.e. "not computed", as IPv4 allows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UdpHeader {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Header + payload length in bytes.
-    pub len: u16,
-}
-
-impl UdpHeader {
-    /// Encoded size.
-    pub const LEN: usize = 8;
-
-    /// Encode the header.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u16(self.len);
-        buf.put_u16(0);
-    }
-
-    /// Decode from the front of `data`.
-    pub fn decode(mut data: &[u8]) -> Result<Self, WireError> {
-        if data.len() < Self::LEN {
-            return Err(WireError::Truncated);
-        }
-        let src_port = data.get_u16();
-        let dst_port = data.get_u16();
-        let len = data.get_u16();
-        if (len as usize) < Self::LEN {
-            return Err(WireError::BadField("udp length"));
-        }
-        Ok(UdpHeader {
-            src_port,
-            dst_port,
-            len,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ICMP
-// ---------------------------------------------------------------------------
-
-/// The ICMP messages the simulator speaks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IcmpMessage {
-    /// Echo request (type 8): ident, sequence, payload.
-    EchoRequest {
-        ident: u16,
-        seq: u16,
-        payload: Bytes,
-    },
-    /// Echo reply (type 0): ident, sequence, payload.
-    EchoReply {
-        ident: u16,
-        seq: u16,
-        payload: Bytes,
-    },
-    /// Time exceeded in transit (type 11 code 0), quoting the offending
-    /// packet's IP header + first 8 payload bytes, as real routers do.
-    TimeExceeded { original: Bytes },
-}
-
-impl IcmpMessage {
-    /// Encode to bytes (checksum included).
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Append the encoded message (checksum included) to `buf`. The
-    /// allocation-free path: callers with a reusable scratch buffer
-    /// (e.g. the packet walker) encode without touching the heap.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        let start = buf.len();
-        match self {
-            IcmpMessage::EchoRequest {
-                ident,
-                seq,
-                payload,
-            } => {
-                buf.put_u8(8);
-                buf.put_u8(0);
-                buf.put_u16(0);
-                buf.put_u16(*ident);
-                buf.put_u16(*seq);
-                buf.put_slice(payload);
-            }
-            IcmpMessage::EchoReply {
-                ident,
-                seq,
-                payload,
-            } => {
-                buf.put_u8(0);
-                buf.put_u8(0);
-                buf.put_u16(0);
-                buf.put_u16(*ident);
-                buf.put_u16(*seq);
-                buf.put_slice(payload);
-            }
-            IcmpMessage::TimeExceeded { original } => {
-                buf.put_u8(11);
-                buf.put_u8(0);
-                buf.put_u16(0);
-                buf.put_u32(0); // unused
-                let quote_len = original.len().min(Ipv4Header::LEN + 8);
-                buf.put_slice(&original[..quote_len]);
-            }
-        }
-        let cksum = internet_checksum(&buf[start..]);
-        buf[start + 2..start + 4].copy_from_slice(&cksum.to_be_bytes());
-    }
-
-    /// Decode and verify.
-    pub fn decode(data: &[u8]) -> Result<Self, WireError> {
-        if data.len() < 8 {
-            return Err(WireError::Truncated);
-        }
-        if internet_checksum(data) != 0 {
-            return Err(WireError::BadChecksum);
-        }
-        let ty = data[0];
-        let code = data[1];
-        match (ty, code) {
-            (8, 0) | (0, 0) => {
-                let ident = u16::from_be_bytes([data[4], data[5]]);
-                let seq = u16::from_be_bytes([data[6], data[7]]);
-                let payload = Bytes::copy_from_slice(&data[8..]);
-                Ok(if ty == 8 {
-                    IcmpMessage::EchoRequest {
-                        ident,
-                        seq,
-                        payload,
-                    }
-                } else {
-                    IcmpMessage::EchoReply {
-                        ident,
-                        seq,
-                        payload,
-                    }
-                })
-            }
-            (11, 0) => Ok(IcmpMessage::TimeExceeded {
-                original: Bytes::copy_from_slice(&data[8..]),
-            }),
-            _ => Err(WireError::BadField("icmp type/code")),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // GTP-U
@@ -593,141 +282,13 @@ mod tests {
     }
 
     #[test]
-    fn checksum_of_rfc1071_example() {
-        // Classic example: 00 01 f2 03 f4 f5 f6 f7 -> checksum 0x220d.
-        let data = [0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
-        assert_eq!(internet_checksum(&data), 0x220d);
-    }
-
-    #[test]
-    fn checksum_odd_length_pads() {
-        let even = internet_checksum(&[0xAB, 0xCD, 0x12, 0x00]);
-        let odd = internet_checksum(&[0xAB, 0xCD, 0x12]);
-        assert_eq!(even, odd);
-    }
-
-    fn sample_ipv4() -> Ipv4Header {
-        Ipv4Header {
-            dscp_ecn: 0,
-            total_len: 84,
-            ident: 0x1234,
-            ttl: 64,
-            proto: IpProto::Icmp,
-            src: ip("10.0.0.2"),
-            dst: ip("8.8.8.8"),
-        }
-    }
-
-    #[test]
-    fn ipv4_round_trip() {
-        let hdr = sample_ipv4();
-        let mut buf = BytesMut::new();
-        hdr.encode(&mut buf);
-        assert_eq!(buf.len(), Ipv4Header::LEN);
-        let back = Ipv4Header::decode(&buf).unwrap();
-        assert_eq!(back, hdr);
-    }
-
-    #[test]
-    fn ipv4_checksum_verifies_and_detects_corruption() {
-        let mut buf = BytesMut::new();
-        sample_ipv4().encode(&mut buf);
-        assert_eq!(internet_checksum(&buf), 0, "valid header sums to zero");
-        let mut bad = buf.to_vec();
-        bad[12] ^= 0xFF; // flip a source-address byte
-        assert_eq!(
-            Ipv4Header::decode(&bad).unwrap_err(),
-            WireError::BadChecksum
-        );
-    }
-
-    #[test]
-    fn ttl_decrement_keeps_checksum_valid() {
-        let mut buf = BytesMut::new();
-        sample_ipv4().encode(&mut buf);
-        let mut pkt = buf.to_vec();
-        for expect in (0..64).rev() {
-            let got = Ipv4Header::decrement_ttl(&mut pkt).unwrap();
-            assert_eq!(got, expect);
-            assert_eq!(Ipv4Header::decode(&pkt).unwrap().ttl, expect);
-        }
-        // TTL 0: further decrement is an error.
-        assert!(Ipv4Header::decrement_ttl(&mut pkt).is_err());
-    }
-
-    #[test]
-    fn udp_round_trip_and_bad_length() {
-        let h = UdpHeader {
-            src_port: 33434,
-            dst_port: 53,
-            len: 36,
-        };
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
-        assert_eq!(UdpHeader::decode(&buf).unwrap(), h);
-        let bad = [0u8, 1, 0, 53, 0, 3, 0, 0]; // len 3 < 8
-        assert_eq!(
-            UdpHeader::decode(&bad).unwrap_err(),
-            WireError::BadField("udp length")
-        );
-    }
-
-    #[test]
-    fn icmp_echo_round_trip() {
-        let msg = IcmpMessage::EchoRequest {
-            ident: 77,
-            seq: 3,
-            payload: Bytes::from_static(b"roamsim-probe"),
-        };
-        let enc = msg.encode();
-        assert_eq!(IcmpMessage::decode(&enc).unwrap(), msg);
-    }
-
-    #[test]
-    fn icmp_time_exceeded_quotes_original() {
-        let mut buf = BytesMut::new();
-        sample_ipv4().encode(&mut buf);
-        buf.put_slice(b"12345678-and-more-than-eight");
-        let te = IcmpMessage::TimeExceeded {
-            original: buf.clone().freeze(),
-        };
-        let enc = te.encode();
-        match IcmpMessage::decode(&enc).unwrap() {
-            IcmpMessage::TimeExceeded { original } => {
-                // Quote limited to IP header + 8 bytes, per RFC 792.
-                assert_eq!(original.len(), Ipv4Header::LEN + 8);
-                let quoted = Ipv4Header::decode(&original).unwrap();
-                assert_eq!(quoted.src, ip("10.0.0.2"));
-            }
-            other => panic!("wrong message: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn icmp_rejects_corruption() {
-        let enc = IcmpMessage::EchoReply {
-            ident: 1,
-            seq: 2,
-            payload: Bytes::new(),
-        }
-        .encode();
-        let mut bad = enc.to_vec();
-        bad[4] ^= 0x01;
-        assert_eq!(
-            IcmpMessage::decode(&bad).unwrap_err(),
-            WireError::BadChecksum
-        );
-    }
-
-    #[test]
     fn gtpu_encapsulation_round_trip() {
-        let mut inner = BytesMut::new();
-        sample_ipv4().encode(&mut inner);
-        let tunnel = GtpuHeader::encapsulate(0xDEADBEEF, &inner);
-        assert_eq!(tunnel.len(), GtpuHeader::LEN + Ipv4Header::LEN);
+        let inner = b"an inner IPv4 datagram";
+        let tunnel = GtpuHeader::encapsulate(0xDEADBEEF, inner);
+        assert_eq!(tunnel.len(), GtpuHeader::LEN + inner.len());
         let (hdr, payload) = GtpuHeader::decapsulate(&tunnel).unwrap();
         assert_eq!(hdr.teid, 0xDEADBEEF);
-        assert_eq!(hdr.payload_len as usize, Ipv4Header::LEN);
+        assert_eq!(hdr.payload_len as usize, inner.len());
         assert_eq!(&payload[..], &inner[..]);
     }
 

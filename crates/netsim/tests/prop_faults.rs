@@ -1,7 +1,7 @@
 //! Fault-plane contracts: the Gilbert–Elliott realisation must converge
 //! to its stationary distribution, and the fault windows a run observes
 //! must be a pure function of (seed, spec) — in particular, identical
-//! under both `ROAM_TRANSPORT` implementations.
+//! under both transport implementations.
 
 use proptest::prelude::*;
 use roam_netsim::engine::flow_seed;
@@ -82,8 +82,10 @@ proptest! {
 /// Build a small lossy topology with a dark-able gateway and run a fixed
 /// probe schedule under the currently pinned transport, returning every
 /// typed outcome plus the fault plane's tallies.
-fn probe_trace(seed: u64) -> (Vec<String>, u64, u64) {
+fn probe_trace(seed: u64, transport: TransportKind) -> (Vec<String>, u64, u64) {
     let mut net = Network::new(seed);
+    net.set_faults(FaultSpec::heavy());
+    net.set_transport(transport);
     let ue = net.add_node(
         "ue",
         NodeKind::Host,
@@ -134,14 +136,10 @@ fn probe_trace(seed: u64) -> (Vec<String>, u64, u64) {
 /// and failover tally agree bit-for-bit under both backends.
 #[test]
 fn fault_windows_identical_under_both_transports() {
-    let prev = FaultSpec::override_faults(Some(FaultSpec::heavy()));
     let mut perturbed = false;
     for seed in [3u64, 17, 4242, 0x00C0_FFEE] {
-        let prev_t = TransportKind::override_transport(Some(TransportKind::ClosedForm));
-        let closed = probe_trace(seed);
-        TransportKind::override_transport(Some(TransportKind::Engine));
-        let engine = probe_trace(seed);
-        TransportKind::override_transport(prev_t);
+        let closed = probe_trace(seed, TransportKind::ClosedForm);
+        let engine = probe_trace(seed, TransportKind::Engine);
         assert_eq!(
             closed, engine,
             "seed {seed}: transports disagree on fault windows"
@@ -151,5 +149,4 @@ fn fault_windows_identical_under_both_transports() {
         perturbed |= closed.1 > 0 || closed.2 > 0 || closed.0.iter().any(|o| o == "lost");
     }
     assert!(perturbed, "heavy schedule never perturbed any probe");
-    FaultSpec::override_faults(prev);
 }

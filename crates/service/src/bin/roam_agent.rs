@@ -7,7 +7,9 @@
 //!
 //! Service knobs come from `ROAM_SERVICE_*` (see `ServiceConfig`);
 //! execution knobs from the repo-wide `ROAM_PARALLEL`, `ROAM_TRANSPORT`,
-//! `ROAM_CALENDAR`, `ROAM_FAULTS`, `ROAM_TELEMETRY`. When
+//! `ROAM_FAULTS`, `ROAM_TELEMETRY`, each resolved once when the agent
+//! is built (a resumed agent keeps its checkpoint's faults and
+//! telemetry). When
 //! `ROAM_CHECKPOINT_DIR` is set the agent writes `agent.ckpt` there
 //! every `ROAM_SERVICE_CKPT` sim-days — and on SIGTERM/SIGINT, after
 //! draining the export queue. Restarting with the same checkpoint dir

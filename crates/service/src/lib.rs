@@ -27,8 +27,10 @@
 //!
 //! The determinism contract is the repo-wide one: the agent's report,
 //! session stream and soak table are byte-identical across thread
-//! counts, transport backends, calendar backends, and any
-//! kill-at-a-checkpoint/resume split of the run.
+//! counts, transport backends, and any kill-at-a-checkpoint/resume
+//! split of the run. The agent carries its fault schedule itself and
+//! hands it to every cohort batch, so it never depends on — or leaks
+//! into — another run in the same process.
 //!
 //! [`KIND_AGENT`]: roam_fleet::checkpoint::KIND_AGENT
 

@@ -3,9 +3,9 @@
 //! A long-running agent is a set of recurring [`Job`]s — cohort ticks,
 //! vantage probes, fault-calendar advancement — fired in simulated time
 //! by a [`Scheduler`] built on `roam-netsim`'s event calendar
-//! ([`EventQueue`]): the same hierarchical timing wheel (or heap
-//! fallback, `ROAM_CALENDAR=heap`) that orders packet walks orders job
-//! fires here, just at sim-day instead of sub-millisecond scale.
+//! ([`EventQueue`]): the same hierarchical timing wheel that steps the
+//! engine transport orders job fires here, just at sim-day instead of
+//! sub-millisecond scale.
 //!
 //! Two contracts make the scheduler deterministic:
 //!
@@ -93,7 +93,7 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// An empty scheduler at virtual time zero, drawing job streams from
-    /// `master` and its calendar backend from `ROAM_CALENDAR`.
+    /// `master`.
     #[must_use]
     pub fn new(master: u64) -> Self {
         Scheduler {

@@ -134,11 +134,8 @@ jq -n \
     | ($b[0]."faults/ping_faults_off".mean_ns) as $poff
     | ($b[0]."faults/ping_faults_heavy".mean_ns) as $pheavy
     | ($b[0]."event_core/uniform_4k_wheel".mean_ns) as $ecuw
-    | ($b[0]."event_core/uniform_4k_heap".mean_ns) as $ecuh
     | ($b[0]."event_core/bursty_4k_wheel".mean_ns) as $ecbw
-    | ($b[0]."event_core/bursty_4k_heap".mean_ns) as $ecbh
     | ($b[0]."event_core/longtail_4k_wheel".mean_ns) as $eclw
-    | ($b[0]."event_core/longtail_4k_heap".mean_ns) as $eclh
     | ($b[0]."checkpoint/shard_encode_2k".mean_ns) as $cke
     | ($b[0]."checkpoint/shard_decode_2k".mean_ns) as $ckd
     | ($b[0]."checkpoint/shard_write_2k".mean_ns) as $ckw
@@ -174,16 +171,10 @@ jq -n \
          disabled_overhead_within_2pct: (if $poff != null and $fwd != null then ($poff / $fwd) <= 1.02 else null end)
        },
        event_core: {
-         note: "schedule+pop of 4k events on a rewound (capacity-retaining) calendar, per mix; wheel_over_heap < 1.0 means the timing wheel beats the binary heap on that mix",
+         note: "schedule+pop of 4k events on a rewound (capacity-retaining) timing-wheel calendar, per mix",
          uniform_4k_wheel_ns: $ecuw,
-         uniform_4k_heap_ns: $ecuh,
          bursty_4k_wheel_ns: $ecbw,
-         bursty_4k_heap_ns: $ecbh,
-         longtail_4k_wheel_ns: $eclw,
-         longtail_4k_heap_ns: $eclh,
-         wheel_over_heap_uniform: (if $ecuw != null and $ecuh != null then ($ecuw / $ecuh) else null end),
-         wheel_over_heap_bursty: (if $ecbw != null and $ecbh != null then ($ecbw / $ecbh) else null end),
-         wheel_over_heap_longtail: (if $eclw != null and $eclh != null then ($eclw / $eclh) else null end)
+         longtail_4k_wheel_ns: $eclw
        },
        fleet: {
          note: "2k-user run timed end-to-end (synthesis, purchases, sessions, sketches); users_per_sec_smoke is the population-scale throughput headline (best of three 100k-user fleet_smoke runs), gated against floor_users_per_sec on both backends; _threads4 spreads shards over 4 threads, _workers4 over 4 worker processes (pipes + codec frames), and workers4_over_threads4 is the process-backend tax (or win) — every mode produces byte-identical reports",

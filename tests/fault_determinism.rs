@@ -3,10 +3,6 @@
 //! `ROAM_PARALLEL` × `ROAM_TRANSPORT` × `ROAM_FLEET_SHARDS`, runs
 //! complete with explicit `failed` rows instead of aborting, and the
 //! degradation summary is populated.
-//!
-//! One `#[test]` on purpose: the fault-spec pin is process-global (like
-//! the transport pin), so the matrix must not race a sibling test that
-//! resolves `FaultSpec::current()`.
 
 use roam_bench::CampaignRunner;
 use roamsim::fleet::FleetRunner;
