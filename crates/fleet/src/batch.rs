@@ -3,7 +3,7 @@
 //! A long-running agent (roam-service) does not run one big population
 //! once — it ticks *cohorts*: named groups of users, each owning a
 //! contiguous uid range inside the shared per-seed uid namespace, each
-//! ticked repeatedly as sim-time advances. [`run_user_batch`] is the
+//! ticked repeatedly as sim-time advances. [`UserBatch::run`] is the
 //! hook that makes one such tick a first-class fleet operation: it
 //! drives an arbitrary `[lo, hi)` uid range through the exact same
 //! plan/exec/merge pipeline `FleetRunner` uses, splitting the range

@@ -168,7 +168,7 @@ impl std::error::Error for ResumeError {
 
 /// Stable discriminant for a [`TelemetryMode`] on the wire.
 #[must_use]
-pub(crate) fn telemetry_to_wire(mode: TelemetryMode) -> u64 {
+pub fn telemetry_to_wire(mode: TelemetryMode) -> u64 {
     match mode {
         TelemetryMode::Off => 0,
         TelemetryMode::Summary => 1,
@@ -176,7 +176,11 @@ pub(crate) fn telemetry_to_wire(mode: TelemetryMode) -> u64 {
     }
 }
 
-pub(crate) fn telemetry_from_wire(v: u64) -> Result<TelemetryMode, CodecError> {
+/// Inverse of [`telemetry_to_wire`].
+///
+/// # Errors
+/// [`CodecError::BadValue`] on an unknown discriminant.
+pub fn telemetry_from_wire(v: u64) -> Result<TelemetryMode, CodecError> {
     match v {
         0 => Ok(TelemetryMode::Off),
         1 => Ok(TelemetryMode::Summary),
@@ -239,13 +243,19 @@ pub(crate) fn decode_config(d: &mut Decoder<'_>) -> Result<FleetConfig, CodecErr
 
 /// Encode a resolved [`FaultSpec`] as a section payload: the twelve
 /// schedule fields at tags 1–12, bit-exact `f64`s in declaration order.
-pub(crate) fn encode_faults(e: &mut Encoder, spec: &FaultSpec) {
+/// Fleet manifests, worker jobs and the agent checkpoint share it.
+pub fn encode_faults(e: &mut Encoder, spec: &FaultSpec) {
     for (tag, v) in fault_fields(spec).into_iter().enumerate() {
         e.f64(tag as u32 + 1, v);
     }
 }
 
-pub(crate) fn decode_faults(d: &mut Decoder<'_>) -> Result<FaultSpec, CodecError> {
+/// Inverse of [`encode_faults`]. An absent tag decodes as `0.0`; every
+/// writer emits all twelve.
+///
+/// # Errors
+/// A malformed section or a non-`f64` field.
+pub fn decode_faults(d: &mut Decoder<'_>) -> Result<FaultSpec, CodecError> {
     let mut fields = [0.0f64; 12];
     while let Some((tag, v)) = d.next_field()? {
         if let 1..=12 = tag {

@@ -205,15 +205,11 @@ pub struct FleetRunner {
     /// `> 0` → shards run in this many `fleet_worker` processes.
     workers: usize,
     worker_bin: Option<PathBuf>,
-    /// Worker-fault injection spec override; `None` follows
-    /// `ROAM_WORKER_FAULTS`.
-    worker_faults: Option<WorkerFaultSpec>,
-    /// Per-shard retry budget override; `None` follows
-    /// `ROAM_WORKER_RETRIES`.
-    worker_retries: Option<u32>,
-    /// Worker stall deadline override (ms); `None` follows
-    /// `ROAM_WORKER_DEADLINE_MS`.
-    worker_deadline_ms: Option<u64>,
+    /// Worker-fault injection spec (off unless `from_env`/`resume`
+    /// read `ROAM_WORKER_FAULTS` or the builder sets it).
+    worker_faults: WorkerFaultSpec,
+    /// Retry budget and stall deadline for the worker supervisor.
+    supervisor: SupervisorPolicy,
     checkpoint_dir: Option<PathBuf>,
     checkpoint_every: u64,
     halt_after: Option<u32>,
@@ -236,8 +232,7 @@ impl std::fmt::Debug for FleetRunner {
             .field("workers", &self.workers)
             .field("worker_bin", &self.worker_bin)
             .field("worker_faults", &self.worker_faults)
-            .field("worker_retries", &self.worker_retries)
-            .field("worker_deadline_ms", &self.worker_deadline_ms)
+            .field("supervisor", &self.supervisor)
             .field("checkpoint_dir", &self.checkpoint_dir)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("halt_after", &self.halt_after)
@@ -249,7 +244,12 @@ impl std::fmt::Debug for FleetRunner {
 
 impl FleetRunner {
     /// A sequential, default-sized, telemetry-off runner for `seed`, with
-    /// the transport left to `ROAM_TRANSPORT`.
+    /// the transport left to `ROAM_TRANSPORT`. The worker plane takes its
+    /// documented defaults: injection off, [`DEFAULT_WORKER_RETRIES`]
+    /// retries, a [`DEFAULT_WORKER_DEADLINE_MS`] stall deadline.
+    ///
+    /// [`DEFAULT_WORKER_RETRIES`]: crate::supervisor::DEFAULT_WORKER_RETRIES
+    /// [`DEFAULT_WORKER_DEADLINE_MS`]: crate::supervisor::DEFAULT_WORKER_DEADLINE_MS
     #[must_use]
     pub fn new(seed: u64) -> Self {
         FleetRunner {
@@ -261,9 +261,8 @@ impl FleetRunner {
             telemetry: TelemetryMode::Off,
             workers: 0,
             worker_bin: None,
-            worker_faults: None,
-            worker_retries: None,
-            worker_deadline_ms: None,
+            worker_faults: WorkerFaultSpec::off(),
+            supervisor: SupervisorPolicy::default(),
             checkpoint_dir: None,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             halt_after: None,
@@ -274,7 +273,9 @@ impl FleetRunner {
 
     /// A runner configured from the environment: population knobs from
     /// `ROAM_FLEET_*`, threads from `ROAM_PARALLEL`, worker processes
-    /// from `ROAM_FLEET_WORKERS`, checkpointing from
+    /// from `ROAM_FLEET_WORKERS`, their supervision from
+    /// `ROAM_WORKER_FAULTS` / `ROAM_WORKER_RETRIES` /
+    /// `ROAM_WORKER_DEADLINE_MS`, checkpointing from
     /// `ROAM_CHECKPOINT_DIR` / `ROAM_CHECKPOINT_EVERY`, telemetry from
     /// `ROAM_TELEMETRY`; the transport and fault schedule resolve once
     /// per run, when it starts (see [`FleetRunner::try_run`]).
@@ -285,8 +286,8 @@ impl FleetRunner {
             mode: RunMode::from_env(),
             telemetry: TelemetryMode::from_env(),
             workers: env_parse("ROAM_FLEET_WORKERS").unwrap_or(0),
-            worker_retries: env_parse("ROAM_WORKER_RETRIES"),
-            worker_deadline_ms: env_parse("ROAM_WORKER_DEADLINE_MS"),
+            worker_faults: WorkerFaultSpec::from_env(),
+            supervisor: SupervisorPolicy::from_env(),
             checkpoint_dir: std::env::var("ROAM_CHECKPOINT_DIR")
                 .ok()
                 .filter(|s| !s.trim().is_empty())
@@ -305,11 +306,12 @@ impl FleetRunner {
     /// are loaded and range-checked here too — `run()` afterwards cannot
     /// fail, it just finishes the remaining user ranges.
     ///
-    /// Execution-shape knobs (threads, worker processes, transport) are
-    /// re-read from the environment — they cannot change the bytes. The
-    /// fault schedule is *not*: the resolved spec stored in the manifest
-    /// is pinned, so the resumed half replays the original schedule even
-    /// if `ROAM_FAULTS` changed in between.
+    /// Execution-shape knobs (threads, worker processes and their
+    /// supervision, transport) are re-read from the environment — they
+    /// cannot change the bytes. The fault schedule is *not*: the
+    /// resolved spec stored in the manifest is pinned, so the resumed
+    /// half replays the original schedule even if `ROAM_FAULTS` changed
+    /// in between.
     ///
     /// # Errors
     /// See [`ResumeError`] — every variant is a refusal, never a silent
@@ -356,8 +358,8 @@ impl FleetRunner {
             faults: Some(manifest.faults),
             telemetry: manifest.telemetry,
             workers: env_parse("ROAM_FLEET_WORKERS").unwrap_or(0),
-            worker_retries: env_parse("ROAM_WORKER_RETRIES"),
-            worker_deadline_ms: env_parse("ROAM_WORKER_DEADLINE_MS"),
+            worker_faults: WorkerFaultSpec::from_env(),
+            supervisor: SupervisorPolicy::from_env(),
             checkpoint_dir: Some(dir),
             checkpoint_every: manifest.every.max(1),
             resume: Some(states),
@@ -455,7 +457,7 @@ impl FleetRunner {
     /// invariant is exactly what the chaos harness exists to pin.
     #[must_use]
     pub fn worker_faults(mut self, spec: WorkerFaultSpec) -> Self {
-        self.worker_faults = Some(spec);
+        self.worker_faults = spec;
         self
     }
 
@@ -463,7 +465,7 @@ impl FleetRunner {
     /// in-process execution (`ROAM_WORKER_RETRIES`).
     #[must_use]
     pub fn worker_retries(mut self, retries: u32) -> Self {
-        self.worker_retries = Some(retries);
+        self.supervisor.retries = retries;
         self
     }
 
@@ -473,7 +475,7 @@ impl FleetRunner {
     /// shard, since the worker only heartbeats *between* shards.
     #[must_use]
     pub fn worker_deadline_ms(mut self, ms: u64) -> Self {
-        self.worker_deadline_ms = Some(ms.max(1));
+        self.supervisor.deadline_ms = ms.max(1);
         self
     }
 
@@ -642,26 +644,17 @@ impl FleetRunner {
                 seed: self.seed,
                 config: self.config,
                 knobs,
-                worker_faults: self.worker_faults.unwrap_or_else(WorkerFaultSpec::from_env),
-                deadline_ms: self
-                    .worker_deadline_ms
-                    .unwrap_or_else(|| SupervisorPolicy::from_env().deadline_ms)
-                    .max(1),
+                worker_faults: self.worker_faults,
+                deadline_ms: self.supervisor.deadline_ms,
                 shards: Vec::new(),
                 checkpoint: policy,
-            };
-            let supervisor_policy = SupervisorPolicy {
-                retries: self
-                    .worker_retries
-                    .unwrap_or_else(|| SupervisorPolicy::from_env().retries),
-                deadline_ms: job.deadline_ms,
             };
             let supervised = supervisor::supervise(
                 &job,
                 plans,
                 self.workers,
                 self.worker_bin.as_ref(),
-                supervisor_policy,
+                self.supervisor,
             );
             let mut run = merge_outcomes(self.config.sample, self.telemetry, supervised.outcomes);
             // Fold the supervisor's own counters in only when recovery

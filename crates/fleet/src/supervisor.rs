@@ -21,7 +21,8 @@
 //!
 //! ## The state machine
 //!
-//! Each child slot cycles through `spawned → streaming → (done | dead)`:
+//! Every child slot is supervised by its own thread, one linear loop
+//! that cycles through `spawn → stream → (done | dead)`:
 //!
 //! * **Liveness** is tracked by exit status plus a sim-progress
 //!   heartbeat frame ([`KIND_HEARTBEAT`]) the worker emits before each
@@ -29,17 +30,19 @@
 //!   charged to the right retry budget.
 //! * **Detection** covers four failure classes: *crash* (killed by a
 //!   signal), *nonzero exit*, *stall* (no frame within
-//!   `ROAM_WORKER_DEADLINE_MS` of the last one), and *protocol
-//!   violation* (truncated stream, integrity-hash failure, wrong frame
-//!   kind/version, result for an unassigned shard).
-//! * **Recovery** respawns the slot's child with its unfinished shards
-//!   (capped exponential backoff between respawns) and charges one
-//!   retry to the shard that was in flight.
+//!   `ROAM_WORKER_DEADLINE_MS` of the last one, measured by the slot's
+//!   own wait on a channel that only its current child feeds), and
+//!   *protocol violation* (truncated stream, integrity-hash failure,
+//!   wrong frame kind/version, result for an unassigned shard).
+//! * **Recovery** kills the child, charges one retry to the shard that
+//!   was in flight, and after a capped exponential backoff respawns
+//!   the slot with its unfinished shards. The backoff sleeps on the
+//!   slot's own thread, so other slots keep streaming meanwhile.
 //! * **Escalation**: a shard that exhausts `ROAM_WORKER_RETRIES`
 //!   attempts — or a child that dies repeatedly before announcing any
 //!   shard — is *quarantined*: its range runs in-process on the parent,
-//!   which cannot crash-loop. Supervised runs therefore always
-//!   complete.
+//!   which cannot crash-loop, once every slot loop has ended.
+//!   Supervised runs therefore always complete.
 //!
 //! ## The chaos plane
 //!
@@ -57,12 +60,13 @@ use crate::worker::{self, WorkerEvent, WorkerJob};
 use roam_codec::CodecError;
 use roam_netsim::engine::flow_seed;
 use roam_telemetry::{Counter, Recorder, Sink as _, TelemetrySnapshot};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Default per-shard retry budget (`ROAM_WORKER_RETRIES`): attempts
 /// beyond the first before the shard is quarantined to the parent.
@@ -92,8 +96,8 @@ const BACKOFF_CAP_MS: u64 = 400;
 /// class. Mirrors [`FaultSpec`](roam_netsim::FaultSpec): presets
 /// ([`WorkerFaultSpec::off`]/[`light`](WorkerFaultSpec::light)/
 /// [`heavy`](WorkerFaultSpec::heavy)), a `key=value` custom parser and
-/// an environment knob (`ROAM_WORKER_FAULTS`) that the runner resolves
-/// once per run.
+/// an environment knob (`ROAM_WORKER_FAULTS`) that the runner's entry
+/// constructors read once.
 ///
 /// Each probability is evaluated per `(shard, attempt)` with one keyed
 /// uniform draw, cumulatively: `crash`, then `stall`, then `torn`, then
@@ -471,7 +475,8 @@ pub struct SupervisionStats {
     pub protocol_errors: u64,
     /// Heartbeat frames received.
     pub heartbeats: u64,
-    /// Every supervised failure, in detection order.
+    /// Every supervised failure, grouped by child slot, in detection
+    /// order within a slot.
     pub errors: Vec<WorkerError>,
 }
 
@@ -488,35 +493,6 @@ impl SupervisionStats {
 // The supervisor.
 // ---------------------------------------------------------------------
 
-/// An event from one child's reader thread, tagged with the slot and
-/// its spawn generation so frames from a killed child's drained pipe
-/// can't be mistaken for its replacement's.
-struct Tagged {
-    slot: usize,
-    generation: u64,
-    event: WorkerEvent,
-}
-
-/// One child slot: the live process (if any), its reader generation,
-/// and its remaining work.
-struct Slot {
-    child: Option<Child>,
-    generation: u64,
-    /// Shard indices still owed by this slot, in dispatch order.
-    queue: VecDeque<usize>,
-    /// The shard the last heartbeat announced, until its result lands.
-    announced: Option<usize>,
-    /// Wall instant of the last frame (or spawn).
-    last_event: Instant,
-    /// Consecutive deaths with no shard in flight (startup failures,
-    /// between-shard crashes) — the cannot-make-progress detector. Only
-    /// a delivered result resets it; heartbeats alone prove nothing.
-    strikes: u32,
-    /// Consecutive failures of any kind, for backoff scaling. Reset by
-    /// a delivered result.
-    failures: u32,
-}
-
 /// What `supervise` hands back to the runner.
 pub(crate) struct Supervised {
     pub outcomes: Vec<ShardOutcome>,
@@ -531,202 +507,69 @@ pub(crate) struct Supervised {
 /// fleet cannot finish within its retry budget runs in-process on the
 /// parent, so a supervised run always completes — and completes with
 /// the same bytes, because shards are pure.
+///
+/// Each child slot is supervised by its own thread ([`supervise_slot`]),
+/// so one slot's backoff never delays another slot's frames. Slot
+/// results merge in slot order, which keeps the failure history a pure
+/// function of the run.
 pub(crate) fn supervise(
-    job_proto: &WorkerJob,
+    job: &WorkerJob,
     plans: Vec<ShardSpec>,
     workers: usize,
     worker_bin: Option<&PathBuf>,
     policy: SupervisorPolicy,
 ) -> Supervised {
     let bin = worker::find_worker_bin(worker_bin);
-    let total = plans.len();
-    let stripes = crate::plan::stripe(total, workers);
-    let specs: BTreeMap<usize, ShardSpec> = plans.into_iter().map(|p| (p.index, p)).collect();
-    let mut attempts: BTreeMap<usize, u32> = BTreeMap::new();
+    let stripes = crate::plan::stripe(plans.len(), workers);
+    let slots: Vec<SlotReport> = std::thread::scope(|scope| {
+        let handles: Vec<_> = stripes
+            .iter()
+            .enumerate()
+            .map(|(id, stripe)| {
+                let queue = stripe.iter().map(|&i| plans[i].clone()).collect();
+                let bin = bin.as_path();
+                scope.spawn(move || supervise_slot(id, queue, job, bin, policy))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+
     let mut outcomes: BTreeMap<usize, ShardOutcome> = BTreeMap::new();
-    let mut quarantine: Vec<usize> = Vec::new();
+    let mut quarantine = Vec::new();
     let mut stats = SupervisionStats::default();
-    let mut tel = Recorder::new(job_proto.knobs.telemetry);
-
-    let (tx, rx) = mpsc::channel::<Tagged>();
-    let mut slots: Vec<Slot> = stripes
-        .iter()
-        .map(|stripe| Slot {
-            child: None,
-            generation: 0,
-            queue: stripe.iter().copied().collect(),
-            announced: None,
-            last_event: Instant::now(),
-            strikes: 0,
-            failures: 0,
-        })
-        .collect();
-
-    // First wave of spawns.
-    for (slot_idx, slot) in slots.iter_mut().enumerate() {
-        spawn_slot(
-            slot_idx,
-            slot,
-            job_proto,
-            &specs,
-            &attempts,
-            &bin,
-            &tx,
-            &mut stats,
-            &mut quarantine,
-        );
-    }
-
-    let deadline = Duration::from_millis(policy.deadline_ms);
-    let tick = Duration::from_millis(policy.deadline_ms.clamp(4, 800) / 4);
-    while slots.iter().any(|s| s.child.is_some()) {
-        match rx.recv_timeout(tick) {
-            Ok(tagged) => {
-                let slot_idx = tagged.slot;
-                if tagged.generation != slots[slot_idx].generation
-                    || slots[slot_idx].child.is_none()
-                {
-                    continue; // stale frame from a replaced child
-                }
-                slots[slot_idx].last_event = Instant::now();
-                match tagged.event {
-                    WorkerEvent::Heartbeat { shard, attempt } => {
-                        // A heartbeat must announce a shard this child
-                        // owns, at exactly the attempt number we
-                        // dispatched — anything else is a confused or
-                        // stale child talking on a fresh pipe.
-                        let expected = attempts.get(&shard).copied().unwrap_or(0);
-                        if slots[slot_idx].queue.contains(&shard) && attempt == expected {
-                            stats.heartbeats += 1;
-                            slots[slot_idx].announced = Some(shard);
-                        } else {
-                            fail_slot(
-                                slot_idx,
-                                &mut slots[slot_idx],
-                                FailureKind::Protocol(ProtocolViolation::UnexpectedShard(shard)),
-                                job_proto,
-                                &specs,
-                                &mut attempts,
-                                &bin,
-                                &tx,
-                                &mut stats,
-                                &mut quarantine,
-                                policy,
-                            );
-                        }
-                    }
-                    WorkerEvent::Result(outcome) => {
-                        let index = outcome.index;
-                        let owned = slots[slot_idx].queue.contains(&index);
-                        if owned && !outcomes.contains_key(&index) {
-                            outcomes.insert(index, *outcome);
-                            slots[slot_idx].queue.retain(|&i| i != index);
-                            if slots[slot_idx].announced == Some(index) {
-                                slots[slot_idx].announced = None;
-                            }
-                            slots[slot_idx].failures = 0;
-                            slots[slot_idx].strikes = 0;
-                        } else {
-                            fail_slot(
-                                slot_idx,
-                                &mut slots[slot_idx],
-                                FailureKind::Protocol(ProtocolViolation::UnexpectedShard(index)),
-                                job_proto,
-                                &specs,
-                                &mut attempts,
-                                &bin,
-                                &tx,
-                                &mut stats,
-                                &mut quarantine,
-                                policy,
-                            );
-                        }
-                    }
-                    WorkerEvent::Violation(cause) => {
-                        fail_slot(
-                            slot_idx,
-                            &mut slots[slot_idx],
-                            FailureKind::Protocol(cause),
-                            job_proto,
-                            &specs,
-                            &mut attempts,
-                            &bin,
-                            &tx,
-                            &mut stats,
-                            &mut quarantine,
-                            policy,
-                        );
-                    }
-                    WorkerEvent::Eof => {
-                        handle_eof(
-                            slot_idx,
-                            &mut slots[slot_idx],
-                            job_proto,
-                            &specs,
-                            &mut attempts,
-                            &bin,
-                            &tx,
-                            &mut stats,
-                            &mut quarantine,
-                            policy,
-                        );
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            // We hold `tx`, so the channel can't disconnect; treat it
-            // as a spurious wakeup if it somehow does.
-            Err(mpsc::RecvTimeoutError::Disconnected) => {}
-        }
-        // Stall sweep: any live child silent past the deadline is dead
-        // to us.
-        for (slot_idx, slot) in slots.iter_mut().enumerate() {
-            if slot.child.is_some() && slot.last_event.elapsed() > deadline {
-                stats.stalls += 1;
-                fail_slot(
-                    slot_idx,
-                    slot,
-                    FailureKind::Stalled,
-                    job_proto,
-                    &specs,
-                    &mut attempts,
-                    &bin,
-                    &tx,
-                    &mut stats,
-                    &mut quarantine,
-                    policy,
-                );
-            }
-        }
+    for slot in slots {
+        outcomes.extend(slot.outcomes.into_iter().map(|o| (o.index, o)));
+        quarantine.extend(slot.quarantine);
+        stats.respawns += slot.stats.respawns;
+        stats.retries += slot.stats.retries;
+        stats.stalls += slot.stats.stalls;
+        stats.protocol_errors += slot.stats.protocol_errors;
+        stats.heartbeats += slot.stats.heartbeats;
+        stats.errors.extend(slot.stats.errors);
     }
 
     // Escalation floor: quarantined shards run in-process under the
     // job's resolved knobs — the parent cannot crash-loop, and the
     // shard function is the exact one the workers run, so the bytes
     // cannot differ.
-    if !quarantine.is_empty() {
-        quarantine.sort_unstable();
-        quarantine.dedup();
-        for index in quarantine {
-            let Some(spec) = specs.get(&index) else {
-                continue;
-            };
-            if outcomes.contains_key(&index) {
-                continue;
-            }
-            stats.quarantined += 1;
-            let outcome = run_fleet_shard(
-                job_proto.seed,
-                &job_proto.config,
-                spec.clone(),
-                job_proto.knobs,
-                job_proto.checkpoint.as_ref(),
-                false,
-            );
-            outcomes.insert(index, outcome);
-        }
+    quarantine.sort_unstable_by_key(|spec| spec.index);
+    for spec in quarantine {
+        stats.quarantined += 1;
+        let outcome = run_fleet_shard(
+            job.seed,
+            &job.config,
+            spec,
+            job.knobs,
+            job.checkpoint.as_ref(),
+            false,
+        );
+        outcomes.entry(outcome.index).or_insert(outcome);
     }
 
+    let mut tel = Recorder::new(job.knobs.telemetry);
     tel.add(Counter::WorkerRestarts, stats.respawns);
     tel.add(Counter::WorkerRetries, stats.retries);
     tel.add(Counter::WorkerQuarantines, stats.quarantined);
@@ -737,128 +580,226 @@ pub(crate) fn supervise(
     }
 }
 
-/// Which failure class a slot death belongs to (startup failures never
-/// reach `fail_slot` — `spawn_slot` strikes and retries them in place).
-enum FailureKind {
-    /// Child still running but condemned: stall deadline blown.
-    Stalled,
-    /// Result stream violated the protocol.
-    Protocol(ProtocolViolation),
-    /// Child is gone; classify from its exit status.
-    Exited(Option<i32>, String),
+/// One child slot's share of the run: the shards its children
+/// delivered, the shards it gave up on, and what recovering cost.
+#[derive(Default)]
+struct SlotReport {
+    outcomes: Vec<ShardOutcome>,
+    /// Shards past their retry budget (or the whole remaining stripe of
+    /// a child that cannot start), for the parent to run in-process.
+    quarantine: Vec<ShardSpec>,
+    /// Everything but `quarantined`, which the parent counts.
+    stats: SupervisionStats,
 }
 
-/// Spawn (or respawn) `slot`'s child with its remaining shards. On
-/// startup failure the slot takes a strike and retries after backoff in
-/// place; past the strike budget its whole stripe is quarantined.
-#[allow(clippy::too_many_arguments)]
-fn spawn_slot(
-    slot_idx: usize,
-    slot: &mut Slot,
-    job_proto: &WorkerJob,
-    specs: &BTreeMap<usize, ShardSpec>,
-    attempts: &BTreeMap<usize, u32>,
+/// Supervise one child slot until its stripe is delivered or
+/// quarantined: spawn a child with the shards still owed, read its
+/// frames under the stall deadline, and on any failure kill it, charge
+/// the failure, back off and respawn.
+///
+/// `queue` holds the shards still owed, in dispatch order; each spec's
+/// `attempt` counts the retries charged to that shard.
+fn supervise_slot(
+    id: usize,
+    mut queue: Vec<ShardSpec>,
+    job: &WorkerJob,
     bin: &Path,
-    tx: &mpsc::Sender<Tagged>,
-    stats: &mut SupervisionStats,
-    quarantine: &mut Vec<usize>,
-) {
-    loop {
-        if slot.queue.is_empty() {
-            slot.child = None;
-            return;
-        }
-        let shards: Vec<ShardSpec> = slot
-            .queue
-            .iter()
-            .filter_map(|i| specs.get(i))
-            .map(|spec| ShardSpec {
-                attempt: attempts.get(&spec.index).copied().unwrap_or(0),
-                ..spec.clone()
-            })
-            .collect();
-        let job = WorkerJob {
-            seed: job_proto.seed,
-            config: job_proto.config,
-            knobs: job_proto.knobs,
-            worker_faults: job_proto.worker_faults,
-            deadline_ms: job_proto.deadline_ms,
-            shards,
-            checkpoint: job_proto.checkpoint.clone(),
-        };
-        slot.generation += 1;
-        slot.announced = None;
-        slot.last_event = Instant::now();
-        let startup = (|| -> Result<Child, WorkerError> {
-            let mut child = Command::new(bin)
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit())
-                .spawn()
-                .map_err(|source| WorkerError::Spawn {
-                    child: slot_idx,
-                    source,
-                })?;
-            let ship = child.stdin.take().map_or(
-                Err(std::io::Error::other("no piped stdin")),
-                |mut stdin| {
-                    stdin
-                        .write_all(&job.to_frame())
-                        .and_then(|()| stdin.flush())
-                },
-            );
-            if let Err(source) = ship {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(WorkerError::JobShip {
-                    child: slot_idx,
-                    source,
-                });
-            }
-            Ok(child)
-        })();
-        match startup {
-            Ok(mut child) => {
-                if let Some(stdout) = child.stdout.take() {
-                    let tx = tx.clone();
-                    let generation = slot.generation;
-                    std::thread::spawn(move || {
-                        worker::read_worker_stream(stdout, |event| {
-                            let _ = tx.send(Tagged {
-                                slot: slot_idx,
-                                generation,
-                                event,
+    policy: SupervisorPolicy,
+) -> SlotReport {
+    let mut report = SlotReport::default();
+    let deadline = Duration::from_millis(policy.deadline_ms);
+    // Consecutive deaths with no shard in flight (startup failures,
+    // between-shard crashes) — the cannot-make-progress detector. Only
+    // a delivered result resets it; heartbeats alone prove nothing.
+    let mut strikes = 0u32;
+    // Consecutive failures of any kind, for backoff scaling. Reset by a
+    // delivered result.
+    let mut failures = 0u32;
+    while !queue.is_empty() {
+        // The shard the last heartbeat announced, until its result lands.
+        let mut announced: Option<usize> = None;
+        let err = match start_child(id, job, &queue, bin) {
+            Err(err) => err,
+            Ok((mut child, events, reader)) => {
+                let verdict = loop {
+                    let event = match events.recv_timeout(deadline) {
+                        Ok(event) => event,
+                        // The reader hangs up only after the stream's
+                        // terminal event, which ends this loop; so this
+                        // is the deadline passing.
+                        Err(_) => {
+                            report.stats.stalls += 1;
+                            break Some(WorkerError::Stalled {
+                                child: id,
+                                shard: announced,
+                                deadline_ms: policy.deadline_ms,
                             });
-                        });
+                        }
+                    };
+                    let cause = match event {
+                        WorkerEvent::Heartbeat { shard, attempt } => {
+                            // A heartbeat must announce a shard this
+                            // child owns, at exactly the attempt number
+                            // dispatched — anything else is a confused
+                            // child.
+                            if queue
+                                .iter()
+                                .any(|s| s.index == shard && s.attempt == attempt)
+                            {
+                                report.stats.heartbeats += 1;
+                                announced = Some(shard);
+                                continue;
+                            }
+                            ProtocolViolation::UnexpectedShard(shard)
+                        }
+                        // First result wins: delivery dequeues the
+                        // shard, so a duplicate is an unassigned shard.
+                        WorkerEvent::Result(outcome) => {
+                            let index = outcome.index;
+                            match queue.iter().position(|s| s.index == index) {
+                                Some(pos) => {
+                                    queue.remove(pos);
+                                    report.outcomes.push(*outcome);
+                                    if announced == Some(index) {
+                                        announced = None;
+                                    }
+                                    failures = 0;
+                                    strikes = 0;
+                                    continue;
+                                }
+                                None => ProtocolViolation::UnexpectedShard(index),
+                            }
+                        }
+                        WorkerEvent::Violation(cause) => cause,
+                        WorkerEvent::Eof => {
+                            let (code, status) = match child.wait() {
+                                Ok(s) => (s.code(), s.to_string()),
+                                Err(e) => (None, format!("wait failed: {e}")),
+                            };
+                            let shard = announced;
+                            match code {
+                                Some(0) if queue.is_empty() => break None, // clean finish
+                                Some(0) => ProtocolViolation::MissingResults {
+                                    got: 0, // the remaining queue length tells the real story
+                                    expected: queue.len(),
+                                },
+                                Some(code) => {
+                                    break Some(WorkerError::NonZeroExit {
+                                        child: id,
+                                        shard,
+                                        code,
+                                    })
+                                }
+                                None => {
+                                    break Some(WorkerError::Crashed {
+                                        child: id,
+                                        shard,
+                                        status,
+                                    })
+                                }
+                            }
+                        }
+                    };
+                    break Some(WorkerError::Protocol {
+                        child: id,
+                        shard: announced,
+                        cause,
                     });
-                    slot.child = Some(child);
-                    return;
-                }
-                // No pipe to read: unusable child.
+                };
+                // Make sure the child is gone and reaped; frames still
+                // draining from its pipe die with the channel. With the
+                // pipe closed, the reader has ended.
                 let _ = child.kill();
                 let _ = child.wait();
-                record_failure(
-                    WorkerError::Spawn {
-                        child: slot_idx,
-                        source: std::io::Error::other("no piped stdout"),
-                    },
-                    stats,
-                );
+                reader
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e));
+                match verdict {
+                    Some(err) => err,
+                    None => break,
+                }
             }
-            Err(err) => record_failure(err, stats),
+        };
+        record_failure(err, &mut report.stats);
+        failures += 1;
+        if let Some(shard) = announced {
+            // The heartbeat told us exactly which shard the failure
+            // should be charged to.
+            report.stats.retries += 1;
+            if let Some(pos) = queue.iter().position(|s| s.index == shard) {
+                queue[pos].attempt += 1;
+                if queue[pos].attempt > policy.retries {
+                    report.quarantine.push(queue.remove(pos));
+                }
+            }
+        } else {
+            // Died before announcing anything: strike the child. Past
+            // the budget, nothing about this stripe is salvageable by
+            // respawn.
+            strikes += 1;
+            if strikes >= CHILD_STRIKES {
+                report.quarantine.append(&mut queue);
+            }
         }
-        // Startup failed: strike, maybe quarantine, maybe retry after
-        // backoff.
-        slot.strikes += 1;
-        slot.failures += 1;
-        if slot.strikes >= CHILD_STRIKES {
-            quarantine.extend(slot.queue.drain(..));
-            slot.child = None;
-            return;
+        if queue.is_empty() {
+            break;
         }
-        backoff(slot.failures);
-        stats.respawns += 1;
+        backoff(failures);
+        report.stats.respawns += 1;
     }
+    report
+}
+
+/// Spawn a `fleet_worker` child owing `queue` and ship it the job. The
+/// returned channel carries the child's stdout as events, fed by the
+/// returned reader thread, which ends with the child's pipe.
+fn start_child(
+    id: usize,
+    job: &WorkerJob,
+    queue: &[ShardSpec],
+    bin: &Path,
+) -> Result<(Child, mpsc::Receiver<WorkerEvent>, JoinHandle<()>), WorkerError> {
+    let mut child = Command::new(bin)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .map_err(|source| WorkerError::Spawn { child: id, source })?;
+    let job = WorkerJob {
+        shards: queue.to_vec(),
+        checkpoint: job.checkpoint.clone(),
+        ..*job
+    };
+    let ship =
+        child
+            .stdin
+            .take()
+            .map_or(Err(std::io::Error::other("no piped stdin")), |mut stdin| {
+                stdin
+                    .write_all(&job.to_frame())
+                    .and_then(|()| stdin.flush())
+            });
+    let stdout = match (ship, child.stdout.take()) {
+        (Ok(()), Some(stdout)) => stdout,
+        (ship, _) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(match ship {
+                Err(source) => WorkerError::JobShip { child: id, source },
+                Ok(()) => WorkerError::Spawn {
+                    child: id,
+                    source: std::io::Error::other("no piped stdout"),
+                },
+            });
+        }
+    };
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        worker::read_worker_stream(stdout, |event| {
+            let _ = tx.send(event);
+        });
+    });
+    Ok((child, rx, reader))
 }
 
 /// Record one supervised failure (stderr note + history). The stderr
@@ -877,125 +818,6 @@ fn backoff(consecutive_failures: u32) {
     let exp = consecutive_failures.saturating_sub(1).min(8);
     let ms = (BACKOFF_BASE_MS << exp).min(BACKOFF_CAP_MS);
     std::thread::sleep(Duration::from_millis(ms));
-}
-
-/// A child's stdout reached EOF: a clean finish if its queue is empty
-/// and it exited 0, a failure otherwise.
-#[allow(clippy::too_many_arguments)]
-fn handle_eof(
-    slot_idx: usize,
-    slot: &mut Slot,
-    job_proto: &WorkerJob,
-    specs: &BTreeMap<usize, ShardSpec>,
-    attempts: &mut BTreeMap<usize, u32>,
-    bin: &Path,
-    tx: &mpsc::Sender<Tagged>,
-    stats: &mut SupervisionStats,
-    quarantine: &mut Vec<usize>,
-    policy: SupervisorPolicy,
-) {
-    let status = match slot.child.take() {
-        Some(mut child) => child.wait(),
-        None => return,
-    };
-    let (code, rendered) = match status {
-        Ok(s) => (s.code(), s.to_string()),
-        Err(e) => (None, format!("wait failed: {e}")),
-    };
-    if code == Some(0) && slot.queue.is_empty() {
-        return; // clean finish
-    }
-    let kind = if code == Some(0) {
-        FailureKind::Protocol(ProtocolViolation::MissingResults {
-            got: 0, // the remaining queue length tells the real story
-            expected: slot.queue.len(),
-        })
-    } else {
-        FailureKind::Exited(code, rendered)
-    };
-    fail_slot(
-        slot_idx, slot, kind, job_proto, specs, attempts, bin, tx, stats, quarantine, policy,
-    );
-}
-
-/// Condemn a slot's child: kill it, charge the in-flight shard's retry
-/// budget (or strike a child that never got going), quarantine anything
-/// over budget, and respawn the remainder after a capped backoff.
-#[allow(clippy::too_many_arguments)]
-fn fail_slot(
-    slot_idx: usize,
-    slot: &mut Slot,
-    kind: FailureKind,
-    job_proto: &WorkerJob,
-    specs: &BTreeMap<usize, ShardSpec>,
-    attempts: &mut BTreeMap<usize, u32>,
-    bin: &Path,
-    tx: &mpsc::Sender<Tagged>,
-    stats: &mut SupervisionStats,
-    quarantine: &mut Vec<usize>,
-    policy: SupervisorPolicy,
-) {
-    // Make sure the child is gone and reaped; the respawn (if any)
-    // bumps the generation so frames still draining from the dead
-    // child's pipe are ignored.
-    if let Some(mut child) = slot.child.take() {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    let in_flight = slot.announced.take();
-    let err = match kind {
-        FailureKind::Stalled => WorkerError::Stalled {
-            child: slot_idx,
-            shard: in_flight,
-            deadline_ms: policy.deadline_ms,
-        },
-        FailureKind::Protocol(cause) => WorkerError::Protocol {
-            child: slot_idx,
-            shard: in_flight,
-            cause,
-        },
-        FailureKind::Exited(Some(code), _) => WorkerError::NonZeroExit {
-            child: slot_idx,
-            shard: in_flight,
-            code,
-        },
-        FailureKind::Exited(None, status) => WorkerError::Crashed {
-            child: slot_idx,
-            shard: in_flight,
-            status,
-        },
-    };
-    record_failure(err, stats);
-    slot.failures += 1;
-
-    if let Some(shard) = in_flight {
-        // The heartbeat told us exactly which shard the failure should
-        // be charged to.
-        let count = attempts.entry(shard).or_insert(0);
-        *count += 1;
-        stats.retries += 1;
-        if *count > policy.retries {
-            slot.queue.retain(|&i| i != shard);
-            quarantine.push(shard);
-        }
-    } else {
-        // Died before announcing anything: strike the child. Past the
-        // budget, nothing about this stripe is salvageable by respawn.
-        slot.strikes += 1;
-        if slot.strikes >= CHILD_STRIKES {
-            quarantine.extend(slot.queue.drain(..));
-        }
-    }
-
-    if slot.queue.is_empty() {
-        slot.child = None;
-        return;
-    }
-    backoff(slot.failures);
-    stats.respawns += 1;
-    spawn_slot(
-        slot_idx, slot, job_proto, specs, attempts, bin, tx, stats, quarantine,
-    );
 }
 
 #[cfg(test)]

@@ -411,8 +411,8 @@ pub(crate) fn parse_worker_frame(bytes: &[u8]) -> Result<WorkerFrame, ProtocolVi
     }
 }
 
-/// One liveness/progress event on a worker's stdout, as the
-/// supervisor's reader thread sees it.
+/// One liveness/progress event on a worker's stdout, as the reader
+/// thread hands it to the child's supervising slot loop.
 #[derive(Debug)]
 pub(crate) enum WorkerEvent {
     /// The worker announced a shard. The supervisor cross-checks both
@@ -429,8 +429,8 @@ pub(crate) enum WorkerEvent {
 
 /// Drain one worker's stdout into events: frames while the stream is
 /// healthy, exactly one terminal [`WorkerEvent::Violation`] or
-/// [`WorkerEvent::Eof`] at the end. Runs on a supervisor reader thread;
-/// the emit callback forwards into the supervisor's event channel.
+/// [`WorkerEvent::Eof`] at the end. Runs on a reader thread per child;
+/// the emit callback forwards into that child's event channel.
 pub(crate) fn read_worker_stream(mut input: impl std::io::Read, mut emit: impl FnMut(WorkerEvent)) {
     loop {
         match Frame::read_from(&mut input) {
@@ -459,9 +459,9 @@ pub(crate) fn read_worker_stream(mut input: impl std::io::Read, mut emit: impl F
 }
 
 /// Worker side: the whole child process. Reads one job frame from
-/// `input`, pins the job's resolved knobs process-wide (this process
-/// never reads `ROAM_*`), then runs its shards sequentially — one
-/// heartbeat frame before each shard, one result frame after.
+/// `input` and runs its shards sequentially under the job's resolved
+/// [`RunKnobs`] (this process never reads `ROAM_*`) — one heartbeat
+/// frame before each shard, one result frame after.
 ///
 /// When the job carries an active [`WorkerFaultSpec`], the keyed draw
 /// for each `(shard, attempt)` may sabotage the execution instead:

@@ -5,10 +5,8 @@
 //! retries, quarantines, all visible in [`SupervisionStats`]) but never
 //! observable in the report: shards are pure functions of
 //! `(seed, spec)`, so a re-run shard is the shard.
-//!
-//! [`SupervisionStats`]: roam_fleet::SupervisionStats
 
-use roam_fleet::{FleetRunner, WorkerFaultSpec};
+use roam_fleet::{FleetRunner, SupervisionStats, WorkerFaultSpec};
 use roam_netsim::{FaultSpec, TransportKind};
 use roam_telemetry::TelemetryMode;
 
@@ -29,10 +27,27 @@ fn base() -> FleetRunner {
         .telemetry(TelemetryMode::Summary)
 }
 
+/// `text` with every `0x…` hex value masked. A torn frame's integrity
+/// hashes cover the shard's wall time, which no replay reproduces; the
+/// rest of an error's rendering must.
+fn mask_hex(text: &str) -> String {
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some(at) = rest.find("0x") {
+        out.push_str(&rest[..at + 2]);
+        out.push('…');
+        rest = rest[at + 2..].trim_start_matches(|c: char| c.is_ascii_hexdigit());
+    }
+    out + rest
+}
+
 /// Heavy injected chaos across both transport backends and an active
 /// netsim fault plane: every recovery path may fire (crash, stall,
 /// torn frame, nonzero exit, retry, quarantine) and the report must
-/// still be byte-identical to the clean in-process run.
+/// still be byte-identical to the clean in-process run. Injected faults
+/// are keyed by `(seed, shard, attempt)` and each slot is supervised on
+/// its own, so a second chaotic run must also replay the supervision
+/// history: the same counters and the same errors in the same order.
 #[test]
 fn heavy_chaos_is_byte_identical_to_a_clean_run() {
     for (transport, faults) in [
@@ -51,6 +66,7 @@ fn heavy_chaos_is_byte_identical_to_a_clean_run() {
             chaotic = chaotic.faults(spec);
         }
         let clean = clean.run();
+        let replay = chaotic.run();
         let chaotic = chaotic.run();
         assert_eq!(
             chaotic.report.render(),
@@ -67,6 +83,25 @@ fn heavy_chaos_is_byte_identical_to_a_clean_run() {
             chaotic.supervision
         );
         assert!(clean.supervision.errors.is_empty());
+        let (a, b) = (&chaotic.supervision, &replay.supervision);
+        assert_eq!(
+            (a.respawns, a.retries, a.quarantined),
+            (b.respawns, b.retries, b.quarantined),
+            "recovery counters replay ({transport:?})"
+        );
+        assert_eq!(
+            (a.stalls, a.protocol_errors, a.heartbeats),
+            (b.stalls, b.protocol_errors, b.heartbeats),
+            "detection counters replay ({transport:?})"
+        );
+        let history = |s: &SupervisionStats| -> Vec<String> {
+            s.errors.iter().map(|e| mask_hex(&e.to_string())).collect()
+        };
+        assert_eq!(
+            history(a),
+            history(b),
+            "the failure history replays in order ({transport:?})"
+        );
     }
 }
 
@@ -128,6 +163,10 @@ fn torn_frames_are_detected_and_retried() {
 /// children while the run is in flight. Whatever the kills land on —
 /// mid-shard, between shards, before the job frame ships — the
 /// supervisor respawns or quarantines and the bytes never change.
+///
+/// The run starts its children through a symlink named `shot_worker`,
+/// and the killer only shoots processes of that name, so the other
+/// tests' children in this process keep their deterministic history.
 #[test]
 #[cfg(unix)]
 fn external_sigkills_are_byte_identical() {
@@ -136,7 +175,15 @@ fn external_sigkills_are_byte_identical() {
 
     let clean = base().run();
 
-    // /proc scan for our direct children running the worker binary.
+    // The kernel names a process after the path it was started by.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("sigkill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let victim = dir.join("shot_worker");
+    std::os::unix::fs::symlink(worker_bin(), &victim).expect("worker symlink");
+
+    // /proc scan for our direct children running the victim symlink.
     fn child_workers() -> Vec<u32> {
         let me = std::process::id().to_string();
         let mut pids = Vec::new();
@@ -156,7 +203,7 @@ fn external_sigkills_are_byte_identical() {
             let Some((head, tail)) = stat.rsplit_once(')') else {
                 continue;
             };
-            let comm_is_worker = head.contains("(fleet_worker");
+            let comm_is_worker = head.contains("(shot_worker");
             let ppid = tail.split_whitespace().nth(1);
             if comm_is_worker && ppid == Some(me.as_str()) {
                 pids.push(pid);
@@ -181,9 +228,10 @@ fn external_sigkills_are_byte_identical() {
         kills
     });
 
-    let brutal = base().workers(2).worker_bin(worker_bin()).run();
+    let brutal = base().workers(2).worker_bin(&victim).run();
     stop.store(true, Ordering::Relaxed);
     let kills = killer.join().expect("killer thread");
+    let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(
         brutal.report.render(),

@@ -7,7 +7,7 @@ use rand::Rng;
 use roam_cellular::{phy_rate_mbps, ChannelSampler, Cqi, Rat, SimType};
 use roam_geo::Country;
 use roam_ipx::Attachment;
-use roam_netsim::engine::{flow_seed, Flow, FlowId, Transport};
+use roam_netsim::engine::{flow_seed, Flow, Transport};
 use roam_netsim::{
     Network, NodeId, PingResult, ProbeError, Traceroute, TracerouteOpts, TransferSpec,
 };
@@ -125,12 +125,6 @@ pub struct Probe<'n> {
 }
 
 impl Probe<'_> {
-    /// The flow's identity (its derived seed).
-    #[must_use]
-    pub fn flow_id(&self) -> FlowId {
-        self.flow.id()
-    }
-
     /// RTT to `dst` with retries and typed failures, reporting the echo
     /// attempts consumed. With the fault plane active, lost rounds retry
     /// with deterministic exponential backoff.

@@ -252,17 +252,6 @@ impl FaultSpec {
             || self.cgnat_rebind_rate > 0.0
     }
 
-    /// The Gilbert–Elliott process flapping links carry under this spec.
-    #[must_use]
-    pub fn flap_model(&self) -> GilbertElliott {
-        GilbertElliott {
-            mean_good_ms: self.flap_good_ms,
-            mean_bad_ms: self.flap_bad_ms,
-            good_loss: 0.0,
-            bad_loss: self.flap_bad_loss,
-        }
-    }
-
     /// The calendar period in nanoseconds (≥ 1).
     #[must_use]
     pub fn period_ns(&self) -> u64 {

@@ -387,7 +387,6 @@ pub struct Network {
     nodes: Vec<Node>,
     links: Vec<Link>,
     adj: Vec<Vec<u32>>, // node index -> indices into `links`
-    name_to_id: HashMap<String, u32>,
     registry: IpRegistry,
     rng: SmallRng,
     master_seed: u64,
@@ -507,7 +506,6 @@ impl Network {
             nodes: Vec::new(),
             links: Vec::new(),
             adj: Vec::new(),
-            name_to_id: HashMap::new(),
             registry: IpRegistry::new(),
             rng: SmallRng::seed_from_u64(seed),
             master_seed: seed,
@@ -644,8 +642,7 @@ impl Network {
         self.telemetry.take()
     }
 
-    /// Add a node. The name is interned in a lookup table, so scenario
-    /// builders resolve names to dense ids once instead of scanning.
+    /// Add a node.
     pub fn add_node(&mut self, name: &str, kind: NodeKind, city: City, ip: Ipv4Addr) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
@@ -656,15 +653,7 @@ impl Network {
             icmp_responds: true,
         });
         self.adj.push(Vec::new());
-        self.name_to_id.insert(name.to_string(), id.0);
         id
-    }
-
-    /// Resolve a node name to its id (O(1); last writer wins when names
-    /// repeat).
-    #[must_use]
-    pub fn node_id_by_name(&self, name: &str) -> Option<NodeId> {
-        self.name_to_id.get(name).copied().map(NodeId)
     }
 
     /// Node accessor.

@@ -334,12 +334,6 @@ impl Agent {
         self
     }
 
-    /// The resolved fault spec this agent runs (and checkpoints) under.
-    #[must_use]
-    pub fn fault_spec(&self) -> FaultSpec {
-        self.faults
-    }
-
     /// Run to `horizon`, checking `halt` between batches: when it flips,
     /// the queue drains, a final checkpoint is written, and the run
     /// returns [`Outcome::Drained`]. A sick export sink does not stop

@@ -17,7 +17,10 @@
 
 use crate::config::ServiceConfig;
 use roam_codec::{hash64_fold, CodecError, Decoder, Encoder, Frame};
-use roam_fleet::checkpoint::{read_frame, run_fingerprint, write_atomic, CKPT_VERSION, KIND_AGENT};
+use roam_fleet::checkpoint::{
+    decode_faults, encode_faults, read_frame, run_fingerprint, telemetry_from_wire,
+    telemetry_to_wire, write_atomic, CKPT_VERSION, KIND_AGENT,
+};
 use roam_fleet::{FleetReport, ResumeError, SessionMix};
 use roam_geo::Country;
 use roam_netsim::{FaultSpec, SimTime};
@@ -128,23 +131,6 @@ pub fn service_fingerprint(
     h
 }
 
-fn telemetry_to_wire(mode: TelemetryMode) -> u64 {
-    match mode {
-        TelemetryMode::Off => 0,
-        TelemetryMode::Summary => 1,
-        TelemetryMode::Jsonl => 2,
-    }
-}
-
-fn telemetry_from_wire(v: u64) -> Result<TelemetryMode, CodecError> {
-    match v {
-        0 => Ok(TelemetryMode::Off),
-        1 => Ok(TelemetryMode::Summary),
-        2 => Ok(TelemetryMode::Jsonl),
-        _ => Err(CodecError::BadValue("telemetry mode")),
-    }
-}
-
 fn encode_config(e: &mut Encoder, c: &ServiceConfig) {
     e.u64(config_tag::USERS, c.users);
     e.u64(config_tag::COHORTS, c.cohorts as u64);
@@ -195,55 +181,6 @@ fn decode_config(d: &mut Decoder<'_>) -> Result<ServiceConfig, CodecError> {
     c.validate()
         .map_err(|_| CodecError::BadValue("service config"))?;
     Ok(c)
-}
-
-/// Encode a [`FaultSpec`] as consecutive f64 fields, tags 1..=12 in
-/// declaration order.
-fn encode_faults(e: &mut Encoder, s: &FaultSpec) {
-    for (i, v) in fault_fields(s).into_iter().enumerate() {
-        e.f64(i as u32 + 1, v);
-    }
-}
-
-fn fault_fields(s: &FaultSpec) -> [f64; 12] {
-    [
-        s.link_flap_rate,
-        s.flap_bad_loss,
-        s.flap_good_ms,
-        s.flap_bad_ms,
-        s.gateway_outage_rate,
-        s.outage_up_ms,
-        s.outage_dark_ms,
-        s.dns_blackhole_rate,
-        s.cgnat_rebind_rate,
-        s.rebind_up_ms,
-        s.rebind_dark_ms,
-        s.period_ms,
-    ]
-}
-
-fn decode_faults(d: &mut Decoder<'_>) -> Result<FaultSpec, CodecError> {
-    let mut f = fault_fields(&FaultSpec::off());
-    while let Some((tag, v)) = d.next_field()? {
-        let i = tag as usize;
-        if (1..=f.len()).contains(&i) {
-            f[i - 1] = v.as_f64(tag)?;
-        }
-    }
-    Ok(FaultSpec {
-        link_flap_rate: f[0],
-        flap_bad_loss: f[1],
-        flap_good_ms: f[2],
-        flap_bad_ms: f[3],
-        gateway_outage_rate: f[4],
-        outage_up_ms: f[5],
-        outage_dark_ms: f[6],
-        dns_blackhole_rate: f[7],
-        cgnat_rebind_rate: f[8],
-        rebind_up_ms: f[9],
-        rebind_dark_ms: f[10],
-        period_ms: f[11],
-    })
 }
 
 /// `SimTime` options on the wire: `u64::MAX` = `None` (no fire time can

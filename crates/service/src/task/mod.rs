@@ -263,13 +263,6 @@ impl Scheduler {
     pub fn fire_seed(&self, fire: &Fire) -> u64 {
         flow_seed(self.slots[fire.job.0].stream, &format!("f{}", fire.index))
     }
-
-    /// The job's stream seed — `flow_seed(master, "service/job/<id>")`,
-    /// exposed for derived per-entity streams (cohort uid draws).
-    #[must_use]
-    pub fn job_stream(&self, job: JobHandle) -> u64 {
-        self.slots[job.0].stream
-    }
 }
 
 /// The reference derivation [`Scheduler::fire_seed`] must equal —
