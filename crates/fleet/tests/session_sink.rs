@@ -12,6 +12,7 @@
 
 use roam_fleet::{FleetConfigError, FleetRunner};
 use roam_measure::{ColumnarSink, Dataset, MemorySink, SharedSink};
+use roam_netsim::FaultSpec;
 use std::sync::{Arc, Mutex};
 
 const USERS: u64 = 150;
@@ -27,9 +28,14 @@ fn runner(shards: usize, parallel: usize) -> FleetRunner {
 
 /// Run the fleet with a `MemorySink` and return the sessions CSV.
 fn sessions_csv(shards: usize, parallel: usize) -> String {
+    sink_csv(runner(shards, parallel))
+}
+
+/// Run `runner` with a `MemorySink` and return the sessions CSV.
+fn sink_csv(runner: FleetRunner) -> String {
     let sink = Arc::new(Mutex::new(MemorySink::with_datasets(&[Dataset::Sessions])));
     let shared: SharedSink = sink.clone();
-    let run = runner(shards, parallel).sink(shared).run();
+    let run = runner.sink(shared).run();
     assert!(!run.halted);
     assert!(run.report.sessions > 0, "fixture must produce sessions");
     let sink = Arc::try_unwrap(sink)
@@ -51,6 +57,23 @@ fn session_stream_is_invariant_across_shards_and_threads() {
             baseline,
             "shards={shards} parallel={parallel}"
         );
+    }
+}
+
+/// FNV-1a-64 digests of the sessions CSV, faults off and
+/// `FaultSpec::heavy()`. Row counts alone would let a metric move
+/// between columns or a failed session change status unnoticed.
+#[test]
+fn session_stream_digests_are_pinned() {
+    for (name, faults, want) in [
+        ("off", FaultSpec::off(), 0xaa7b_239b_4dac_b495u64),
+        ("heavy", FaultSpec::heavy(), 0x1abf_b0f0_0f38_4e40),
+    ] {
+        let csv = sink_csv(runner(2, 2).faults(faults));
+        let failed = csv.lines().filter(|l| !l.ends_with(",ok")).count() - 1;
+        assert_eq!(failed > 0, name == "heavy", "{name}: {failed} non-ok rows");
+        let got = roam_codec::hash64(csv.as_bytes());
+        assert_eq!(got, want, "{name}: sessions digest moved: {got:#018x}");
     }
 }
 
