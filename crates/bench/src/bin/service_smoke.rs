@@ -22,7 +22,7 @@
 //!
 //! [`AgentRun::render`]: roam_service::AgentRun::render
 
-use roam_measure::MemorySink;
+use roam_measure::{MemorySink, RunMode};
 use roam_service::{Agent, Horizon, ServiceConfig};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -48,7 +48,9 @@ fn main() -> ExitCode {
     };
     // Stream sessions into a memory sink so the run exercises the
     // bounded-queue path, not just the scheduler loop.
-    let mut agent = agent.sink(Arc::new(Mutex::new(MemorySink::new())));
+    let mut agent = agent
+        .mode(RunMode::from_env())
+        .sink(Arc::new(Mutex::new(MemorySink::new())));
 
     let started = Instant::now();
     let run = match agent.run(Horizon::SimDays(days), None) {

@@ -27,7 +27,7 @@ use roam_core::EsimObservation;
 use roam_geo::{City, Country};
 use roam_measure::{
     run_device_campaign, run_shards, run_web_measurement, CampaignData, DeviceCampaignSpec,
-    Endpoint, Exporter, RunMode, SharedSink, WebRecord,
+    Endpoint, Exporter, RunMode, ShardTiming, SharedSink, WebRecord,
 };
 use roam_netsim::{FaultSpec, RunKnobs, TransportKind};
 use roam_telemetry::{merge_shards, TelemetryMode, TelemetryReport, TelemetrySnapshot};
@@ -67,17 +67,6 @@ pub struct DeviceCountryRun {
     pub esims: Vec<Endpoint>,
     /// The physical SIM endpoint of the last day-chunk.
     pub sim: Endpoint,
-}
-
-/// Wall-clock cost of one shard. Wall time is the one non-deterministic
-/// quantity a run reports; it lives here, outside the byte-stable
-/// [`TelemetryReport`], so the report stays comparable across machines.
-#[derive(Debug, Clone)]
-pub struct ShardTiming {
-    /// The shard's stable key (`"device/PAK"`, `"web/DEU"`, …).
-    pub key: String,
-    /// Wall-clock milliseconds the shard took on its worker.
-    pub wall_ms: f64,
 }
 
 /// Everything a figure binary needs from one full device-campaign run.

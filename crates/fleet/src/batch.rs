@@ -20,6 +20,7 @@
 
 use crate::config::FleetConfig;
 use crate::exec::{run_fleet_shard, ShardSpec};
+use crate::plan::shard_range;
 use crate::report::FleetReport;
 use crate::sink::SessionRecord;
 use roam_measure::{run_shards, RunMode};
@@ -83,16 +84,6 @@ impl UserBatch {
         }
     }
 
-    /// The contiguous uid range of sub-shard `i` of `n` — the same
-    /// proportional split `FleetRunner` uses, offset into the batch.
-    fn sub_range(&self, i: usize, n: usize) -> (u64, u64) {
-        let span = self.hi - self.lo;
-        (
-            self.lo + span * i as u64 / n as u64,
-            self.lo + span * (i as u64 + 1) / n as u64,
-        )
-    }
-
     /// Execute the batch: split the range, run the sub-shards on `mode`,
     /// fold reports / telemetry / sessions in sub-shard order.
     ///
@@ -117,14 +108,15 @@ impl UserBatch {
             faults: self.faults,
         };
         let mut outcomes = run_shards(self.mode, n, |i| {
-            let (lo, hi) = self.sub_range(i, n);
+            // The planner's proportional split, offset into the batch.
+            let (lo, hi) = shard_range(span, i, n);
             run_fleet_shard(
                 self.seed,
                 &self.config,
                 ShardSpec {
                     index: i,
-                    lo,
-                    hi,
+                    lo: self.lo + lo,
+                    hi: self.lo + hi,
                     resume: None,
                     attempt: 0,
                 },

@@ -91,8 +91,9 @@ impl Default for FleetConfig {
 }
 
 /// Parse an environment variable, treating absent/malformed as `None`
-/// (shared by the `ROAM_FLEET_*` and checkpoint/worker knobs).
-pub(crate) fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
+/// (shared by the `ROAM_FLEET_*`, checkpoint/worker and `ROAM_SERVICE_*`
+/// knobs).
+pub fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
     std::env::var(key).ok()?.trim().parse().ok()
 }
 

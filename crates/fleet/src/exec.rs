@@ -18,7 +18,6 @@ use crate::sink::{SessionKind, SessionRecord};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use roam_econ::{EsimOffer, Market};
-use roam_measure::campaign::RecordTag;
 use roam_measure::{resolve_timing, Endpoint, MeasureError, MeasureStatus, ResolverPlan, Service};
 use roam_netsim::engine::flow_seed;
 use roam_netsim::{Network, NodeId, RunKnobs, TransferSpec};
@@ -65,40 +64,136 @@ pub(crate) struct ShardOutcome {
     pub sessions: Vec<SessionRecord>,
 }
 
-/// Tally a successful probe's fault-plane outcome. Gated on the fault
-/// plane being active so undisturbed runs keep an all-zero summary (and
-/// therefore unchanged report bytes).
-fn count_delivered(report: &mut FleetReport, net: &Network, status: MeasureStatus) {
+/// Tally a session's fault-plane outcome. Gated on the fault plane
+/// being active so undisturbed runs keep an all-zero summary (and
+/// therefore unchanged report bytes). `NoTarget` is a scenario gap, not
+/// a fault, and stays out of the summary just like in campaign records.
+fn count_outcome(
+    report: &mut FleetReport,
+    net: &Network,
+    result: &Result<(f64, MeasureStatus), MeasureError>,
+) {
     if !net.faults_enabled() {
         return;
     }
-    if status == MeasureStatus::Failover {
-        report.degraded.failover += 1;
-    } else {
-        report.degraded.ok += 1;
+    let tally = &mut report.degraded;
+    match result {
+        Ok((_, MeasureStatus::Failover)) => tally.failover += 1,
+        Ok(_) => tally.ok += 1,
+        Err(MeasureError::NoTarget) => {}
+        Err(e) if e.status() == MeasureStatus::Timeout => tally.timeout += 1,
+        Err(_) => tally.unreachable += 1,
     }
 }
 
-/// Tally a failed probe. `NoTarget` is a scenario gap, not a fault, and
-/// stays out of the summary just like in campaign records.
-fn count_failed(report: &mut FleetReport, net: &Network, e: &MeasureError) {
-    if matches!(e, MeasureError::NoTarget) || !net.faults_enabled() {
-        return;
-    }
-    match e.status() {
-        MeasureStatus::Timeout => report.degraded.timeout += 1,
-        _ => report.degraded.unreachable += 1,
-    }
-}
-
-/// The fixed per-country stage every shard builds identically: two eSIM
-/// attachments (capturing the §4.1 provider alternation) plus their
-/// precomputed probe targets and resolver plans — everything session-
-/// invariant is resolved here once instead of once per session.
-struct CountrySlot {
+/// The fixed per-country measurement stage: two eSIM attachments
+/// (capturing the §4.1 provider alternation) plus their precomputed RTT
+/// targets and resolver plans, so everything session-invariant is
+/// resolved once instead of once per session. Every fleet shard and the
+/// resident agent build the same pool with [`CountrySlot::pool`] and run
+/// every RTT and DNS session through [`CountrySlot::measure`].
+pub struct CountrySlot {
     endpoints: [Endpoint; 2],
     rtt_targets: [Option<NodeId>; 2],
     dns_plans: [ResolverPlan; 2],
+}
+
+impl CountrySlot {
+    /// One slot per measured country, in [`World::measured_countries`]
+    /// order. Every endpoint attaches first (mutable world), then the
+    /// targets and plans resolve against the finished topology.
+    #[must_use]
+    pub fn pool(world: &mut World) -> Vec<CountrySlot> {
+        let attached: Vec<[Endpoint; 2]> = world
+            .measured_countries()
+            .into_iter()
+            .map(|c| [world.attach_esim(c), world.attach_esim(c)])
+            .collect();
+        let (net, targets) = (&world.net, &world.internet.targets);
+        attached
+            .into_iter()
+            .map(|endpoints| CountrySlot {
+                rtt_targets: [0, 1]
+                    .map(|i| targets.nearest(net, Service::Google, endpoints[i].att.breakout_city)),
+                dns_plans: [0, 1].map(|i| ResolverPlan::new(net, &endpoints[i], targets)),
+                endpoints,
+            })
+            .collect()
+    }
+
+    /// Endpoint `which` (0 or 1); callers alternate sessions between the
+    /// two.
+    #[must_use]
+    pub fn endpoint(&self, which: usize) -> &Endpoint {
+        &self.endpoints[which]
+    }
+
+    /// Run one RTT or DNS session from endpoint `which` as the flow named
+    /// `label`, returning its metric in ms (the RTT or the lookup time)
+    /// and its status.
+    ///
+    /// # Errors
+    /// [`MeasureError::NoTarget`] when an RTT session's country has no
+    /// Google edge (checked before the flow opens, so no draw or counter
+    /// moves) or a DNS session's endpoint has no resolver; otherwise the
+    /// probe's failure.
+    ///
+    /// # Panics
+    /// On [`SessionKind::Transfer`]: a transfer keeps its probe open for
+    /// the channel draw, so it runs its own.
+    pub fn measure(
+        &self,
+        net: &mut Network,
+        which: usize,
+        kind: SessionKind,
+        label: &str,
+    ) -> Result<(f64, MeasureStatus), MeasureError> {
+        let ep = &self.endpoints[which];
+        match kind {
+            SessionKind::Rtt => {
+                let target = self.rtt_targets[which].ok_or(MeasureError::NoTarget)?;
+                let sample = ep.probe(net, label).rtt_checked(target)?;
+                Ok((sample.rtt_ms, sample.status()))
+            }
+            SessionKind::Dns => resolve_timing(net, ep, &self.dns_plans[which], label)
+                .map(|r| (r.lookup_ms, r.status)),
+            SessionKind::Transfer => panic!("transfer sessions run their own probe"),
+        }
+    }
+
+    /// Run one `mb`-sized transfer session from endpoint `which`: the RTT
+    /// probe to the Google edge, then the channel draw on the same flow.
+    /// The transfer itself only queues its spec in `pending`.
+    fn transfer(
+        &self,
+        net: &mut Network,
+        which: usize,
+        label: &str,
+        mb: f64,
+        pending: &mut Vec<TransferSpec>,
+    ) -> Result<(f64, MeasureStatus), MeasureError> {
+        let target = self.rtt_targets[which].ok_or(MeasureError::NoTarget)?;
+        let ep = &self.endpoints[which];
+        let mut probe = ep.probe(net, label);
+        let sample = probe.rtt_checked(target)?;
+        let cqi = ep.channel.sample(probe.rng());
+        // The transfer runs through the selected transport to exercise
+        // it, but its *duration* is discarded: the backends agree only to
+        // sub-microsecond rounding, and the report must not depend on
+        // `ROAM_TRANSPORT`. The drawn size is the recorded observable —
+        // so the spec only queues here and the batch runs once per user.
+        net.telemetry_mut()
+            .add(Counter::TransferBytes, (mb * 1e6) as u64);
+        pending.push(TransferSpec {
+            bytes: mb * 1e6,
+            rtt_ms: sample.rtt_ms,
+            policy_rate_mbps: ep.effective_down_mbps(cqi),
+            loss: ep.loss,
+            setup_rtts: 1.0,
+            parallel: 1,
+        });
+        Ok((mb, sample.status()))
+    }
 }
 
 /// One seller's shelf for a destination, preprocessed for the per-leg
@@ -181,30 +276,6 @@ fn push_dec(buf: &mut String, mut v: u64) {
     buf.push_str(std::str::from_utf8(&tmp[i..]).expect("decimal digits are ASCII"));
 }
 
-/// The export tag of a fleet endpoint — the same four context columns
-/// every campaign record carries.
-fn session_tag(ep: &Endpoint) -> RecordTag {
-    RecordTag {
-        country: ep.country,
-        sim_type: ep.sim_type,
-        arch: ep.att.arch,
-        rat: ep.rat(),
-    }
-}
-
-/// A metric-free session record; delivered sessions fill in their one
-/// metric with struct-update syntax at the push site.
-fn session_record(ep: &Endpoint, kind: SessionKind, status: MeasureStatus) -> SessionRecord {
-    SessionRecord {
-        tag: session_tag(ep),
-        kind,
-        rtt_ms: None,
-        lookup_ms: None,
-        mb: None,
-        status,
-    }
-}
-
 fn draw_kind(rng: &mut SmallRng, mix: SessionMix) -> SessionKind {
     let roll = rng.gen_range(0..mix.total());
     if roll < mix.rtt {
@@ -253,31 +324,8 @@ pub(crate) fn run_fleet_shard(
     let market = Market::generate(seed);
     let countries = world.measured_countries();
 
-    // Stage 1: the fixed endpoint pool, identical in every shard. Attach
-    // first (mutable world), then resolve probe targets (immutable).
-    let mut pool_eps: Vec<[Endpoint; 2]> = Vec::with_capacity(countries.len());
-    for &country in &countries {
-        pool_eps.push([world.attach_esim(country), world.attach_esim(country)]);
-    }
-    let pool: Vec<CountrySlot> = pool_eps
-        .into_iter()
-        .map(|endpoints| {
-            let rtt_targets = [0, 1].map(|i| {
-                world.internet.targets.nearest(
-                    &world.net,
-                    Service::Google,
-                    endpoints[i].att.breakout_city,
-                )
-            });
-            let dns_plans = [0, 1]
-                .map(|i| ResolverPlan::new(&world.net, &endpoints[i], &world.internet.targets));
-            CountrySlot {
-                endpoints,
-                rtt_targets,
-                dns_plans,
-            }
-        })
-        .collect();
+    // Stage 1: the fixed endpoint pool, identical in every shard.
+    let pool = CountrySlot::pool(&mut world);
     let shelves: Vec<CountryOffers> = countries
         .iter()
         .map(|&c| {
@@ -366,7 +414,6 @@ pub(crate) fn run_fleet_shard(
             world.net.telemetry_mut().add(Counter::FleetPurchases, 1);
             let which = (uid % 2) as usize;
             let ep = &slot.endpoints[which];
-            let target = slot.rtt_targets[which];
             // The per-session label only varies in its trailing session
             // index — build the prefix once per leg.
             label.clear();
@@ -381,112 +428,38 @@ pub(crate) fn run_fleet_shard(
                 world.net.telemetry_mut().add(Counter::FleetSessions, 1);
                 label.truncate(prefix_len);
                 push_dec(&mut label, u64::from(s));
-                match draw_kind(&mut act, config.mix) {
-                    SessionKind::Rtt => {
-                        let Some(t) = target else {
-                            report.lost_sessions += 1;
-                            continue;
-                        };
-                        let mut probe = ep.probe(&mut world.net, &label);
-                        match probe.rtt_checked(t) {
-                            Ok(sample) => {
-                                report.rtt_probes += 1;
-                                report.rtt_ms.observe(sample.rtt_ms);
-                                count_delivered(&mut report, &world.net, sample.status());
-                                if record_sessions {
-                                    sessions.push(SessionRecord {
-                                        rtt_ms: Some(sample.rtt_ms),
-                                        ..session_record(ep, SessionKind::Rtt, sample.status())
-                                    });
-                                }
-                            }
-                            Err(e) => {
-                                report.lost_sessions += 1;
-                                count_failed(&mut report, &world.net, &e);
-                                if record_sessions && !matches!(e, MeasureError::NoTarget) {
-                                    sessions.push(session_record(ep, SessionKind::Rtt, e.status()));
-                                }
-                            }
-                        }
-                    }
-                    SessionKind::Dns => {
-                        match resolve_timing(&mut world.net, ep, &slot.dns_plans[which], &label) {
-                            Ok(r) => {
-                                report.dns_lookups += 1;
-                                report.dns_ms.observe(r.lookup_ms);
-                                count_delivered(&mut report, &world.net, r.status);
-                                if record_sessions {
-                                    sessions.push(SessionRecord {
-                                        lookup_ms: Some(r.lookup_ms),
-                                        ..session_record(ep, SessionKind::Dns, r.status)
-                                    });
-                                }
-                            }
-                            Err(e) => {
-                                report.lost_sessions += 1;
-                                count_failed(&mut report, &world.net, &e);
-                                if record_sessions && !matches!(e, MeasureError::NoTarget) {
-                                    sessions.push(session_record(ep, SessionKind::Dns, e.status()));
-                                }
-                            }
-                        }
-                    }
+                let kind = draw_kind(&mut act, config.mix);
+                let result = match kind {
                     SessionKind::Transfer => {
                         let mb = match profile.class {
                             TravelerClass::Tourist => act.gen_range(1.0..200.0),
                             TravelerClass::Business => act.gen_range(5.0..500.0),
                             TravelerClass::IotDevice => act.gen_range(0.05..1.0),
                         };
-                        let Some(t) = target else {
-                            report.lost_sessions += 1;
-                            continue;
-                        };
-                        let mut probe = ep.probe(&mut world.net, &label);
-                        let sample = match probe.rtt_checked(t) {
-                            Ok(s) => s,
-                            Err(e) => {
-                                report.lost_sessions += 1;
-                                count_failed(&mut report, &world.net, &e);
-                                if record_sessions && !matches!(e, MeasureError::NoTarget) {
-                                    sessions.push(session_record(
-                                        ep,
-                                        SessionKind::Transfer,
-                                        e.status(),
-                                    ));
-                                }
-                                continue;
-                            }
-                        };
-                        let cqi = ep.channel.sample(probe.rng());
-                        // The transfer runs through the selected transport
-                        // to exercise it, but its *duration* is discarded:
-                        // the backends agree only to sub-microsecond
-                        // rounding, and the report must not depend on
-                        // `ROAM_TRANSPORT`. The drawn size is the recorded
-                        // observable — so the spec only queues here and
-                        // the batch runs once per user.
-                        world
-                            .net
-                            .telemetry_mut()
-                            .add(Counter::TransferBytes, (mb * 1e6) as u64);
-                        pending_transfers.push(TransferSpec {
-                            bytes: mb * 1e6,
-                            rtt_ms: sample.rtt_ms,
-                            policy_rate_mbps: ep.effective_down_mbps(cqi),
-                            loss: ep.loss,
-                            setup_rtts: 1.0,
-                            parallel: 1,
-                        });
-                        report.transfers += 1;
-                        report.session_mb.observe(mb);
-                        count_delivered(&mut report, &world.net, sample.status());
-                        if record_sessions {
-                            sessions.push(SessionRecord {
-                                mb: Some(mb),
-                                ..session_record(ep, SessionKind::Transfer, sample.status())
-                            });
-                        }
+                        slot.transfer(&mut world.net, which, &label, mb, &mut pending_transfers)
                     }
+                    _ => slot.measure(&mut world.net, which, kind, &label),
+                };
+                match result {
+                    Ok((v, _)) => match kind {
+                        SessionKind::Rtt => {
+                            report.rtt_probes += 1;
+                            report.rtt_ms.observe(v);
+                        }
+                        SessionKind::Dns => {
+                            report.dns_lookups += 1;
+                            report.dns_ms.observe(v);
+                        }
+                        SessionKind::Transfer => {
+                            report.transfers += 1;
+                            report.session_mb.observe(v);
+                        }
+                    },
+                    Err(_) => report.lost_sessions += 1,
+                }
+                count_outcome(&mut report, &world.net, &result);
+                if record_sessions && !matches!(result, Err(MeasureError::NoTarget)) {
+                    sessions.push(SessionRecord::new(ep, kind, &result));
                 }
             }
         }

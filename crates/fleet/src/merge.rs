@@ -10,7 +10,8 @@
 
 use crate::exec::ShardOutcome;
 use crate::report::FleetReport;
-use crate::runner::{FleetRun, FleetShardTiming};
+use crate::runner::FleetRun;
+use roam_measure::ShardTiming;
 use roam_telemetry::{merge_shards, TelemetryMode};
 
 /// Fold `outcomes` (any order) into a run: sort by shard index, merge
@@ -31,7 +32,7 @@ pub(crate) fn merge_outcomes(
         report.merge(&outcome.report);
         snaps.push((key.clone(), outcome.snap));
         degraded.push((key.clone(), outcome.report.degraded));
-        timings.push(FleetShardTiming {
+        timings.push(ShardTiming {
             key,
             wall_ms: outcome.wall_ms,
         });

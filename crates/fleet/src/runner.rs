@@ -43,7 +43,9 @@ use crate::report::FleetReport;
 use crate::supervisor::{self, SupervisionStats, SupervisorPolicy, WorkerFaultSpec};
 use crate::worker::WorkerJob;
 use roam_codec::CodecError;
-use roam_measure::{run_shards, Dataset, DegradationSummary, Exporter, RunMode, SharedSink};
+use roam_measure::{
+    run_shards, Dataset, DegradationSummary, Exporter, RunMode, ShardTiming, SharedSink,
+};
 use roam_netsim::{FaultSpec, RunKnobs, TransportKind};
 use roam_telemetry::{TelemetryMode, TelemetryReport};
 use std::path::PathBuf;
@@ -52,16 +54,6 @@ use std::path::PathBuf;
 /// writes (`ROAM_CHECKPOINT_EVERY`). At the default 60-day calendar this
 /// checkpoints roughly every 4 000 users per shard.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 250_000;
-
-/// Wall-clock cost of one fleet shard — the only non-deterministic output
-/// of a run, kept outside the byte-stable report.
-#[derive(Debug, Clone)]
-pub struct FleetShardTiming {
-    /// Stable shard key (`"fleet/000"`…).
-    pub key: String,
-    /// Wall-clock milliseconds on its worker.
-    pub wall_ms: f64,
-}
 
 /// Everything a fleet run returns.
 pub struct FleetRun {
@@ -73,7 +65,7 @@ pub struct FleetRun {
     /// invariant.
     pub telemetry: TelemetryReport,
     /// Per-shard wall time, in merge order (not byte-stable).
-    pub timings: Vec<FleetShardTiming>,
+    pub timings: Vec<ShardTiming>,
     /// Per-shard fault-plane outcome tallies, in merge order. Deterministic
     /// for a fixed shard count; the shard-count-invariant total lives in
     /// `report.degraded`.

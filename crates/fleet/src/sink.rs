@@ -22,7 +22,10 @@
 //! [`FleetRunner::sink`]: crate::FleetRunner::sink
 
 use roam_measure::campaign::RecordTag;
-use roam_measure::{status_code, tag_cells, CellValue, DataSink, Dataset, Exporter, MeasureStatus};
+use roam_measure::{
+    status_code, tag_cells, CellValue, DataSink, Dataset, Endpoint, Exporter, MeasureError,
+    MeasureStatus,
+};
 
 /// What a fleet session did, in the `kind` column's enum-code order
 /// (`["rtt", "dns", "transfer"]`).
@@ -66,6 +69,32 @@ pub struct SessionRecord {
     pub mb: Option<f64>,
     /// How the session ended.
     pub status: MeasureStatus,
+}
+
+impl SessionRecord {
+    /// The record of one `kind` session on `ep`. A delivered session's
+    /// metric lands in the field its kind owns (`rtt_ms`, `lookup_ms` or
+    /// `mb`); a failed one keeps only the error's status.
+    #[must_use]
+    pub fn new(
+        ep: &Endpoint,
+        kind: SessionKind,
+        result: &Result<(f64, MeasureStatus), MeasureError>,
+    ) -> Self {
+        let (metric, status) = match result {
+            Ok((v, status)) => (Some(*v), *status),
+            Err(e) => (None, e.status()),
+        };
+        let owned = |k: SessionKind| if k == kind { metric } else { None };
+        SessionRecord {
+            tag: RecordTag::of(ep),
+            kind,
+            rtt_ms: owned(SessionKind::Rtt),
+            lookup_ms: owned(SessionKind::Dns),
+            mb: owned(SessionKind::Transfer),
+            status,
+        }
+    }
 }
 
 /// A borrowed batch of session records, viewed through the [`Exporter`]

@@ -279,12 +279,7 @@ impl MeasurementEndpoint {
             SimSlot::Physical => self.physical.clone(),
             SimSlot::Esim => self.esim.clone(),
         };
-        let tag = RecordTag {
-            country: ep.country,
-            sim_type: ep.sim_type,
-            arch: ep.att.arch,
-            rat: ep.att.rat,
-        };
+        let tag = RecordTag::of(&ep);
         // Each executed job is its own flow: the label carries the ME id
         // and a monotone job counter.
         let label = format!("amigo/{}/{}", self.id, self.jobs_run);

@@ -37,7 +37,10 @@ pub struct RecordTag {
 }
 
 impl RecordTag {
-    fn of(ep: &Endpoint) -> Self {
+    /// The context tag of a measurement run on `ep` — the one way every
+    /// record, campaign or fleet, gets its four context columns.
+    #[must_use]
+    pub fn of(ep: &Endpoint) -> Self {
         RecordTag {
             country: ep.country,
             sim_type: ep.sim_type,

@@ -60,6 +60,17 @@ impl RunMode {
     }
 }
 
+/// Wall-clock cost of one shard. Wall time is the one non-deterministic
+/// quantity a run reports; it lives beside the byte-stable results,
+/// never inside them, so those stay comparable across machines.
+#[derive(Debug, Clone)]
+pub struct ShardTiming {
+    /// The shard's stable key (`"device/PAK"`, `"fleet/000"`, …).
+    pub key: String,
+    /// Wall-clock milliseconds the shard took on its worker.
+    pub wall_ms: f64,
+}
+
 /// Derive a shard's RNG seed from the master seed and its stable key.
 ///
 /// The key names *what* the shard measures (`"device/PAK"`,

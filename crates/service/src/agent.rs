@@ -9,7 +9,10 @@
 //!   draws the churn that shifts the window. A finite TTL retires the
 //!   cohort after `ttl_ticks` ticks.
 //! * `probe/<alpha3>` — daily vantage probes per measured country,
-//!   alternating RTT and DNS. Labels are stamped with the sim-week
+//!   alternating RTT and DNS. They run on the fleet shard's own stage:
+//!   the pool comes from [`CountrySlot::pool`], every session from
+//!   [`CountrySlot::measure`] and every record from
+//!   [`SessionRecord::new`]. Labels are stamped with the sim-week
 //!   (`service/w<week>/…`), so under an active fault plane the per-flow
 //!   fault phases *drift* week over week — the drifting-fault soak the
 //!   degradation-over-time analysis queries.
@@ -30,14 +33,10 @@ use crate::config::{ServiceConfig, ServiceConfigError};
 use crate::export::BoundedSink;
 use crate::task::{days, Fire, JobHandle, Scheduler, DAY_NS};
 use roam_codec::CodecError;
-use roam_fleet::{FleetReport, ResumeError, SessionKind, SessionRecord, UserBatch};
+use roam_fleet::{CountrySlot, FleetReport, ResumeError, SessionKind, SessionRecord, UserBatch};
 use roam_geo::Country;
-use roam_measure::campaign::RecordTag;
-use roam_measure::{
-    resolve_timing, status_code, Endpoint, MeasureError, ResolverPlan, RunMode, Service,
-    STATUS_LABELS,
-};
-use roam_netsim::{FaultSpec, NodeId, SimTime};
+use roam_measure::{status_code, MeasureError, RunMode, STATUS_LABELS};
+use roam_netsim::{FaultSpec, SimTime};
 use roam_telemetry::{Counter, Recorder, Sink as _, TelemetryMode, TelemetryReport};
 use roam_world::World;
 use std::fmt::Write as _;
@@ -46,6 +45,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Nanoseconds per sim-week — the fault-calendar advancement period.
 pub const WEEK_NS: u64 = 7 * DAY_NS;
+
+/// Sub-shards each cohort tick's [`UserBatch`] splits its range into.
+const BATCH_SHARDS: usize = 4;
 
 /// How long the agent runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,14 +121,6 @@ enum JobKind {
     Faults,
 }
 
-/// One vantage country's fixed probe stage, mirroring the fleet shard's
-/// `CountrySlot`: two eSIM attachments with precomputed targets/plans.
-struct VantageSlot {
-    endpoints: [Endpoint; 2],
-    rtt_targets: [Option<NodeId>; 2],
-    dns_plans: [ResolverPlan; 2],
-}
-
 /// The long-running measurement agent. Construct with [`Agent::new`]
 /// (fresh) or [`Agent::resume`] (from a checkpoint), configure with the
 /// builder methods, then [`Agent::run`].
@@ -136,7 +130,6 @@ pub struct Agent {
     telemetry_mode: TelemetryMode,
     faults: FaultSpec,
     mode: RunMode,
-    batch_shards: usize,
     ckpt_dir: Option<PathBuf>,
     sched: Scheduler,
     kinds: Vec<JobKind>,
@@ -157,7 +150,7 @@ pub struct Agent {
     sink_error: Option<String>,
     tel: Recorder,
     world: World,
-    pool: Vec<VantageSlot>,
+    pool: Vec<CountrySlot>,
     countries: Vec<Country>,
 }
 
@@ -172,8 +165,9 @@ fn expected_job_ids(config: &ServiceConfig, countries: &[Country]) -> Vec<String
 impl Agent {
     /// A fresh agent: cohorts split proportionally, every job at fire
     /// count zero. The fault spec and telemetry mode resolve from the
-    /// environment here (override with the builder methods before
-    /// [`Agent::run`]).
+    /// environment here, once; no builder method changes them later (a
+    /// checkpoint frame carries them, and [`Agent::resume`] takes them
+    /// from it).
     pub fn new(seed: u64, config: ServiceConfig) -> Result<Self, ServiceConfigError> {
         config.validate()?;
         let faults = FaultSpec::current();
@@ -248,29 +242,7 @@ impl Agent {
         world.net.set_telemetry_mode(telemetry);
         world.net.set_faults(faults);
         let countries = world.measured_countries();
-        let mut pool_eps: Vec<[Endpoint; 2]> = Vec::with_capacity(countries.len());
-        for &country in &countries {
-            pool_eps.push([world.attach_esim(country), world.attach_esim(country)]);
-        }
-        let pool: Vec<VantageSlot> = pool_eps
-            .into_iter()
-            .map(|endpoints| {
-                let rtt_targets = [0, 1].map(|i| {
-                    world.internet.targets.nearest(
-                        &world.net,
-                        Service::Google,
-                        endpoints[i].att.breakout_city,
-                    )
-                });
-                let dns_plans = [0, 1]
-                    .map(|i| ResolverPlan::new(&world.net, &endpoints[i], &world.internet.targets));
-                VantageSlot {
-                    endpoints,
-                    rtt_targets,
-                    dns_plans,
-                }
-            })
-            .collect();
+        let pool = CountrySlot::pool(&mut world);
         let mut kinds: Vec<JobKind> = (0..config.cohorts).map(JobKind::Cohort).collect();
         kinds.extend((0..countries.len()).map(JobKind::Probe));
         kinds.push(JobKind::Faults);
@@ -279,8 +251,7 @@ impl Agent {
             config,
             telemetry_mode: telemetry,
             faults,
-            mode: RunMode::from_env(),
-            batch_shards: 4,
+            mode: RunMode::Sequential,
             ckpt_dir: None,
             sched: Scheduler::new(seed),
             kinds,
@@ -302,8 +273,8 @@ impl Agent {
         }
     }
 
-    /// Thread-level execution mode for cohort batches (default: from
-    /// `ROAM_PARALLEL`). Never changes the bytes.
+    /// Thread-level execution mode for cohort batches (default:
+    /// [`RunMode::Sequential`]). Never changes the bytes.
     #[must_use]
     pub fn mode(mut self, mode: RunMode) -> Self {
         self.mode = mode;
@@ -409,7 +380,7 @@ impl Agent {
             config: self.config.fleet(),
             lo,
             hi,
-            shards: self.batch_shards,
+            shards: BATCH_SHARDS,
             mode: self.mode,
             telemetry: TelemetryMode::Off,
             faults: self.faults,
@@ -439,75 +410,29 @@ impl Agent {
         let which = (fire.index % 2) as usize;
         let alpha3 = self.countries[ci].alpha3();
         let slot = &self.pool[ci];
-        let ep = &slot.endpoints[which];
         let mut records: Vec<SessionRecord> = Vec::with_capacity(self.config.probes as usize);
         let mut label = String::with_capacity(48);
         for s in 0..self.config.probes {
             label.clear();
             let _ = write!(label, "service/w{week}/{alpha3}/f{}/s{s}", fire.index);
-            if s % 2 == 0 {
-                let Some(target) = slot.rtt_targets[which] else {
-                    continue;
-                };
-                let mut probe = ep.probe(&mut self.world.net, &label);
-                match probe.rtt_checked(target) {
-                    Ok(sample) => {
-                        self.soak.push(SoakRow {
-                            week,
-                            country: alpha3,
-                            kind: 0,
-                            ms: Some(sample.rtt_ms),
-                            status: status_code(sample.status()),
-                        });
-                        records.push(session(ep, SessionKind::Rtt, |r| {
-                            r.rtt_ms = Some(sample.rtt_ms);
-                            r.status = sample.status();
-                        }));
-                    }
-                    Err(e) => {
-                        if matches!(e, MeasureError::NoTarget) {
-                            continue;
-                        }
-                        self.soak.push(SoakRow {
-                            week,
-                            country: alpha3,
-                            kind: 0,
-                            ms: None,
-                            status: status_code(e.status()),
-                        });
-                        records.push(session(ep, SessionKind::Rtt, |r| r.status = e.status()));
-                    }
-                }
+            let kind = if s % 2 == 0 {
+                SessionKind::Rtt
             } else {
-                match resolve_timing(&mut self.world.net, ep, &slot.dns_plans[which], &label) {
-                    Ok(r) => {
-                        self.soak.push(SoakRow {
-                            week,
-                            country: alpha3,
-                            kind: 1,
-                            ms: Some(r.lookup_ms),
-                            status: status_code(r.status),
-                        });
-                        records.push(session(ep, SessionKind::Dns, |rec| {
-                            rec.lookup_ms = Some(r.lookup_ms);
-                            rec.status = r.status;
-                        }));
-                    }
-                    Err(e) => {
-                        if matches!(e, MeasureError::NoTarget) {
-                            continue;
-                        }
-                        self.soak.push(SoakRow {
-                            week,
-                            country: alpha3,
-                            kind: 1,
-                            ms: None,
-                            status: status_code(e.status()),
-                        });
-                        records.push(session(ep, SessionKind::Dns, |rec| rec.status = e.status()));
-                    }
-                }
+                SessionKind::Dns
+            };
+            let result = slot.measure(&mut self.world.net, which, kind, &label);
+            if matches!(result, Err(MeasureError::NoTarget)) {
+                continue;
             }
+            let record = SessionRecord::new(slot.endpoint(which), kind, &result);
+            self.soak.push(SoakRow {
+                week,
+                country: alpha3,
+                kind: kind.code(),
+                ms: result.ok().map(|(ms, _)| ms),
+                status: status_code(record.status),
+            });
+            records.push(record);
         }
         self.push_records(&records);
     }
@@ -611,29 +536,6 @@ impl Agent {
             sink_error: self.sink_error.clone(),
         }
     }
-}
-
-/// Build one probe session record for the export stream.
-fn session(
-    ep: &Endpoint,
-    kind: SessionKind,
-    fill: impl FnOnce(&mut SessionRecord),
-) -> SessionRecord {
-    let mut rec = SessionRecord {
-        tag: RecordTag {
-            country: ep.country,
-            sim_type: ep.sim_type,
-            arch: ep.att.arch,
-            rat: ep.rat(),
-        },
-        kind,
-        rtt_ms: None,
-        lookup_ms: None,
-        mb: None,
-        status: roam_measure::MeasureStatus::Ok,
-    };
-    fill(&mut rec);
-    rec
 }
 
 /// What one agent run hands back.

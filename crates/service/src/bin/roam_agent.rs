@@ -25,7 +25,7 @@
 //! checkpoint are complete; `sessions.csv` stops at the durable
 //! offset), 1 error.
 
-use roam_measure::{Dataset, SharedSink};
+use roam_measure::{Dataset, RunMode, SharedSink};
 use roam_service::{Agent, AgentState, CsvFile, Horizon, Outcome, ServiceConfig};
 use std::path::PathBuf;
 use std::process::exit;
@@ -146,6 +146,7 @@ fn main() {
     let sink: SharedSink = shared.clone();
     let hook_target = Arc::clone(&shared);
     let mut agent = agent
+        .mode(RunMode::from_env())
         .sink(sink)
         .sync_hook(move || hook_target.lock().expect("csv sink poisoned").sync());
     if let Some(dir) = ckpt_dir {

@@ -9,12 +9,8 @@
 //! `ROAM_FLEET_SAMPLE`) because cohort ticks run through the same
 //! plan/exec/merge pipeline.
 
+use roam_fleet::config::env_parse;
 use roam_fleet::{FleetConfig, SessionMix};
-
-/// Parse an environment variable, treating absent/malformed as `None`.
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok()?.trim().parse().ok()
-}
 
 /// Everything that sizes the long-running agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +49,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
+        let fleet = FleetConfig::default();
         ServiceConfig {
             users: 2_000,
             cohorts: 3,
@@ -62,8 +59,8 @@ impl Default for ServiceConfig {
             churn_pct: 10,
             queue_cap: 8_192,
             ckpt_days: 7,
-            sample: 16,
-            mix: SessionMix::default(),
+            sample: fleet.sample,
+            mix: fleet.mix,
         }
     }
 }
@@ -106,12 +103,14 @@ impl std::fmt::Display for ServiceConfigError {
 impl std::error::Error for ServiceConfigError {}
 
 impl ServiceConfig {
-    /// Defaults overridden by whichever `ROAM_SERVICE_*` (and shared
-    /// `ROAM_FLEET_MIX` / `ROAM_FLEET_SAMPLE`) variables are set.
-    /// Malformed values fall back to the default.
+    /// Defaults overridden by whichever `ROAM_SERVICE_*` variables are
+    /// set; the shared `ROAM_FLEET_MIX` / `ROAM_FLEET_SAMPLE` go through
+    /// [`FleetConfig::from_env`]. Malformed values fall back to the
+    /// default.
     #[must_use]
     pub fn from_env() -> Self {
         let d = ServiceConfig::default();
+        let fleet = FleetConfig::from_env();
         ServiceConfig {
             users: env_parse("ROAM_SERVICE_USERS").unwrap_or(d.users),
             cohorts: env_parse("ROAM_SERVICE_COHORTS").unwrap_or(d.cohorts),
@@ -125,11 +124,8 @@ impl ServiceConfig {
                 .unwrap_or(d.queue_cap)
                 .max(1),
             ckpt_days: env_parse("ROAM_SERVICE_CKPT").unwrap_or(d.ckpt_days).max(1),
-            sample: env_parse("ROAM_FLEET_SAMPLE").unwrap_or(d.sample),
-            mix: std::env::var("ROAM_FLEET_MIX")
-                .ok()
-                .and_then(|s| SessionMix::parse(&s))
-                .unwrap_or(d.mix),
+            sample: fleet.sample,
+            mix: fleet.mix,
         }
     }
 
