@@ -77,6 +77,63 @@ fn parallel_campaigns_export_identical_bytes() {
     );
 }
 
+/// FNV-1a-64 digests of all three campaigns at seed 11 with jsonl
+/// telemetry, faults off: the device campaign's `export_all` CSV, the web
+/// results and the survey observations (each with the rendered telemetry),
+/// plus every run's shard keys in merge order. Worker-count invariance
+/// alone (above) would let both sides of a refactor move together.
+#[test]
+fn campaign_outputs_are_pinned() {
+    use roam_bench::CampaignRunner;
+    use roam_codec::hash64;
+    use roamsim::measure::{Exporter, ShardTiming};
+    use roamsim::netsim::{FaultSpec, TransportKind};
+    use roamsim::telemetry::TelemetryMode;
+
+    let runner = CampaignRunner::new(11)
+        .transport(TransportKind::ClosedForm)
+        .faults(FaultSpec::off())
+        .telemetry(TelemetryMode::Jsonl);
+    let keys = |timings: &[ShardTiming]| {
+        let keys: Vec<&str> = timings.iter().map(|t| t.key.as_str()).collect();
+        hash64(keys.join("\n").as_bytes())
+    };
+
+    let device = runner.clone().scale(0.03).run();
+    let mut csv = String::new();
+    for (ds, table) in device.data.export_all() {
+        csv.push_str(&format!("{ds:?}\n{table}"));
+    }
+    let web = runner.run_web();
+    let survey = runner.run_survey(2);
+    let got = [
+        hash64(csv.as_bytes()),
+        hash64(device.telemetry.render().as_bytes()),
+        keys(&device.timings),
+        hash64(format!("{:?}", web.results).as_bytes()),
+        hash64(web.telemetry.render().as_bytes()),
+        keys(&web.timings),
+        hash64(format!("{:?}", survey.observations).as_bytes()),
+        hash64(survey.telemetry.render().as_bytes()),
+        keys(&survey.timings),
+    ];
+    let want: [u64; 9] = [
+        // device: export_all CSV, telemetry, shard keys
+        0x4a91_0b97_6a51_68d3,
+        0x36ff_7509_d3b4_4010,
+        0x0a6a_157e_04f0_889f,
+        // web: results, telemetry, shard keys
+        0xc06d_7c37_701f_1cc9,
+        0xfad5_d753_4762_f2c6,
+        0xf4b8_f5e2_ceaf_de12,
+        // survey: observations, telemetry, shard keys
+        0xda70_e242_7faf_06b4,
+        0xc588_60be_8d2d_3132,
+        0x7821_0493_6502_ab40,
+    ];
+    assert_eq!(got, want, "campaign digests moved: {got:#018x?}");
+}
+
 #[test]
 fn market_and_crawls_are_deterministic() {
     let a = Market::generate(9);
