@@ -5,11 +5,11 @@
 //! sustain usable calls; HR paths (one-way delay past the E-model's
 //! 177.3 ms knee) cannot.
 
-use roam_bench::run_device;
+use roam_bench::CampaignRunner;
 use roam_measure::voip_probe;
 
 fn main() {
-    let mut run = run_device(2024, 0.05);
+    let mut run = CampaignRunner::from_env(2024).scale(0.05).run();
 
     println!("extension — VoIP quality (E-model MOS) per country/configuration\n");
     println!(

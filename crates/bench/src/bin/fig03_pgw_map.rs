@@ -2,12 +2,13 @@
 //! paper's map becomes a row: user location, PGW location, the great-circle
 //! tunnel length, and the line style (solid = HR, dashed = IHBO).
 
-use roam_bench::survey_all_esims;
+use roam_bench::CampaignRunner;
 use roam_core::TomographyReport;
 use roam_ipx::RoamingArch;
 
 fn main() {
-    let (world, obs) = survey_all_esims(2024, 6);
+    let run = CampaignRunner::from_env(2024).run_survey(6);
+    let (world, obs) = (run.world, run.observations);
     let report = TomographyReport::build(&obs, world.net.registry());
 
     println!("Figure 3 — end-user (triangle) to PGW (circle) per roaming eSIM\n");

@@ -5,13 +5,13 @@
 //! SP); Spanish and Pakistani physical SIMs cross national transit ASes
 //! (3–4); some Qatari traces see only the SP's AS (silent CG-NAT).
 
-use roam_bench::run_device;
+use roam_bench::CampaignRunner;
 use roam_cellular::SimType;
 use roam_measure::Service;
 use roam_stats::median;
 
 fn main() {
-    let run = run_device(2024, 0.3);
+    let run = CampaignRunner::from_env(2024).scale(0.3).run();
 
     for service in [Service::Google, Service::Facebook] {
         println!("--- traceroutes to {service:?} ---");

@@ -6,12 +6,12 @@
 //! OVH-routed IHBO sessions show short provider cores (3), Packet Host
 //! deep ones (6–7).
 
-use roam_bench::{boxplot_row, run_device};
+use roam_bench::{boxplot_row, CampaignRunner};
 use roam_cellular::SimType;
 use roam_measure::Service;
 
 fn main() {
-    let run = run_device(2024, 0.3);
+    let run = CampaignRunner::from_env(2024).scale(0.3).run();
 
     println!("Figure 7 — private path length (hops before the first public IP)\n");
     println!(

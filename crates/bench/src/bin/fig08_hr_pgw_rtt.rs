@@ -5,13 +5,13 @@
 //! despite being geographically *farther* from Singapore — peering quality,
 //! not distance (§4.3.2); both exceed the 150 ms "less desirable" bar.
 
-use roam_bench::run_device;
+use roam_bench::CampaignRunner;
 use roam_cellular::SimType;
 use roam_geo::Country;
 use roam_stats::Ecdf;
 
 fn main() {
-    let run = run_device(2024, 0.4);
+    let run = CampaignRunner::from_env(2024).scale(0.4).run();
 
     println!("Figure 8 — CDF of RTT at the Singtel PGW hop (HR eSIMs)\n");
     for country in [Country::PAK, Country::ARE] {

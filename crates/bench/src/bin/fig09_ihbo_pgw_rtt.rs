@@ -6,14 +6,14 @@
 //! Packet Host suffering a heavy fourth quartile — peering agreements, not
 //! hop counts or distance, set the breakout latency.
 
-use roam_bench::run_device;
+use roam_bench::CampaignRunner;
 use roam_cellular::SimType;
 use roam_geo::Country;
 use roam_netsim::registry::well_known;
 use roam_stats::{quantile, Summary};
 
 fn main() {
-    let run = run_device(2024, 0.5);
+    let run = CampaignRunner::from_env(2024).scale(0.5).run();
 
     println!("Figure 9 — PGW RTT by provider for Play IHBO eSIMs\n");
     println!(

@@ -5,12 +5,12 @@
 //! longer with larger variance; the variability comes from SP-internal
 //! routing rather than inter-domain paths.
 
-use roam_bench::{boxplot_row, run_device};
+use roam_bench::{boxplot_row, CampaignRunner};
 use roam_cellular::SimType;
 use roam_measure::Service;
 
 fn main() {
-    let run = run_device(2024, 0.3);
+    let run = CampaignRunner::from_env(2024).scale(0.3).run();
 
     for service in [Service::Google, Service::Facebook] {
         println!("--- public path length, traceroutes to {service:?} ---");

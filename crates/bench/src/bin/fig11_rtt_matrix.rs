@@ -3,7 +3,7 @@
 //! §5.1 statistics: HR +~620% / IHBO +~64% over native, the >150 ms
 //! shares, the Welch t-tests and Levene's variance test.
 
-use roam_bench::{boxplot_row, run_device};
+use roam_bench::{boxplot_row, CampaignRunner};
 use roam_cellular::SimType;
 use roam_geo::Country;
 use roam_ipx::RoamingArch;
@@ -12,7 +12,7 @@ use roam_stats::test::LeveneCenter;
 use roam_stats::{levene_test, median, welch_t_test, Ecdf};
 
 fn main() {
-    let run = run_device(2024, 0.4);
+    let run = CampaignRunner::from_env(2024).scale(0.4).run();
     let native = [Country::KOR, Country::THA];
 
     for service in [Service::Facebook, Service::Google] {

@@ -12,7 +12,7 @@
 //! figure panel is a filter (`country`/`sim`/CQI) + `values` scan over the
 //! chunks — no per-panel record re-walks.
 
-use roam_bench::{boxplot_row, run_device, run_web};
+use roam_bench::{boxplot_row, CampaignRunner};
 use roam_cellular::Cqi;
 use roam_columnar::{Query, Table};
 use roam_geo::Country;
@@ -21,7 +21,8 @@ use roam_stats::{mean_ci95, median};
 
 fn main() {
     // ---- (a) web campaign ------------------------------------------------
-    let (web_world, web) = run_web(2024);
+    let web_run = CampaignRunner::from_env(2024).run_web();
+    let (web_world, web) = (web_run.world, web_run.results);
     println!("Figure 13a — fast.com downlink per web-campaign country (Mbps)\n");
     println!(
         "{:<8} {:>8} {:>6} {:<22} {:<12}",
@@ -78,7 +79,7 @@ fn main() {
     }
 
     // ---- (b)+(c) device campaign ------------------------------------------
-    let run = run_device(2024, 0.4);
+    let run = CampaignRunner::from_env(2024).scale(0.4).run();
     let mut sink = ColumnarSink::new();
     run.data.export_rows(Dataset::Speedtests, &mut sink);
     let speed = sink

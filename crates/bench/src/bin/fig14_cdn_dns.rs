@@ -12,7 +12,7 @@
 //! Delivered records are `status ∈ {ok, failover}` — the columnar spelling
 //! of `MeasureStatus::is_ok`.
 
-use roam_bench::{boxplot_row, run_device};
+use roam_bench::{boxplot_row, CampaignRunner};
 use roam_cellular::SimType;
 use roam_columnar::{Query, Table};
 use roam_geo::Country;
@@ -24,7 +24,7 @@ use roam_stats::{median, Summary};
 const DELIVERED: [&str; 2] = ["ok", "failover"];
 
 fn main() {
-    let run = run_device(2024, 0.4);
+    let run = CampaignRunner::from_env(2024).scale(0.4).run();
     let mut sink = ColumnarSink::new();
     run.data.export_rows(Dataset::Cdn, &mut sink);
     run.data.export_rows(Dataset::Dns, &mut sink);

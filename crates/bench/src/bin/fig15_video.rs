@@ -6,12 +6,12 @@
 //! SIMs; PAK/ARE pinned at 720p on *both* SIMs (b-MNO YouTube throttling);
 //! Georgia's eSIM matches its physical SIM.
 
-use roam_bench::run_device;
+use roam_bench::CampaignRunner;
 use roam_cellular::SimType;
 use roam_measure::Resolution;
 
 fn main() {
-    let run = run_device(2024, 0.6);
+    let run = CampaignRunner::from_env(2024).scale(0.6).run();
 
     println!("Figure 15 — YouTube resolution share per country (%)\n");
     println!(

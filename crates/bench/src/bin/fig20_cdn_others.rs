@@ -5,14 +5,14 @@
 //! Paper shape: the same pattern on every provider — native eSIMs ≈
 //! physical SIMs, HR eSIMs far slower, IHBO in between.
 
-use roam_bench::{boxplot_row, run_device};
+use roam_bench::{boxplot_row, CampaignRunner};
 use roam_cellular::SimType;
 use roam_ipx::RoamingArch;
 use roam_measure::CdnProvider;
 use roam_stats::Summary;
 
 fn main() {
-    let run = run_device(2024, 0.35);
+    let run = CampaignRunner::from_env(2024).scale(0.35).run();
 
     for provider in [
         CdnProvider::GoogleCdn,

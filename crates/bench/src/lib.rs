@@ -1,27 +1,19 @@
 //! Shared experiment harness for the per-figure/table binaries.
 //!
 //! Every `fig*`/`table*` binary in `src/bin/` reproduces one table or
-//! figure of the paper. The heavy lifting — running the two campaigns at
-//! Table-3/Table-4 scale against the calibrated world — lives here so the
-//! binaries stay declarative.
+//! figure of the paper from one of three campaigns, all run through
+//! [`CampaignRunner`]: the device campaign ([`CampaignRunner::run`],
+//! Table 4), the web campaign ([`CampaignRunner::run_web`], Table 3) and
+//! the eSIM survey ([`CampaignRunner::run_survey`], Table 2 / Figs. 3–4).
+//! The binaries build it with [`CampaignRunner::from_env`]; none of its
+//! knobs can change the bytes, only the wall clock and what gets reported.
 //!
-//! Campaigns execute as **per-country shards** through
+//! Each campaign is one **per-country shard** loop over
 //! [`roam_measure::parallel`]: every shard builds its own world from the
-//! master seed, and every measurement inside a shard runs on its own flow
-//! derived from the attachment's flow stamp and the measurement's label —
-//! never from execution order. The merged output is therefore bit-identical
-//! whether shards run on one thread ([`RunMode::Sequential`]) or many
-//! ([`RunMode::Parallel`]).
-//!
-//! [`CampaignRunner`] is the one configuration surface: seed, scale,
-//! worker count, transport backend and telemetry mode, applied uniformly
-//! to the device campaign ([`CampaignRunner::run`]), the web campaign
-//! ([`CampaignRunner::run_web`]) and the eSIM survey
-//! ([`CampaignRunner::run_survey`]). The plain
-//! [`run_device`]/[`run_web`]/[`survey_all_esims`] entry points are
-//! `CampaignRunner::from_env` shorthands — they read `ROAM_PARALLEL`,
-//! `ROAM_TRANSPORT` and `ROAM_TELEMETRY` (safe because none of the knobs
-//! can change the bytes, only the wall clock and what gets reported).
+//! master seed, and every measurement inside it runs on a flow derived
+//! from the attachment's flow stamp and the measurement's label — never
+//! from execution order — so the merged output is bit-identical on one
+//! thread ([`RunMode::Sequential`]) or many ([`RunMode::Parallel`]).
 
 use roam_core::EsimObservation;
 use roam_geo::{City, Country};
@@ -30,8 +22,9 @@ use roam_measure::{
     Endpoint, Exporter, RunMode, ShardTiming, SharedSink, WebRecord,
 };
 use roam_netsim::{FaultSpec, RunKnobs, TransportKind};
-use roam_telemetry::{merge_shards, TelemetryMode, TelemetryReport, TelemetrySnapshot};
+use roam_telemetry::{merge_shards, TelemetryMode, TelemetryReport};
 use roam_world::{DeviceCountrySpec, World};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Scale factor applied to the Table-4 sample counts. 1.0 is paper scale;
@@ -94,68 +87,19 @@ impl DeviceCampaignRun {
     }
 }
 
-/// Run one country's device-campaign shard: its own world built from the
-/// master seed. Every measurement runs on a flow keyed by its day-chunk
-/// attachment and its plan label — never by execution order, so shard
-/// results do not depend on which worker ran them, or when.
+/// One country's device-campaign shard with the default knobs of
+/// [`CampaignRunner::new`]: the same shard loop and day-chunk body as
+/// [`CampaignRunner::run`], over a single country.
 #[must_use]
 pub fn run_device_shard(
     seed: u64,
     scale: f64,
     spec: &DeviceCountrySpec,
 ) -> (DeviceCountryRun, CampaignData) {
-    let knobs = CampaignRunner::new(seed).knobs();
-    let (run, data, _, _) = run_device_shard_with(seed, scale, spec, knobs);
-    (run, data)
-}
-
-/// [`run_device_shard`] under a run's knobs (telemetry mode, transport,
-/// faults), also returning the shard's telemetry snapshot and its
-/// wall-clock milliseconds. This is the unit the [`CampaignRunner`]
-/// merges: snapshots fold together in shard-key order, wall times stay
-/// outside the byte-stable report.
-#[must_use]
-pub fn run_device_shard_with(
-    seed: u64,
-    scale: f64,
-    spec: &DeviceCountrySpec,
-    knobs: RunKnobs,
-) -> (DeviceCountryRun, CampaignData, TelemetrySnapshot, f64) {
-    let started = Instant::now();
-    let mut world = World::build(seed);
-    world.net.set_knobs(knobs);
-    let mut data = CampaignData::default();
-    let mut esims = Vec::new();
-    let chunks = spec.days.clamp(2, 6);
-    let chunk_spec = scale_spec(&spec.spec, scale / f64::from(chunks));
-    let mut last_sim = None;
-    for _ in 0..chunks {
-        // Both SIMs re-attach per day-chunk: real devices detach
-        // overnight, and per-attachment draws (core depth, PGW pool
-        // slot, provider alternation) must average out on both sides.
-        // Each attachment carries a fresh flow stamp, so repeated plan
-        // labels across chunks still name distinct flows.
-        let sim = world.attach_physical(spec.country);
-        let esim = world.attach_esim(spec.country);
-        let d = run_device_campaign(
-            &mut world.net,
-            &sim,
-            &esim,
-            &chunk_spec,
-            &world.internet.targets,
-        );
-        data.extend(d);
-        esims.push(esim);
-        last_sim = Some(sim);
-    }
-    let snap = world.net.take_telemetry();
-    let run = DeviceCountryRun {
-        country: spec.country,
-        world,
-        esims,
-        sim: last_sim.expect("at least one chunk"),
-    };
-    (run, data, snap, started.elapsed().as_secs_f64() * 1e3)
+    let mut run = CampaignRunner::new(seed)
+        .scale(scale)
+        .run_devices(std::slice::from_ref(spec));
+    (run.shards.pop().expect("one shard"), run.data)
 }
 
 /// One full web-campaign run: per-country records plus the run's
@@ -185,8 +129,8 @@ pub struct SurveyRun {
     pub timings: Vec<ShardTiming>,
 }
 
-/// The one way to configure a campaign: seed in, then builder-style knobs
-/// for scale, worker count, transport backend and telemetry, shared by all
+/// The one way to run a campaign: seed in, then builder-style knobs for
+/// scale, worker count, transport backend and telemetry, shared by all
 /// three campaign shapes.
 ///
 /// ```no_run
@@ -278,13 +222,6 @@ impl CampaignRunner {
         self
     }
 
-    /// Set the shard execution mode directly.
-    #[must_use]
-    pub fn run_mode(mut self, mode: RunMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Pin the transport backend for the run, overriding `ROAM_TRANSPORT`.
     #[must_use]
     pub fn transport(mut self, kind: TransportKind) -> Self {
@@ -329,6 +266,36 @@ impl CampaignRunner {
         }
     }
 
+    /// The per-country shard loop every campaign runs on. Each shard builds
+    /// the seeded world under the run's knobs, runs `body` for its country,
+    /// then takes the world's telemetry and the shard's wall time. Shards
+    /// fold in [`run_shards`] order under `"{prefix}/{alpha3}"`, and come
+    /// back as `(shard world, body result)`.
+    fn shards<T: Send>(
+        &self,
+        prefix: &str,
+        countries: &[Country],
+        body: impl Fn(&mut World, Country) -> T + Sync,
+    ) -> (Vec<(World, T)>, TelemetryReport, Vec<ShardTiming>) {
+        let knobs = self.knobs();
+        let out = run_shards(self.mode, countries.len(), |i| {
+            let started = Instant::now();
+            let mut world = World::build(self.seed);
+            world.net.set_knobs(knobs);
+            let result = body(&mut world, countries[i]);
+            let snap = world.net.take_telemetry();
+            (world, result, snap, started.elapsed().as_secs_f64() * 1e3)
+        });
+        let (mut shards, mut snaps, mut timings) = (Vec::new(), Vec::new(), Vec::new());
+        for (country, (world, result, snap, wall_ms)) in countries.iter().zip(out) {
+            let key = format!("{prefix}/{}", country.alpha3());
+            snaps.push((key.clone(), snap));
+            timings.push(ShardTiming { key, wall_ms });
+            shards.push((world, result));
+        }
+        (shards, merge_shards(self.telemetry, snaps), timings)
+    }
+
     /// Run the device campaign across the 10 Table-4 countries.
     ///
     /// Each country's eSIM re-attaches every "day chunk" so that the
@@ -337,23 +304,44 @@ impl CampaignRunner {
     /// measurement.
     #[must_use]
     pub fn run(&self) -> DeviceCampaignRun {
-        let knobs = self.knobs();
-        let specs = World::device_campaign_specs();
-        let results = run_shards(self.mode, specs.len(), |i| {
-            run_device_shard_with(self.seed, self.scale, &specs[i], knobs)
+        self.run_devices(&World::device_campaign_specs())
+    }
+
+    /// The device campaign over `specs`, one shard per spec.
+    fn run_devices(&self, specs: &[DeviceCountrySpec]) -> DeviceCampaignRun {
+        let countries: Vec<Country> = specs.iter().map(|s| s.country).collect();
+        let (out, telemetry, timings) = self.shards("device", &countries, |world, country| {
+            let spec = specs.iter().find(|s| s.country == country).expect("spec");
+            let chunks = spec.days.clamp(2, 6);
+            let chunk_spec = scale_spec(&spec.spec, self.scale / f64::from(chunks));
+            let (mut data, mut esims, mut sim) = (CampaignData::default(), Vec::new(), None);
+            for _ in 0..chunks {
+                // Both SIMs re-attach per day-chunk: real devices detach
+                // overnight, and per-attachment draws (core depth, PGW pool
+                // slot, provider alternation) must average out on both
+                // sides. Each attachment carries a fresh flow stamp, so
+                // repeated plan labels across chunks still name distinct
+                // flows.
+                let phys = world.attach_physical(country);
+                let esim = world.attach_esim(country);
+                let targets = &world.internet.targets;
+                let d = run_device_campaign(&mut world.net, &phys, &esim, &chunk_spec, targets);
+                data.extend(d);
+                esims.push(esim);
+                sim = Some(phys);
+            }
+            (country, esims, sim.expect("at least one chunk"), data)
         });
-        let mut data = CampaignData::default();
-        let mut shards = Vec::with_capacity(results.len());
-        let mut snaps = Vec::with_capacity(results.len());
-        let mut timings = Vec::with_capacity(results.len());
-        for (shard, shard_data, snap, wall_ms) in results {
-            let key = format!("device/{}", shard.country.alpha3());
+        let (mut shards, mut data) = (Vec::new(), CampaignData::default());
+        for (world, (country, esims, sim, shard_data)) in out {
             data.extend(shard_data);
-            snaps.push((key.clone(), snap));
-            timings.push(ShardTiming { key, wall_ms });
-            shards.push(shard);
+            shards.push(DeviceCountryRun {
+                country,
+                world,
+                esims,
+                sim,
+            });
         }
-        let telemetry = merge_shards(self.telemetry, snaps);
         if let Some(sink) = &self.sink {
             let mut sink = sink.lock().expect("campaign sink poisoned");
             for &ds in data.datasets() {
@@ -373,42 +361,23 @@ impl CampaignRunner {
     /// what the campaign reproduces.
     #[must_use]
     pub fn run_web(&self) -> WebCampaignRun {
-        let knobs = self.knobs();
         let specs = World::web_campaign_specs();
-        let out = run_shards(self.mode, specs.len(), |i| {
-            let started = Instant::now();
-            let spec = &specs[i];
-            let mut world = World::build(self.seed);
-            world.net.set_knobs(knobs);
-            let ep = world.attach_esim(spec.country);
-            let mut records = Vec::new();
-            for m in 0..spec.measurements {
-                if let Some(r) = run_web_measurement(
-                    &mut world.net,
-                    &ep,
-                    &world.internet.targets,
-                    &format!("web/{m}"),
-                ) {
-                    records.push(r);
-                }
-            }
-            let snap = world.net.take_telemetry();
-            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-            (spec.country, records, ep, snap, wall_ms)
+        let countries: Vec<Country> = specs.iter().map(|s| s.country).collect();
+        let (out, telemetry, timings) = self.shards("web", &countries, |world, country| {
+            let spec = specs.iter().find(|s| s.country == country).expect("spec");
+            let ep = world.attach_esim(country);
+            let records: Vec<WebRecord> = (0..spec.measurements)
+                .filter_map(|m| {
+                    let label = format!("web/{m}");
+                    run_web_measurement(&mut world.net, &ep, &world.internet.targets, &label)
+                })
+                .collect();
+            (country, records, ep)
         });
-        let mut results = Vec::with_capacity(out.len());
-        let mut snaps = Vec::with_capacity(out.len());
-        let mut timings = Vec::with_capacity(out.len());
-        for (country, records, ep, snap, wall_ms) in out {
-            let key = format!("web/{}", country.alpha3());
-            snaps.push((key.clone(), snap));
-            timings.push(ShardTiming { key, wall_ms });
-            results.push((country, records, ep));
-        }
         WebCampaignRun {
             world: World::build(self.seed),
-            results,
-            telemetry: merge_shards(self.telemetry, snaps),
+            results: out.into_iter().map(|(_, result)| result).collect(),
+            telemetry,
             timings,
         }
     }
@@ -418,52 +387,21 @@ impl CampaignRunner {
     /// shard per country.
     #[must_use]
     pub fn run_survey(&self, attaches_per_country: u32) -> SurveyRun {
-        let knobs = self.knobs();
         let world = World::build(self.seed);
-        let countries = world.measured_countries();
-        let out = run_shards(self.mode, countries.len(), |i| {
-            let started = Instant::now();
-            let country = countries[i];
-            let mut shard_world = World::build(self.seed);
-            shard_world.net.set_knobs(knobs);
-            let eps: Vec<Endpoint> = (0..attaches_per_country)
-                .map(|_| shard_world.attach_esim(country))
-                .collect();
-            let snap = shard_world.net.take_telemetry();
-            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-            (country, eps, snap, wall_ms)
-        });
-        let mut endpoints = Vec::new();
-        let mut snaps = Vec::with_capacity(out.len());
-        let mut timings = Vec::with_capacity(out.len());
-        for (country, eps, snap, wall_ms) in out {
-            let key = format!("survey/{}", country.alpha3());
-            snaps.push((key.clone(), snap));
-            timings.push(ShardTiming { key, wall_ms });
-            endpoints.extend(eps);
-        }
-        let observations = observations_for(&world, &endpoints);
+        let (out, telemetry, timings) =
+            self.shards("survey", &world.measured_countries(), |shard, country| {
+                (0..attaches_per_country)
+                    .map(|_| shard.attach_esim(country))
+                    .collect::<Vec<Endpoint>>()
+            });
+        let endpoints: Vec<Endpoint> = out.into_iter().flat_map(|(_, eps)| eps).collect();
         SurveyRun {
+            observations: observations_for(&world, &endpoints),
             world,
-            observations,
-            telemetry: merge_shards(self.telemetry, snaps),
+            telemetry,
             timings,
         }
     }
-}
-
-/// [`CampaignRunner::run`] with every knob taken from the environment.
-#[must_use]
-pub fn run_device(seed: u64, scale: f64) -> DeviceCampaignRun {
-    CampaignRunner::from_env(seed).scale(scale).run()
-}
-
-/// [`CampaignRunner::run_web`] with every knob taken from the environment,
-/// in the legacy tuple shape.
-#[must_use]
-pub fn run_web(seed: u64) -> (World, Vec<(Country, Vec<WebRecord>, Endpoint)>) {
-    let run = CampaignRunner::from_env(seed).run_web();
-    (run.world, run.results)
 }
 
 /// Build the tomography observations for a set of eSIM endpoints: each
@@ -471,8 +409,7 @@ pub fn run_web(seed: u64) -> (World, Vec<(Country, Vec<WebRecord>, Endpoint)>) {
 /// its session used; repeated attachments of one country merge their IPs.
 #[must_use]
 pub fn observations_for(world: &World, endpoints: &[Endpoint]) -> Vec<EsimObservation> {
-    let mut by_country: std::collections::BTreeMap<Country, EsimObservation> =
-        std::collections::BTreeMap::new();
+    let mut by_country: BTreeMap<Country, EsimObservation> = BTreeMap::new();
     for ep in endpoints {
         let b = world.ops.dir.get(ep.att.b_mno);
         let v = world.ops.dir.get(ep.att.v_mno);
@@ -494,14 +431,6 @@ pub fn observations_for(world: &World, endpoints: &[Endpoint]) -> Vec<EsimObserv
     by_country.into_values().collect()
 }
 
-/// [`CampaignRunner::run_survey`] with every knob taken from the
-/// environment, in the legacy tuple shape.
-#[must_use]
-pub fn survey_all_esims(seed: u64, attaches_per_country: u32) -> (World, Vec<EsimObservation>) {
-    let run = CampaignRunner::from_env(seed).run_survey(attaches_per_country);
-    (run.world, run.observations)
-}
-
 /// Users-per-second throughput for a fleet run, guarded against a zero
 /// wall clock (sub-nanosecond runs report a huge-but-finite rate).
 #[must_use]
@@ -511,14 +440,10 @@ pub fn users_per_sec(users: u64, wall_secs: f64) -> f64 {
 
 /// The machine-parseable throughput line scraped by the CI
 /// throughput-floor gate and `scripts/bench_json.sh`
-/// (`sed -n 's/^fleet_smoke_users_per_sec: //p'`).
-///
-/// This function is the only place the line is formatted and
-/// [`emit_users_per_sec`] the only place it is emitted — always on
-/// **stderr**. `fleet_smoke`'s stdout carries nothing but the byte-stable
-/// report render so CI can `cmp` two invocations directly; everything
-/// wall-clock-derived belongs on the other stream. Scrapers therefore
-/// redirect as `fleet_smoke 2>&1 >/dev/null | sed …`.
+/// (`sed -n 's/^fleet_smoke_users_per_sec: //p'`). It is formatted only
+/// here and emitted only by [`emit_users_per_sec`], always on **stderr**:
+/// `fleet_smoke`'s stdout carries nothing but the byte-stable report, so
+/// CI can `cmp` two runs, and scrapers redirect `2>&1 >/dev/null | sed …`.
 #[must_use]
 pub fn users_per_sec_line(users: u64, wall_secs: f64) -> String {
     format!(

@@ -25,7 +25,7 @@ use crate::report::FleetReport;
 use crate::sink::SessionRecord;
 use roam_measure::{run_shards, RunMode};
 use roam_netsim::{FaultSpec, RunKnobs, TransportKind};
-use roam_telemetry::{merge_shards, TelemetryMode, TelemetryReport};
+use roam_telemetry::TelemetryMode;
 
 /// One cohort tick's work order: drive users `[lo, hi)` of `seed`'s
 /// population through a full calendar window.
@@ -46,8 +46,6 @@ pub struct UserBatch {
     pub shards: usize,
     /// Thread-level execution mode for the sub-shards.
     pub mode: RunMode,
-    /// What the telemetry plane records.
-    pub telemetry: TelemetryMode,
     /// The fault schedule every sub-shard's network runs under.
     pub faults: FaultSpec,
     /// Record per-session [`SessionRecord`]s (the service's export
@@ -60,8 +58,6 @@ pub struct UserBatch {
 pub struct BatchRun {
     /// Exactly-merged aggregates for the range.
     pub report: FleetReport,
-    /// Telemetry merged in sub-shard order.
-    pub telemetry: TelemetryReport,
     /// Per-session records, in uid order (sessions within a user keep
     /// session order) — invariant across `shards`/`mode`.
     pub sessions: Vec<SessionRecord>,
@@ -78,14 +74,13 @@ impl UserBatch {
             hi,
             shards: 1,
             mode: RunMode::Sequential,
-            telemetry: TelemetryMode::Off,
             faults: FaultSpec::off(),
             record_sessions: false,
         }
     }
 
-    /// Execute the batch: split the range, run the sub-shards on `mode`,
-    /// fold reports / telemetry / sessions in sub-shard order.
+    /// Execute the batch with telemetry off: split the range, run the
+    /// sub-shards on `mode`, fold reports and sessions in sub-shard order.
     ///
     /// An empty range (`lo >= hi`) is a no-op batch: empty report, empty
     /// stream — the expired-cohort case in the service.
@@ -95,19 +90,18 @@ impl UserBatch {
         if span == 0 {
             return BatchRun {
                 report: FleetReport::new(self.config.sample),
-                telemetry: TelemetryReport::new(self.telemetry),
                 sessions: Vec::new(),
             };
         }
         let n = (self.shards.max(1) as u64).min(span) as usize;
         let knobs = RunKnobs {
-            telemetry: self.telemetry,
+            telemetry: TelemetryMode::Off,
             // Output-invariant: which transport times the transfers
             // changes the cost of a batch, never its bytes.
             transport: TransportKind::from_env(),
             faults: self.faults,
         };
-        let mut outcomes = run_shards(self.mode, n, |i| {
+        let outcomes = run_shards(self.mode, n, |i| {
             // The planner's proportional split, offset into the batch.
             let (lo, hi) = shard_range(span, i, n);
             run_fleet_shard(
@@ -125,20 +119,13 @@ impl UserBatch {
                 self.record_sessions,
             )
         });
-        outcomes.sort_by_key(|o| o.index);
         let mut report = FleetReport::new(self.config.sample);
-        let mut snaps = Vec::with_capacity(outcomes.len());
         let mut sessions = Vec::new();
         for outcome in outcomes {
             report.merge(&outcome.report);
-            snaps.push((format!("batch/{:03}", outcome.index), outcome.snap));
             sessions.extend(outcome.sessions);
         }
-        BatchRun {
-            report,
-            telemetry: merge_shards(self.telemetry, snaps),
-            sessions,
-        }
+        BatchRun { report, sessions }
     }
 }
 

@@ -35,7 +35,7 @@
 //! its *complete* state.
 
 use crate::checkpoint::{self, CheckpointPolicy, Manifest, ResumeError, ShardState};
-use crate::config::{env_parse, FleetConfig, SessionMix};
+use crate::config::{env_parse, FleetConfig};
 use crate::exec::run_fleet_shard;
 use crate::merge::merge_outcomes;
 use crate::plan;
@@ -384,20 +384,6 @@ impl FleetRunner {
     #[must_use]
     pub fn sample(mut self, sample: usize) -> Self {
         self.config.sample = sample;
-        self
-    }
-
-    /// Measurement mix per session.
-    #[must_use]
-    pub fn mix(mut self, mix: SessionMix) -> Self {
-        self.config.mix = mix;
-        self
-    }
-
-    /// Replace the whole config at once.
-    #[must_use]
-    pub fn config(mut self, config: FleetConfig) -> Self {
-        self.config = config;
         self
     }
 

@@ -52,7 +52,7 @@ pub use export::{
     status_code, tag_cells, CellValue, ColumnarSink, DataSink, Dataset, Exporter, MemorySink,
     SharedSink, VoipRecord, BOOL_LABELS, STATUS_LABELS,
 };
-pub use parallel::{run_shards, shard_seed, RunMode, ShardTiming};
+pub use parallel::{run_shards, RunMode, ShardTiming};
 pub use speedtest::{ookla_speedtest, ookla_speedtest_checked, SpeedtestResult};
 pub use suite::{measurement_suite, MeasurementKind};
 pub use targets::{Service, ServiceTargets};

@@ -6,8 +6,10 @@
 //! **bit-identical output for a given seed** — regardless of how many
 //! worker threads execute the shards:
 //!
-//! 1. every shard derives its RNG seed from the master seed and a *stable
-//!    shard key* (country + campaign kind), never from execution order;
+//! 1. every random draw comes from a flow seeded by the master seed and a
+//!    *stable label* ([`roam_netsim::engine::flow_seed`]: the attachment's
+//!    flow stamp plus the measurement's plan label, or a fleet user's uid),
+//!    never from execution order;
 //! 2. shards share no mutable state — each builds its own world from the
 //!    master seed;
 //! 3. results are merged in shard-key order, not completion order.
@@ -71,19 +73,6 @@ pub struct ShardTiming {
     pub wall_ms: f64,
 }
 
-/// Derive a shard's RNG seed from the master seed and its stable key.
-///
-/// The key names *what* the shard measures (`"device/PAK"`,
-/// `"web/DEU"`…), so adding, removing or reordering shards never changes
-/// another shard's stream. Shard seeds and per-measurement flow seeds are
-/// the same derivation — [`roam_netsim::engine::flow_seed`] — applied at
-/// different granularities, so the whole campaign hangs off one master
-/// seed through stable string keys.
-#[must_use]
-pub fn shard_seed(master: u64, key: &str) -> u64 {
-    roam_netsim::engine::flow_seed(master, key)
-}
-
 /// Run `count` independent shards and return their results in shard order.
 ///
 /// `f(i)` must be a pure function of the shard index (plus captured
@@ -134,23 +123,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_seed_is_stable_and_key_sensitive() {
-        assert_eq!(shard_seed(7, "device/PAK"), shard_seed(7, "device/PAK"));
-        assert_ne!(shard_seed(7, "device/PAK"), shard_seed(7, "device/DEU"));
-        assert_ne!(shard_seed(7, "device/PAK"), shard_seed(8, "device/PAK"));
-        assert_ne!(shard_seed(7, "web/PAK"), shard_seed(7, "device/PAK"));
-    }
-
-    #[test]
-    fn shard_seed_spreads_adjacent_masters() {
-        // SplitMix finalisation: consecutive master seeds must not yield
-        // consecutive shard seeds.
-        let a = shard_seed(1, "x");
-        let b = shard_seed(2, "x");
-        assert!(a.abs_diff(b) > 1 << 32, "{a} vs {b}");
-    }
 
     #[test]
     fn sequential_and_parallel_agree_in_order() {

@@ -43,9 +43,7 @@ use std::cell::RefCell;
 /// stream a flow draws from is a pure function of identity, never of
 /// execution order. FNV-1a absorbs the key and the master seed; a
 /// SplitMix64 finalizer scrambles the result so related keys (and
-/// low-entropy master seeds) land far apart in seed space. This is the
-/// same derivation the shard runner uses, so shard and flow streams live
-/// in one keyed-seed universe.
+/// low-entropy master seeds) land far apart in seed space.
 #[must_use]
 pub fn flow_seed(master: u64, key: &str) -> u64 {
     let mut h = FNV_OFFSET;

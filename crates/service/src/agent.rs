@@ -382,7 +382,6 @@ impl Agent {
             hi,
             shards: BATCH_SHARDS,
             mode: self.mode,
-            telemetry: TelemetryMode::Off,
             faults: self.faults,
             record_sessions: self.sink.is_some(),
         };

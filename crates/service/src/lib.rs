@@ -7,8 +7,8 @@
 //! stream continuously, processes that get restarted. This crate adds
 //! that mode without giving up a byte of determinism:
 //!
-//! * [`task`] — a virtual-clock task scheduler on the netsim timing
-//!   wheel. Recurring jobs fire in strict `(sim-time, registration)`
+//! * [`task`] — a virtual-clock task scheduler over a plain job table.
+//!   Recurring jobs fire in strict `(sim-time, registration)`
 //!   order, and every fire owns a keyed RNG stream derived from
 //!   `(master seed, job id, fire index)` alone — registering or
 //!   cancelling one job can never perturb another's draws, and a
