@@ -640,6 +640,30 @@ mod tests {
         assert_ne!(fp(&other_telemetry), reference);
     }
 
+    /// The fingerprint's value is part of the checkpoint format: a
+    /// refactor of how it is computed must not move it, or every
+    /// checkpoint written before the refactor stops resuming.
+    #[test]
+    fn run_fingerprints_are_pinned() {
+        let quiet = run_fingerprint(
+            1,
+            &FleetConfig::default(),
+            TelemetryMode::Off,
+            &FaultSpec::off(),
+        );
+        let loud = run_fingerprint(
+            2,
+            &FleetConfig::default(),
+            TelemetryMode::Jsonl,
+            &FaultSpec::heavy(),
+        );
+        assert_eq!(
+            (quiet, loud),
+            (0xdf44_c038_fb2b_45d3, 0xe728_661f_7e9b_29c6),
+            "fingerprints moved: {quiet:#018x}, {loud:#018x}"
+        );
+    }
+
     #[test]
     fn atomic_write_replaces_and_read_enforces_kind_and_version() {
         let dir = std::env::temp_dir().join(format!("roam-ckpt-test-{}", std::process::id()));

@@ -577,4 +577,20 @@ mod tests {
             base
         );
     }
+
+    /// Pinned like the fleet's `run_fingerprint`: `agent.ckpt` files
+    /// written before a refactor must still resume after it.
+    #[test]
+    fn service_fingerprint_is_pinned() {
+        let fp = service_fingerprint(
+            1,
+            &ServiceConfig::default(),
+            TelemetryMode::Off,
+            &FaultSpec::off(),
+        );
+        assert_eq!(
+            fp, 0x6d65_b5a2_3c28_5b0d,
+            "service fingerprint moved: {fp:#018x}"
+        );
+    }
 }
