@@ -240,6 +240,28 @@ impl Encoder {
         self.buf.extend_from_slice(&inner.buf);
     }
 
+    /// Write a nested section whose fields are already encoded in
+    /// `payload` — the same bytes [`Encoder::section`] writes when its
+    /// closure produces `payload`. Lets a hot loop encode each section
+    /// into one reused encoder ([`Encoder::clear`], [`Encoder::as_bytes`])
+    /// instead of a fresh one per section.
+    pub fn section_raw(&mut self, tag: u32, payload: &[u8]) {
+        self.header(tag, WIRE_SECTION);
+        write_varint(&mut self.buf, payload.len() as u64);
+        self.buf.extend_from_slice(payload);
+    }
+
+    /// Drop every field written so far, keeping the buffer's capacity.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// The fields written so far.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// The encoded fields, without any frame around them.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
@@ -624,6 +646,30 @@ mod tests {
         let mut inner = inner.as_section(2).unwrap();
         let (_, n) = inner.next_field().unwrap().expect("deep u64");
         assert_eq!(n.as_u64(1).unwrap(), 99);
+    }
+
+    #[test]
+    fn raw_sections_from_a_reused_encoder_match_closure_sections() {
+        let rows: [(u64, &str, f64); 3] = [(1, "FRA", 2.5), (300, "", -0.0), (7, "USA", 1e9)];
+        let mut closure = Encoder::new();
+        let mut raw = Encoder::new();
+        let mut row = Encoder::new();
+        for (n, s, x) in rows {
+            closure.section(1, |se| {
+                se.u64(1, n);
+                se.str(2, s);
+                se.f64(3, x);
+            });
+            row.clear();
+            row.u64(1, n);
+            row.str(2, s);
+            row.f64(3, x);
+            raw.section_raw(1, row.as_bytes());
+        }
+        closure.section(2, |_| {});
+        row.clear();
+        raw.section_raw(2, row.as_bytes());
+        assert_eq!(raw.into_bytes(), closure.into_bytes());
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! into sub-shards for thread-level parallelism and folding the
 //! outcomes in sub-shard order.
 //!
+//! `run` builds the batch's [`RunInputs`] (world, vantage pool, market)
+//! itself. A caller that ticks many batches of one seed — the agent —
+//! builds them once and hands them to [`UserBatch::run_on`] each tick,
+//! so the per-tick cost is the users alone.
+//!
 //! Determinism is inherited wholesale from the shard contract: every
 //! per-user observable derives from `flow_seed(seed, "fleet/…/<uid>")`,
 //! so a batch's report and session stream depend only on
@@ -19,7 +24,7 @@
 //! ranges draw from disjoint stream families by construction.
 
 use crate::config::FleetConfig;
-use crate::exec::{run_fleet_shard, ShardSpec};
+use crate::exec::{run_fleet_shard, RunInputs, ShardSpec};
 use crate::plan::shard_range;
 use crate::report::FleetReport;
 use crate::sink::SessionRecord;
@@ -79,32 +84,60 @@ impl UserBatch {
         }
     }
 
-    /// Execute the batch with telemetry off: split the range, run the
-    /// sub-shards on `mode`, fold reports and sessions in sub-shard order.
-    ///
-    /// An empty range (`lo >= hi`) is a no-op batch: empty report, empty
-    /// stream — the expired-cohort case in the service.
+    /// The knobs every sub-shard's network runs under: telemetry off,
+    /// this batch's fault schedule, and the transport `ROAM_TRANSPORT`
+    /// names. [`RunInputs`] handed to [`UserBatch::run_on`] must be
+    /// built under exactly these.
     #[must_use]
-    pub fn run(&self) -> BatchRun {
-        let span = self.hi.saturating_sub(self.lo);
-        if span == 0 {
-            return BatchRun {
-                report: FleetReport::new(self.config.sample),
-                sessions: Vec::new(),
-            };
-        }
-        let n = (self.shards.max(1) as u64).min(span) as usize;
-        let knobs = RunKnobs {
+    pub fn knobs(&self) -> RunKnobs {
+        RunKnobs {
             telemetry: TelemetryMode::Off,
             // Output-invariant: which transport times the transfers
             // changes the cost of a batch, never its bytes.
             transport: TransportKind::from_env(),
             faults: self.faults,
-        };
+        }
+    }
+
+    /// Execute the batch with telemetry off: build its [`RunInputs`],
+    /// then [`UserBatch::run_on`] them.
+    ///
+    /// An empty range (`lo >= hi`) is a no-op batch: empty report, empty
+    /// stream — the expired-cohort case in the service — and builds
+    /// nothing.
+    #[must_use]
+    pub fn run(&self) -> BatchRun {
+        if self.lo >= self.hi {
+            return self.empty();
+        }
+        let knobs = self.knobs();
+        self.run_under(&RunInputs::build(self.seed, knobs), knobs)
+    }
+
+    /// Execute the batch on prebuilt `inputs`: split the range, run the
+    /// sub-shards on `mode`, fold reports and sessions in sub-shard
+    /// order. The bytes equal [`UserBatch::run`]'s.
+    ///
+    /// # Panics
+    /// When `inputs` were not built for this batch's seed and
+    /// [`UserBatch::knobs`].
+    #[must_use]
+    pub fn run_on(&self, inputs: &RunInputs) -> BatchRun {
+        self.run_under(inputs, self.knobs())
+    }
+
+    fn run_under(&self, inputs: &RunInputs, knobs: RunKnobs) -> BatchRun {
+        inputs.assert_matches(self.seed, knobs);
+        let span = self.hi.saturating_sub(self.lo);
+        if span == 0 {
+            return self.empty();
+        }
+        let n = (self.shards.max(1) as u64).min(span) as usize;
         let outcomes = run_shards(self.mode, n, |i| {
             // The planner's proportional split, offset into the batch.
             let (lo, hi) = shard_range(span, i, n);
             run_fleet_shard(
+                inputs,
                 self.seed,
                 &self.config,
                 ShardSpec {
@@ -126,6 +159,13 @@ impl UserBatch {
             sessions.extend(outcome.sessions);
         }
         BatchRun { report, sessions }
+    }
+
+    fn empty(&self) -> BatchRun {
+        BatchRun {
+            report: FleetReport::new(self.config.sample),
+            sessions: Vec::new(),
+        }
     }
 }
 
@@ -181,6 +221,35 @@ mod tests {
         let mut stream = left.sessions.clone();
         stream.extend(right.sessions.clone());
         assert_eq!(stream, whole.sessions);
+    }
+
+    #[test]
+    fn batches_on_one_set_of_inputs_match_their_own_runs() {
+        let first = batch(0, 40, 3, 2);
+        let inputs = RunInputs::build(first.seed, first.knobs());
+        for b in [first, batch(40, 90, 2, 1), batch(7, 7, 4, 4)] {
+            let (on, own) = (b.run_on(&inputs), b.run());
+            assert_eq!(on.report.render(), own.report.render());
+            assert_eq!(on.sessions, own.sessions);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "run inputs were built for seed 100")]
+    fn run_on_refuses_inputs_of_another_seed() {
+        let b = batch(0, 10, 1, 1);
+        let _ = b.run_on(&RunInputs::build(b.seed + 1, b.knobs()));
+    }
+
+    #[test]
+    #[should_panic(expected = "run inputs were built for seed 99")]
+    fn run_on_refuses_inputs_of_another_fault_spec() {
+        let b = batch(0, 10, 1, 1);
+        let knobs = RunKnobs {
+            faults: FaultSpec::heavy(),
+            ..b.knobs()
+        };
+        let _ = b.run_on(&RunInputs::build(b.seed, knobs));
     }
 
     #[test]

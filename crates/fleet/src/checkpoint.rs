@@ -456,15 +456,18 @@ pub fn run_fingerprint(
     e.u64(2, seed);
     e.u64(3, world.fingerprint());
     e.section(4, |se| {
+        // One offer section per offer, each encoded into the same reused
+        // buffer: the fold runs over every offer in the market.
+        let mut oe = Encoder::new();
         for offer in market.offers() {
-            se.section(1, |oe| {
-                oe.u64(1, u64::from(offer.provider.0));
-                oe.str(2, offer.country.alpha3());
-                oe.f64(3, offer.data_gb);
-                oe.u64(4, u64::from(offer.validity_days));
-                oe.f64(5, offer.base_price_usd);
-                oe.u64(6, offer.bmno.map_or(u64::MAX, u64::from));
-            });
+            oe.clear();
+            oe.u64(1, u64::from(offer.provider.0));
+            oe.str(2, offer.country.alpha3());
+            oe.f64(3, offer.data_gb);
+            oe.u64(4, u64::from(offer.validity_days));
+            oe.f64(5, offer.base_price_usd);
+            oe.u64(6, offer.bmno.map_or(u64::MAX, u64::from));
+            se.section_raw(1, oe.as_bytes());
         }
         se.u64(2, u64::from(market.airalo().0));
     });

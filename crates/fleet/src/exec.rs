@@ -2,13 +2,17 @@
 //! stack, optionally starting from a checkpoint and writing new ones.
 //!
 //! This is the hot half of the fleet plane (the planner/merger halves
-//! live in [`crate::plan`] and [`crate::merge`]). One call to
-//! [`run_fleet_shard`] owns one shard: it builds the seeded world and
-//! the fixed endpoint pool exactly like every other shard, then streams
-//! its user range into the report. With a [`CheckpointPolicy`] it also
-//! serializes its partial state every `every_days` accumulated sim-days,
-//! at a user boundary (the only point where no batched work is in
-//! flight), so a killed process can resume mid-shard without replaying.
+//! live in [`crate::plan`] and [`crate::merge`]). A run builds its
+//! [`RunInputs`] once — the seeded world's network after knob set-up
+//! and the fixed endpoint pool, plus the market and its per-country
+//! offer shelves — and shares them read-only with every shard. One call
+//! to [`run_fleet_shard`] owns one shard: it starts from a clone of the
+//! set-up network, so every shard sees the same stage no matter which
+//! user range it owns, then streams its range into the report. With a
+//! [`CheckpointPolicy`] it also serializes its partial state every
+//! `every_days` accumulated sim-days, at a user boundary (the only
+//! point where no batched work is in flight), so a killed process can
+//! resume mid-shard without replaying.
 
 use crate::checkpoint::{self, CheckpointPolicy, ShardState};
 use crate::config::{FleetConfig, SessionMix};
@@ -18,6 +22,7 @@ use crate::sink::{SessionKind, SessionRecord};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use roam_econ::{EsimOffer, Market};
+use roam_geo::Country;
 use roam_measure::{resolve_timing, Endpoint, MeasureError, MeasureStatus, ResolverPlan, Service};
 use roam_netsim::engine::flow_seed;
 use roam_netsim::{Network, NodeId, RunKnobs, TransferSpec};
@@ -54,7 +59,8 @@ pub(crate) struct ShardOutcome {
     pub report: FleetReport,
     /// The shard's telemetry.
     pub snap: TelemetrySnapshot,
-    /// Wall-clock milliseconds this shard took.
+    /// Wall-clock milliseconds this shard's user loop took. The run's
+    /// one-off [`RunInputs`] build is not part of any shard's time.
     pub wall_ms: f64,
     /// `false` when the shard stopped early because the checkpoint
     /// policy's `halt_after` tripped (harness use only).
@@ -259,6 +265,87 @@ fn choose_offer<'m>(
     shelf.all.pick(need_gb).map(|i| &offers[i])
 }
 
+/// Everything a run's shards share, built once per run by
+/// [`RunInputs::build`]: the seeded world's network after knob set-up
+/// and pool attachment, the measured countries, the two-eSIM vantage
+/// pool ([`CountrySlot::pool`]), the generated market and its
+/// per-country offer shelves. All of it is a pure function of
+/// `(seed, knobs)`.
+///
+/// A shard touches nothing of the world but its network, so the world
+/// is dropped after set-up and each shard starts from a clone of the
+/// network — bit for bit the state a fresh build plus pool reaches,
+/// including the set-up telemetry records, the route cache and the
+/// fault plane.
+pub struct RunInputs {
+    seed: u64,
+    knobs: RunKnobs,
+    net: Network,
+    countries: Vec<Country>,
+    pool: Vec<CountrySlot>,
+    market: Market,
+    shelves: Vec<CountryOffers>,
+}
+
+impl RunInputs {
+    /// Build the world for `seed`, set `knobs` on its network, attach
+    /// the vantage pool, and generate the market and its shelves.
+    #[must_use]
+    pub fn build(seed: u64, knobs: RunKnobs) -> Self {
+        let mut world = World::build(seed);
+        world.net.set_knobs(knobs);
+        let countries = world.measured_countries();
+        let pool = CountrySlot::pool(&mut world);
+        let market = Market::generate(seed);
+        let offers = market.offers();
+        let shelves = countries
+            .iter()
+            .map(|&c| {
+                let on_shelf: Vec<usize> = (0..offers.len())
+                    .filter(|&i| offers[i].country == c)
+                    .collect();
+                CountryOffers {
+                    airalo: OfferLane::build(
+                        offers,
+                        on_shelf
+                            .iter()
+                            .copied()
+                            .filter(|&i| offers[i].provider == market.airalo()),
+                    ),
+                    all: OfferLane::build(offers, on_shelf.into_iter()),
+                }
+            })
+            .collect();
+        RunInputs {
+            seed,
+            knobs,
+            net: world.net,
+            countries,
+            pool,
+            market,
+            shelves,
+        }
+    }
+
+    /// The knobs these inputs were built under.
+    #[must_use]
+    pub fn knobs(&self) -> RunKnobs {
+        self.knobs
+    }
+
+    /// Panic unless these inputs were built for `seed` under `knobs`: a
+    /// shard started from another run's template would emit wrong
+    /// bytes, so it must not start at all.
+    pub(crate) fn assert_matches(&self, seed: u64, knobs: RunKnobs) {
+        assert!(
+            self.seed == seed && self.knobs == knobs,
+            "run inputs were built for seed {} under {:?}, not seed {seed} under {knobs:?}",
+            self.seed,
+            self.knobs
+        );
+    }
+}
+
 /// Append `v` in decimal without going through the `fmt` machinery —
 /// label derivation is hot enough at population scale that `Display`'s
 /// formatter setup shows up in profiles.
@@ -289,17 +376,20 @@ fn draw_kind(rng: &mut SmallRng, mix: SessionMix) -> SessionKind {
 
 /// Drive one shard through the stack.
 ///
-/// The shard's world runs under `knobs` — the run's resolved telemetry
-/// mode, transport and fault schedule — and nothing else: no
-/// process-global setting reaches it, so concurrent runs in one process
-/// stay independent.
+/// The shard's network is a clone of `inputs`' set-up network, which
+/// runs under `knobs` — the run's resolved telemetry mode, transport
+/// and fault schedule — and nothing else: no process-global setting
+/// reaches it, so concurrent runs in one process stay independent.
 ///
-/// With `spec.resume` set, the world and endpoint pool are rebuilt from
-/// scratch (cheap, deterministic), the report and telemetry are restored
-/// wholesale from the checkpoint, and the user loop starts at
-/// `next_uid` — because every per-user observable derives from the
-/// user's own keyed RNG stream, the byte stream from there on is
-/// exactly what the uninterrupted run would have produced.
+/// # Panics
+/// When `inputs` were built for another seed or other knobs.
+///
+/// With `spec.resume` set, the shard starts from the same clone as a
+/// fresh one, the report and telemetry are restored wholesale from the
+/// checkpoint, and the user loop starts at `next_uid` — because every
+/// per-user observable derives from the user's own keyed RNG stream,
+/// the byte stream from there on is exactly what the uninterrupted run
+/// would have produced.
 ///
 /// With `ckpt` set, the shard serializes its partial state to
 /// `shard-NNN.ckpt` atomically each time `every_days` sim-days
@@ -311,6 +401,7 @@ fn draw_kind(rng: &mut SmallRng, mix: SessionMix) -> SessionKind {
 /// with their metric, failed sessions with status only; `NoTarget` is
 /// a scenario gap and stays out, matching the degradation tallies).
 pub(crate) fn run_fleet_shard(
+    inputs: &RunInputs,
     seed: u64,
     config: &FleetConfig,
     spec: ShardSpec,
@@ -318,52 +409,33 @@ pub(crate) fn run_fleet_shard(
     ckpt: Option<&CheckpointPolicy>,
     record_sessions: bool,
 ) -> ShardOutcome {
+    inputs.assert_matches(seed, knobs);
     let started = Instant::now();
-    let mut world = World::build(seed);
-    world.net.set_knobs(knobs);
-    let market = Market::generate(seed);
-    let countries = world.measured_countries();
-
-    // Stage 1: the fixed endpoint pool, identical in every shard.
-    let pool = CountrySlot::pool(&mut world);
-    let shelves: Vec<CountryOffers> = countries
-        .iter()
-        .map(|&c| {
-            let on_shelf: Vec<usize> = market
-                .offers()
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| o.country == c)
-                .map(|(i, _)| i)
-                .collect();
-            let airalo = OfferLane::build(
-                market.offers(),
-                on_shelf
-                    .iter()
-                    .copied()
-                    .filter(|&i| market.offers()[i].provider == market.airalo()),
-            );
-            let all = OfferLane::build(market.offers(), on_shelf.into_iter());
-            CountryOffers { airalo, all }
-        })
-        .collect();
-    let country_index = |c: roam_geo::Country| {
+    let RunInputs {
+        countries,
+        pool,
+        market,
+        shelves,
+        ..
+    } = inputs;
+    let mut net = inputs.net.clone();
+    let country_index = |c: Country| {
         countries
             .iter()
             .position(|&x| x == c)
             .expect("legs only visit measured countries")
     };
 
-    // Resume point: restore the prefix aggregates *after* the setup above
-    // so the restored telemetry (which already contains the original
-    // run's setup records) replaces this rebuild's, never duplicates it.
+    // Resume point: the restored telemetry (which already contains the
+    // original run's set-up records) replaces the clone's, never
+    // duplicates it.
     let (start_uid, mut report) = match spec.resume {
         Some(state) => {
             debug_assert_eq!(
                 state.index, spec.index,
                 "resume state routed to wrong shard"
             );
-            world.net.telemetry_mut().restore(state.telemetry);
+            net.telemetry_mut().restore(state.telemetry);
             (state.next_uid, state.report)
         }
         None => (spec.lo, FleetReport::new(config.sample)),
@@ -374,7 +446,7 @@ pub(crate) fn run_fleet_shard(
     // Transfers batch per user: their durations are discarded (see the
     // comment at the push site), so the specs accumulate and run through
     // the transport in one `transfer_ms_batch` call per user.
-    let transport = world.net.transport().transport();
+    let transport = net.transport().transport();
     let mut pending_transfers: Vec<TransferSpec> = Vec::new();
     let mut transfer_out: Vec<f64> = Vec::new();
     // Checkpoint cadence: sim-days accumulated since the last write.
@@ -388,13 +460,13 @@ pub(crate) fn run_fleet_shard(
     // appending into this one allocation.
     let mut label = String::with_capacity(48);
     for uid in start_uid..spec.hi {
-        let profile = synthesize(seed, UserId(uid), &countries, config.days);
+        let profile = synthesize(seed, UserId(uid), countries, config.days);
         label.clear();
         label.push_str("fleet/act/");
         push_dec(&mut label, uid);
         let mut act = SmallRng::seed_from_u64(flow_seed(seed, &label));
         report.count_user(profile.class);
-        world.net.telemetry_mut().add(Counter::FleetUsers, 1);
+        net.telemetry_mut().add(Counter::FleetUsers, 1);
         let mut spend_micro = 0u128;
         for (li, leg) in profile.legs.iter().enumerate() {
             let ci = country_index(leg.country);
@@ -411,7 +483,7 @@ pub(crate) fn run_fleet_shard(
             spend_micro += (price * 1e6).round() as u128;
             report.purchases += 1;
             report.price_per_gb.observe(price / offer.data_gb);
-            world.net.telemetry_mut().add(Counter::FleetPurchases, 1);
+            net.telemetry_mut().add(Counter::FleetPurchases, 1);
             let which = (uid % 2) as usize;
             let ep = &slot.endpoints[which];
             // The per-session label only varies in its trailing session
@@ -425,7 +497,7 @@ pub(crate) fn run_fleet_shard(
             let prefix_len = label.len();
             for s in 0..leg.sessions {
                 report.sessions += 1;
-                world.net.telemetry_mut().add(Counter::FleetSessions, 1);
+                net.telemetry_mut().add(Counter::FleetSessions, 1);
                 label.truncate(prefix_len);
                 push_dec(&mut label, u64::from(s));
                 let kind = draw_kind(&mut act, config.mix);
@@ -436,9 +508,9 @@ pub(crate) fn run_fleet_shard(
                             TravelerClass::Business => act.gen_range(5.0..500.0),
                             TravelerClass::IotDevice => act.gen_range(0.05..1.0),
                         };
-                        slot.transfer(&mut world.net, which, &label, mb, &mut pending_transfers)
+                        slot.transfer(&mut net, which, &label, mb, &mut pending_transfers)
                     }
-                    _ => slot.measure(&mut world.net, which, kind, &label),
+                    _ => slot.measure(&mut net, which, kind, &label),
                 };
                 match result {
                     Ok((v, _)) => match kind {
@@ -457,7 +529,7 @@ pub(crate) fn run_fleet_shard(
                     },
                     Err(_) => report.lost_sessions += 1,
                 }
-                count_outcome(&mut report, &world.net, &result);
+                count_outcome(&mut report, &net, &result);
                 if record_sessions && !matches!(result, Err(MeasureError::NoTarget)) {
                     sessions.push(SessionRecord::new(ep, kind, &result));
                 }
@@ -492,7 +564,7 @@ pub(crate) fn run_fleet_shard(
                     index: spec.index,
                     next_uid: uid + 1,
                     report: report.clone(),
-                    telemetry: world.net.telemetry_mut().snapshot().clone(),
+                    telemetry: net.telemetry_mut().snapshot().clone(),
                 };
                 checkpoint::write_shard(&policy.dir, &state).expect("checkpoint shard write");
                 checkpoints_written += 1;
@@ -503,7 +575,7 @@ pub(crate) fn run_fleet_shard(
             }
         }
     }
-    let snap = world.net.take_telemetry();
+    let snap = net.take_telemetry();
     ShardOutcome {
         index: spec.index,
         report,
@@ -518,6 +590,69 @@ pub(crate) fn run_fleet_shard(
 mod tests {
     use super::*;
     use roam_econ::Market;
+    use roam_measure::{run_shards, RunMode};
+    use roam_netsim::{FaultSpec, TransportKind};
+    use roam_telemetry::TelemetryMode;
+
+    fn spec(index: usize, lo: u64, hi: u64, resume: Option<ShardState>) -> ShardSpec {
+        ShardSpec {
+            index,
+            lo,
+            hi,
+            resume,
+            attempt: 0,
+        }
+    }
+
+    /// Shards started in parallel from one shared [`RunInputs`] must
+    /// equal the same shards each started from inputs built just for
+    /// them — report, telemetry and sessions — with the set-up telemetry
+    /// recorded, heavy faults on, and one shard resumed mid-range.
+    #[test]
+    fn shards_on_shared_inputs_match_shards_on_their_own() {
+        let seed = 5;
+        let config = FleetConfig {
+            days: 6,
+            ..FleetConfig::default()
+        };
+        let knobs = RunKnobs {
+            telemetry: TelemetryMode::Jsonl,
+            transport: TransportKind::ClosedForm,
+            faults: FaultSpec::heavy(),
+        };
+        let run = |inputs: &RunInputs, spec: ShardSpec| {
+            run_fleet_shard(inputs, seed, &config, spec, knobs, None, true)
+        };
+        // Shard 2's state after its first 15 users, as a checkpoint
+        // would hold it.
+        let head = run(&RunInputs::build(seed, knobs), spec(2, 60, 75, None));
+        let resume = ShardState {
+            index: 2,
+            next_uid: 75,
+            report: head.report,
+            telemetry: head.snap,
+        };
+        let specs = [
+            spec(0, 0, 30, None),
+            spec(1, 30, 60, None),
+            spec(2, 60, 90, Some(resume)),
+        ];
+        let alone: Vec<ShardOutcome> = specs
+            .iter()
+            .map(|s| run(&RunInputs::build(seed, knobs), s.clone()))
+            .collect();
+        let inputs = RunInputs::build(seed, knobs);
+        let shared = run_shards(RunMode::Parallel(3), specs.len(), |i| {
+            run(&inputs, specs[i].clone())
+        });
+        for (a, b) in alone.iter().zip(&shared) {
+            assert_eq!(a.index, b.index);
+            assert_eq!(a.report, b.report, "shard {}: report", a.index);
+            assert_eq!(a.snap, b.snap, "shard {}: telemetry", a.index);
+            assert_eq!(a.sessions, b.sessions, "shard {}: sessions", a.index);
+            assert!(!a.sessions.is_empty() && !a.snap.events.is_empty());
+        }
+    }
 
     /// The pre-lane `choose_offer`, kept as the reference model: filter /
     /// `min_by` / `max_by` straight over the index lists.

@@ -18,7 +18,7 @@
 //! | [`config`]     | sizing knobs + `ROAM_FLEET_*` environment parsing   |
 //! | [`population`] | per-user deterministic synthesis (class, itinerary) |
 //! | `plan`         | shard work orders + worker striping                 |
-//! | `exec`         | shard execution, checkpoint cadence, resume; the vantage pool and session kernel ([`CountrySlot`]) |
+//! | `exec`         | shard execution, checkpoint cadence, resume; the per-run inputs ([`RunInputs`]), the vantage pool and session kernel ([`CountrySlot`]) |
 //! | [`worker`]     | multi-process backend (job/result frames on pipes)  |
 //! | [`supervisor`] | worker crash recovery, retry/quarantine, chaos plane |
 //! | `merge`        | the shard-order fold into one run                   |
@@ -53,7 +53,7 @@ pub mod worker;
 pub use batch::{BatchRun, UserBatch};
 pub use checkpoint::{Manifest, ResumeError, ShardState, CKPT_VERSION};
 pub use config::{FleetConfig, SessionMix};
-pub use exec::CountrySlot;
+pub use exec::{CountrySlot, RunInputs};
 pub use population::{synthesize, user_rng, Leg, TravelerClass, UserId, UserProfile};
 pub use report::{FleetReport, JourneySample};
 pub use runner::{FleetConfigError, FleetError, FleetRun, FleetRunner, DEFAULT_CHECKPOINT_EVERY};

@@ -14,12 +14,14 @@
 //!
 //! The determinism contract has three legs:
 //!
-//! 1. **Identical stages.** Every shard builds the same seeded
-//!    [`roam_world::World`] and attaches the same fixed endpoint pool
-//!    (two eSIMs per measured country, in country order) *before*
-//!    touching any user, so the world RNG and per-country provider
-//!    alternation are consumed identically no matter which user range
-//!    the shard owns.
+//! 1. **Identical stages.** Every shard starts from the same
+//!    [`RunInputs`]: the seeded [`roam_world::World`]'s network with the
+//!    same fixed endpoint pool attached (two eSIMs per measured country,
+//!    in country order) *before* any user is touched, so the world RNG
+//!    and per-country provider alternation are consumed identically no
+//!    matter which user range the shard owns. A run builds its inputs
+//!    once (a worker process once per job) and every shard clones the
+//!    set-up network.
 //! 2. **Per-user streams.** Everything about user `u` — profile,
 //!    purchases, session mix, measurement flows — derives from
 //!    `flow_seed(master, "fleet/…/u")`, never from execution order.
@@ -36,7 +38,7 @@
 
 use crate::checkpoint::{self, CheckpointPolicy, Manifest, ResumeError, ShardState};
 use crate::config::{env_parse, FleetConfig};
-use crate::exec::run_fleet_shard;
+use crate::exec::{run_fleet_shard, RunInputs};
 use crate::merge::merge_outcomes;
 use crate::plan;
 use crate::report::FleetReport;
@@ -64,7 +66,9 @@ pub struct FleetRun {
     /// so it is worker- and transport-invariant but not shard-count
     /// invariant.
     pub telemetry: TelemetryReport,
-    /// Per-shard wall time, in merge order (not byte-stable).
+    /// Per-shard wall time of the user loop, in merge order (not
+    /// byte-stable). The run's one-off [`RunInputs`] build is not
+    /// charged to any shard.
     pub timings: Vec<ShardTiming>,
     /// Per-shard fault-plane outcome tallies, in merge order. Deterministic
     /// for a fixed shard count; the shard-count-invariant total lives in
@@ -645,8 +649,10 @@ impl FleetRunner {
             run.supervision = supervised.stats;
             return Ok(run);
         }
+        let inputs = RunInputs::build(self.seed, knobs);
         let outcomes = run_shards(self.mode, shards, |i| {
             run_fleet_shard(
+                &inputs,
                 self.seed,
                 &self.config,
                 plans[i].clone(),

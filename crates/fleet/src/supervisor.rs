@@ -55,7 +55,7 @@
 //! past the deadline, truncate or bit-flip a result frame, exit
 //! nonzero); the parent supervises them like any real-world failure.
 
-use crate::exec::{run_fleet_shard, ShardOutcome, ShardSpec};
+use crate::exec::{run_fleet_shard, RunInputs, ShardOutcome, ShardSpec};
 use crate::worker::{self, WorkerEvent, WorkerJob};
 use roam_codec::CodecError;
 use roam_netsim::engine::flow_seed;
@@ -554,19 +554,24 @@ pub(crate) fn supervise(
     // Escalation floor: quarantined shards run in-process under the
     // job's resolved knobs — the parent cannot crash-loop, and the
     // shard function is the exact one the workers run, so the bytes
-    // cannot differ.
+    // cannot differ. The inputs are built only when something was
+    // quarantined.
     quarantine.sort_unstable_by_key(|spec| spec.index);
-    for spec in quarantine {
-        stats.quarantined += 1;
-        let outcome = run_fleet_shard(
-            job.seed,
-            &job.config,
-            spec,
-            job.knobs,
-            job.checkpoint.as_ref(),
-            false,
-        );
-        outcomes.entry(outcome.index).or_insert(outcome);
+    if !quarantine.is_empty() {
+        let inputs = RunInputs::build(job.seed, job.knobs);
+        for spec in quarantine {
+            stats.quarantined += 1;
+            let outcome = run_fleet_shard(
+                &inputs,
+                job.seed,
+                &job.config,
+                spec,
+                job.knobs,
+                job.checkpoint.as_ref(),
+                false,
+            );
+            outcomes.entry(outcome.index).or_insert(outcome);
+        }
     }
 
     let mut tel = Recorder::new(job.knobs.telemetry);

@@ -44,7 +44,7 @@ use crate::checkpoint::{
     KIND_RESULT,
 };
 use crate::config::FleetConfig;
-use crate::exec::{run_fleet_shard, ShardOutcome, ShardSpec};
+use crate::exec::{run_fleet_shard, RunInputs, ShardOutcome, ShardSpec};
 use crate::report::FleetReport;
 use crate::supervisor::{InjectedFault, ProtocolViolation, WorkerFaultSpec};
 use roam_codec::{CodecError, Decoder, Encoder, Frame};
@@ -461,7 +461,8 @@ pub(crate) fn read_worker_stream(mut input: impl std::io::Read, mut emit: impl F
 /// Worker side: the whole child process. Reads one job frame from
 /// `input` and runs its shards sequentially under the job's resolved
 /// [`RunKnobs`] (this process never reads `ROAM_*`) — one heartbeat
-/// frame before each shard, one result frame after.
+/// frame before each shard, one result frame after. The job's
+/// [`RunInputs`] are built once, when its first shard starts.
 ///
 /// When the job carries an active [`WorkerFaultSpec`], the keyed draw
 /// for each `(shard, attempt)` may sabotage the execution instead:
@@ -492,6 +493,7 @@ pub fn serve(
         ));
     }
     let job = WorkerJob::decode(frame.payload).map_err(|e| format!("decoding job: {e}"))?;
+    let mut inputs: Option<RunInputs> = None;
     for spec in job.shards {
         let (index, attempt) = (spec.index, spec.attempt);
         output
@@ -519,7 +521,9 @@ pub fn serve(
             }
             _ => {}
         }
+        let inputs = inputs.get_or_insert_with(|| RunInputs::build(job.seed, job.knobs));
         let outcome = run_fleet_shard(
+            inputs,
             job.seed,
             &job.config,
             spec,

@@ -355,7 +355,7 @@ pub enum NodeFaultState {
 /// every fault-prone entity, registered failover detours and the plane's
 /// own deterministic counters (kept outside the telemetry plane so
 /// clients can observe failovers even with telemetry off).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FaultPlane {
     spec: FaultSpec,
     enabled: bool,

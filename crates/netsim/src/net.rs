@@ -382,7 +382,12 @@ enum WalkDir {
 }
 
 /// The simulated network.
-#[derive(Debug)]
+///
+/// A clone is an independent network in exactly the state of the
+/// original — RNG cursor, route cache, fault plane and telemetry
+/// included — so a run can set one up once and start every shard from
+/// a copy of it.
+#[derive(Debug, Clone)]
 pub struct Network {
     nodes: Vec<Node>,
     links: Vec<Link>,

@@ -79,7 +79,7 @@ pub struct PrefixInfo {
 }
 
 /// The registry: longest-prefix-match lookups plus host allocation.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct IpRegistry {
     prefixes: Vec<PrefixInfo>,
     /// Next free host index per registered prefix (for allocation).

@@ -3,7 +3,8 @@
 //! An [`Agent`] owns one [`Scheduler`] driving three job families:
 //!
 //! * `cohort/<k>` — every `tick_days`, cohort `k`'s live uid window
-//!   runs one [`UserBatch`] through the fleet plane; the batch report
+//!   runs one [`UserBatch`] through the fleet plane, on one
+//!   [`RunInputs`] the agent builds at its first cohort tick; the batch report
 //!   merges into the cumulative report, its session records stream
 //!   through the bounded export queue, and the tick's own RNG stream
 //!   draws the churn that shifts the window. A finite TTL retires the
@@ -27,13 +28,15 @@
 //! interleaving, transport backend, or where a run was cut by a
 //! checkpoint.
 
-use crate::checkpoint::{AgentState, SoakRow};
+use crate::checkpoint::{service_fingerprint, AgentState, SoakRow};
 use crate::cohort::Cohort;
 use crate::config::{ServiceConfig, ServiceConfigError};
 use crate::export::BoundedSink;
 use crate::task::{days, Fire, JobHandle, Scheduler, DAY_NS};
 use roam_codec::CodecError;
-use roam_fleet::{CountrySlot, FleetReport, ResumeError, SessionKind, SessionRecord, UserBatch};
+use roam_fleet::{
+    CountrySlot, FleetReport, ResumeError, RunInputs, SessionKind, SessionRecord, UserBatch,
+};
 use roam_geo::Country;
 use roam_measure::{status_code, MeasureError, RunMode, STATUS_LABELS};
 use roam_netsim::{FaultSpec, SimTime};
@@ -152,6 +155,12 @@ pub struct Agent {
     world: World,
     pool: Vec<CountrySlot>,
     countries: Vec<Country>,
+    /// The cohort batches' world, pool and market, built at the first
+    /// cohort tick and shared by every tick after it.
+    inputs: Option<RunInputs>,
+    /// [`service_fingerprint`] of this run's knobs, computed at the first
+    /// checkpoint and stamped into every one after it.
+    fingerprint: Option<u64>,
 }
 
 /// The expected job id list for `config`, in registration order.
@@ -270,6 +279,8 @@ impl Agent {
             world,
             pool,
             countries,
+            inputs: None,
+            fingerprint: None,
         }
     }
 
@@ -385,7 +396,11 @@ impl Agent {
             faults: self.faults,
             record_sessions: self.sink.is_some(),
         };
-        let run = batch.run();
+        let seed = self.seed;
+        let inputs = self
+            .inputs
+            .get_or_insert_with(|| RunInputs::build(seed, batch.knobs()));
+        let run = batch.run_on(inputs);
         self.report.merge(&run.report);
         self.push_records(&run.sessions);
         let ttl = self.config.ttl_ticks;
@@ -510,8 +525,11 @@ impl Agent {
             return Ok(());
         };
         let state = self.snapshot_state();
+        let fingerprint = *self.fingerprint.get_or_insert_with(|| {
+            service_fingerprint(state.seed, &state.config, state.telemetry, &state.faults)
+        });
         state
-            .save(&dir)
+            .save_keyed(&dir, fingerprint)
             .map_err(|source| ServiceError::Checkpoint { dir, source })
     }
 

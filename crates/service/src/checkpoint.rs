@@ -13,7 +13,9 @@
 //! The frame embeds a [`service_fingerprint`] and the decoder recomputes
 //! it: a checkpoint written under different knob semantics, a different
 //! world build, or a different config is *refused*
-//! ([`ResumeError::FingerprintMismatch`]), never silently restarted.
+//! ([`ResumeError::FingerprintMismatch`]), never silently restarted. The
+//! fingerprint depends only on knobs an agent fixes at construction, so
+//! a running agent computes it once and stamps it into every checkpoint.
 
 use crate::config::ServiceConfig;
 use roam_codec::{hash64_fold, CodecError, Decoder, Encoder, Frame};
@@ -247,9 +249,17 @@ impl AgentState {
     /// Serialize into a sealed [`KIND_AGENT`] frame.
     #[must_use]
     pub fn to_frame(&self) -> Vec<u8> {
+        self.frame_keyed(self.fingerprint())
+    }
+
+    /// [`AgentState::to_frame`] with the fingerprint already known — the
+    /// agent computes it once per run, not once per checkpoint. It must
+    /// be this state's [`AgentState::fingerprint`], or the frame will
+    /// not decode.
+    fn frame_keyed(&self, fingerprint: u64) -> Vec<u8> {
         let mut e = Encoder::new();
         e.u64(agent_tag::SEED, self.seed);
-        e.u64(agent_tag::FINGERPRINT, self.fingerprint());
+        e.u64(agent_tag::FINGERPRINT, fingerprint);
         e.section(agent_tag::CONFIG, |se| encode_config(se, &self.config));
         e.u64(agent_tag::TELEMETRY, telemetry_to_wire(self.telemetry));
         e.section(agent_tag::FAULTS, |se| encode_faults(se, &self.faults));
@@ -434,8 +444,14 @@ impl AgentState {
 
     /// Atomically persist into `dir/agent.ckpt`, creating `dir` first.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
+        self.save_keyed(dir, self.fingerprint())
+    }
+
+    /// [`AgentState::save`] with the fingerprint already known (see
+    /// [`AgentState::frame_keyed`]).
+    pub(crate) fn save_keyed(&self, dir: &Path, fingerprint: u64) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        write_atomic(&dir.join(AGENT_FILE), &self.to_frame())
+        write_atomic(&dir.join(AGENT_FILE), &self.frame_keyed(fingerprint))
     }
 
     /// Load from `dir/agent.ckpt`; `Ok(None)` when no agent checkpoint
