@@ -1,9 +1,11 @@
 //! The synthetic offer universe.
 //!
 //! Deterministic generation (a seed fully determines every offer) of a
-//! market shaped like the eSIMDB snapshot the paper crawled: ~54 providers,
-//! ~76 k offers, with named providers calibrated to the medians of Fig. 17
-//! and Airalo's geography calibrated to Figs. 16/18.
+//! market shaped like the eSIMDB snapshot the paper crawled: 54 providers
+//! with named providers calibrated to the medians of Fig. 17 and Airalo's
+//! geography calibrated to Figs. 16/18. The offer count is lower than the
+//! paper's 75,875: seed 1 generates 43,710 offers (see EXPERIMENTS.md,
+//! "Known deltas").
 
 use crate::offer::EsimOffer;
 use rand::rngs::SmallRng;
@@ -276,6 +278,13 @@ mod tests {
             (800..3000).contains(&airalo_offers),
             "airalo offers {airalo_offers}"
         );
+    }
+
+    /// The generator's size is part of its output: the fleet shelves and
+    /// the checkpoint fingerprint fold over every offer.
+    #[test]
+    fn seed_one_offer_count_is_pinned() {
+        assert_eq!(Market::generate(1).offers().len(), 43_710);
     }
 
     #[test]
