@@ -564,6 +564,25 @@ mod tests {
         assert!(AgentState::decode(parsed.payload).is_ok());
     }
 
+    /// A frame stamped with another run's fingerprint — the agent's
+    /// cached value, were it ever stale — is refused on decode.
+    #[test]
+    fn a_frame_keyed_for_other_knobs_is_refused() {
+        let s = state();
+        let mut other_seed = s.clone();
+        other_seed.seed += 1;
+        let mut other_faults = s.clone();
+        other_faults.faults = FaultSpec::off();
+        for other in [other_seed, other_faults] {
+            let frame = other.frame_keyed(s.fingerprint());
+            let (parsed, _) = Frame::parse(&frame).expect("sealed frame parses");
+            assert!(matches!(
+                AgentState::decode(parsed.payload),
+                Err(ResumeError::FingerprintMismatch { .. })
+            ));
+        }
+    }
+
     #[test]
     fn fingerprint_covers_service_knobs() {
         let s = state();

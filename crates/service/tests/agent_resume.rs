@@ -90,3 +90,26 @@ fn halt_with_a_sick_sink_still_cuts_the_final_checkpoint() {
     assert_eq!(state.export_bytes, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The agent fingerprints its knobs once and stamps that value into
+/// every checkpoint: each cadence frame it writes must be byte-identical
+/// to one sealed with a freshly computed fingerprint.
+#[test]
+fn every_cadence_checkpoint_carries_the_fresh_fingerprint() {
+    let dir = std::env::temp_dir().join(format!("roam-cached-fp-ckpt-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = ServiceConfig {
+        users: 40,
+        cohorts: 2,
+        ckpt_days: 3,
+        ..ServiceConfig::default()
+    };
+    let mut agent = Agent::new(13, config).unwrap().checkpoint(dir.clone());
+    for day in [4, 8, 12] {
+        agent.run(Horizon::SimDays(day), None).unwrap();
+        let written = std::fs::read(dir.join(roam_service::AGENT_FILE)).unwrap();
+        let state = AgentState::load(&dir).unwrap().expect("frame present");
+        assert_eq!(state.to_frame(), written, "day {day}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
