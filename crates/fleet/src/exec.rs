@@ -59,8 +59,9 @@ pub(crate) struct ShardOutcome {
     pub report: FleetReport,
     /// The shard's telemetry.
     pub snap: TelemetrySnapshot,
-    /// Wall-clock milliseconds this shard's user loop took. The run's
-    /// one-off [`RunInputs`] build is not part of any shard's time.
+    /// Wall-clock milliseconds this shard took, from cloning the set-up
+    /// network to its last user. The run's one-off [`RunInputs`] build
+    /// is charged to no shard.
     pub wall_ms: f64,
     /// `false` when the shard stopped early because the checkpoint
     /// policy's `halt_after` tripped (harness use only).
@@ -327,12 +328,6 @@ impl RunInputs {
         }
     }
 
-    /// The knobs these inputs were built under.
-    #[must_use]
-    pub fn knobs(&self) -> RunKnobs {
-        self.knobs
-    }
-
     /// Panic unless these inputs were built for `seed` under `knobs`: a
     /// shard started from another run's template would emit wrong
     /// bytes, so it must not start at all.
@@ -381,9 +376,6 @@ fn draw_kind(rng: &mut SmallRng, mix: SessionMix) -> SessionKind {
 /// and fault schedule — and nothing else: no process-global setting
 /// reaches it, so concurrent runs in one process stay independent.
 ///
-/// # Panics
-/// When `inputs` were built for another seed or other knobs.
-///
 /// With `spec.resume` set, the shard starts from the same clone as a
 /// fresh one, the report and telemetry are restored wholesale from the
 /// checkpoint, and the user loop starts at `next_uid` — because every
@@ -400,6 +392,9 @@ fn draw_kind(rng: &mut SmallRng, mix: SessionMix) -> SessionKind {
 /// lands in the outcome's [`SessionRecord`] buffer (delivered sessions
 /// with their metric, failed sessions with status only; `NoTarget` is
 /// a scenario gap and stays out, matching the degradation tallies).
+///
+/// # Panics
+/// When `inputs` were built for another seed or other knobs.
 pub(crate) fn run_fleet_shard(
     inputs: &RunInputs,
     seed: u64,
