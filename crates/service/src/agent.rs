@@ -4,8 +4,8 @@
 //!
 //! * `cohort/<k>` — every `tick_days`, cohort `k`'s live uid window
 //!   runs one [`UserBatch`] through the fleet plane, on one
-//!   [`RunInputs`] the agent builds at its first cohort tick; the batch report
-//!   merges into the cumulative report, its session records stream
+//!   [`RunInputs`] the agent builds at its first cohort tick; the batch
+//!   report merges into the cumulative report, its session records stream
 //!   through the bounded export queue, and the tick's own RNG stream
 //!   draws the churn that shifts the window. A finite TTL retires the
 //!   cohort after `ttl_ticks` ticks.
