@@ -12,9 +12,9 @@ use roam_bench::{run_device_shard, CampaignRunner};
 use roam_econ::{median_per_gb_by_country, Crawler, Market, Vantage};
 use roam_geo::Country;
 use roam_measure::Service;
-use roam_netsim::engine::{flow_seed, ClosedFormTransport, EngineSteppedTransport, Transport};
+use roam_netsim::engine::flow_seed;
 use roam_netsim::wire::GtpuHeader;
-use roam_netsim::{EventQueue, FaultSpec, SimTime, TracerouteOpts, TransferSpec};
+use roam_netsim::{transfer_time_ms, FaultSpec, TracerouteOpts, TransferSpec};
 use roam_stats::test::LeveneCenter;
 use roam_stats::{levene_test, quantile, welch_t_test, Ecdf};
 use roam_world::World;
@@ -207,10 +207,8 @@ fn bench_telemetry(c: &mut Criterion) {
     g.finish();
 }
 
-/// The flow-engine layer: seed derivation, event-calendar churn, and the
-/// two transports timing the same bulk transfer. Closed-form and
-/// engine-stepped agree to sub-microsecond on the result; the bench pair
-/// shows what stepping the calendar costs over evaluating the formula.
+/// The flow-engine layer: seed derivation, and the transfer model timing
+/// one bulk transfer.
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.bench_function("flow_seed", |b| {
@@ -219,23 +217,6 @@ fn bench_engine(c: &mut Criterion) {
                 black_box(7),
                 black_box("flow/s3/410012345/ookla/0"),
             ))
-        })
-    });
-    g.bench_function("event_queue_1k_churn", |b| {
-        b.iter(|| {
-            let mut q: EventQueue<u32> = EventQueue::new();
-            for i in 0..1_000u32 {
-                // Knuth-hash the index so insertion order fights pop order.
-                q.schedule(
-                    SimTime::from_nanos(u64::from(i.wrapping_mul(2_654_435_761))),
-                    i,
-                );
-            }
-            let mut popped = 0;
-            while q.pop().is_some() {
-                popped += 1;
-            }
-            black_box(popped)
         })
     });
     let spec = TransferSpec {
@@ -247,72 +228,7 @@ fn bench_engine(c: &mut Criterion) {
         parallel: 8,
     };
     g.bench_function("transfer_closed_form", |b| {
-        b.iter(|| black_box(ClosedFormTransport.transfer_ms(black_box(&spec))))
-    });
-    g.bench_function("transfer_engine_stepped", |b| {
-        b.iter(|| black_box(EngineSteppedTransport.transfer_ms(black_box(&spec))))
-    });
-    g.finish();
-}
-
-/// The timing-wheel calendar under three schedule/pop mixes. Each
-/// iteration `rewind()`s a long-lived queue — how the engine transport
-/// reuses its per-thread transfer calendar — so slot capacity persists
-/// and the numbers are steady-state schedule+pop cost, not allocator
-/// churn.
-fn bench_event_core(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_core");
-    // Uniform: timers scattered over ~4 ms (Knuth-hashed so insertion
-    // order fights pop order).
-    let mut q: EventQueue<u32> = EventQueue::new();
-    g.bench_function("uniform_4k_wheel", |b| {
-        b.iter(|| {
-            q.rewind();
-            for i in 0..4_000u32 {
-                q.schedule(
-                    SimTime::from_nanos(u64::from(i.wrapping_mul(2_654_435_761))),
-                    i,
-                );
-            }
-            let mut popped = 0u32;
-            while q.pop().is_some() {
-                popped += 1;
-            }
-            black_box(popped)
-        })
-    });
-    // Bursty: 64 instants of 64 same-tick events each — the FIFO
-    // tie-break path (batched fleet sessions land like this).
-    let mut q: EventQueue<u32> = EventQueue::new();
-    g.bench_function("bursty_4k_wheel", |b| {
-        b.iter(|| {
-            q.rewind();
-            for i in 0..4_000u32 {
-                q.schedule(SimTime::from_nanos(u64::from(i / 64) * 1_000_000), i);
-            }
-            let mut popped = 0u32;
-            while q.pop().is_some() {
-                popped += 1;
-            }
-            black_box(popped)
-        })
-    });
-    // Long-tail: exponentially spread timers from 1 ns out to ~9 min,
-    // forcing events through the wheel's upper levels (cascades).
-    let mut q: EventQueue<u32> = EventQueue::new();
-    g.bench_function("longtail_4k_wheel", |b| {
-        b.iter(|| {
-            q.rewind();
-            for i in 0..4_000u32 {
-                let exp = i % 40;
-                q.schedule(SimTime::from_nanos((1u64 << exp) | u64::from(i)), i);
-            }
-            let mut popped = 0u32;
-            while q.pop().is_some() {
-                popped += 1;
-            }
-            black_box(popped)
-        })
+        b.iter(|| black_box(transfer_time_ms(black_box(&spec))))
     });
     g.finish();
 }
@@ -458,7 +374,6 @@ criterion_group!(
     bench_campaign,
     bench_telemetry,
     bench_engine,
-    bench_event_core,
     bench_stats,
     bench_econ,
     bench_fleet,

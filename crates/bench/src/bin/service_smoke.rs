@@ -5,7 +5,7 @@
 //!
 //! ```sh
 //! ROAM_SERVICE_USERS=2000 service_smoke > a.txt
-//! ROAM_SERVICE_USERS=2000 ROAM_PARALLEL=4 ROAM_TRANSPORT=engine service_smoke > b.txt
+//! ROAM_SERVICE_USERS=2000 ROAM_PARALLEL=4 service_smoke > b.txt
 //! cmp a.txt b.txt
 //! ```
 //!
@@ -18,7 +18,7 @@
 //!
 //! Knobs: `ROAM_SERVICE_*` (sizing), `ROAM_SERVICE_BENCH_DAYS` (horizon,
 //! default 30), `ROAM_SEED`, plus the repo-wide `ROAM_PARALLEL`,
-//! `ROAM_TRANSPORT`, `ROAM_FAULTS`, `ROAM_TELEMETRY`.
+//! `ROAM_FAULTS`, `ROAM_TELEMETRY`.
 //!
 //! [`AgentRun::render`]: roam_service::AgentRun::render
 

@@ -16,7 +16,7 @@ use roam_ipx::RoamingArch;
 
 fn main() {
     // Several attachments per country so provider alternation is observed.
-    // All knobs (ROAM_PARALLEL / ROAM_TRANSPORT / ROAM_TELEMETRY) come from
+    // All knobs (ROAM_PARALLEL / ROAM_TELEMETRY) come from
     // the environment; none of them may change a byte of this output.
     let run = CampaignRunner::from_env(2024).run_survey(6);
     let (world, obs) = (&run.world, &run.observations);

@@ -21,7 +21,7 @@ use roam_measure::{
     run_device_campaign, run_shards, run_web_measurement, CampaignData, DeviceCampaignSpec,
     Endpoint, Exporter, RunMode, ShardTiming, SharedSink, WebRecord,
 };
-use roam_netsim::{FaultSpec, RunKnobs, TransportKind};
+use roam_netsim::{FaultSpec, RunKnobs};
 use roam_telemetry::{merge_shards, TelemetryMode, TelemetryReport};
 use roam_world::{DeviceCountrySpec, World};
 use std::collections::BTreeMap;
@@ -130,32 +130,29 @@ pub struct SurveyRun {
 }
 
 /// The one way to run a campaign: seed in, then builder-style knobs for
-/// scale, worker count, transport backend and telemetry, shared by all
-/// three campaign shapes.
+/// scale, worker count, fault schedule and telemetry, shared by all three
+/// campaign shapes.
 ///
 /// ```no_run
 /// use roam_bench::CampaignRunner;
-/// use roam_netsim::TransportKind;
 /// use roam_telemetry::TelemetryMode;
 ///
 /// let run = CampaignRunner::new(42)
 ///     .scale(0.1)
 ///     .parallel(4)
-///     .transport(TransportKind::Engine)
 ///     .telemetry(TelemetryMode::Summary)
 ///     .run();
 /// print!("{}", run.telemetry.render());
 /// ```
 ///
-/// None of the knobs can change a campaign's bytes — shards merge in
-/// shard-key order and the transports agree on every recorded observable —
-/// so the builder only chooses cost and reporting, never results.
+/// The worker count cannot change a campaign's bytes — shards merge in
+/// shard-key order — so it chooses cost only; the fault schedule is part
+/// of the scenario, and telemetry only chooses what is reported.
 #[derive(Clone)]
 pub struct CampaignRunner {
     seed: u64,
     scale: f64,
     mode: RunMode,
-    transport: Option<TransportKind>,
     faults: Option<FaultSpec>,
     telemetry: TelemetryMode,
     sink: Option<SharedSink>,
@@ -167,7 +164,6 @@ impl std::fmt::Debug for CampaignRunner {
             .field("seed", &self.seed)
             .field("scale", &self.scale)
             .field("mode", &self.mode)
-            .field("transport", &self.transport)
             .field("faults", &self.faults)
             .field("telemetry", &self.telemetry)
             .field("sink", &self.sink.as_ref().map(|_| "…"))
@@ -177,14 +173,13 @@ impl std::fmt::Debug for CampaignRunner {
 
 impl CampaignRunner {
     /// A sequential, full-scale, telemetry-off runner for `seed`, with the
-    /// transport left to `ROAM_TRANSPORT`.
+    /// fault schedule left to `ROAM_FAULTS`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         CampaignRunner {
             seed,
             scale: 1.0,
             mode: RunMode::Sequential,
-            transport: None,
             faults: None,
             telemetry: TelemetryMode::Off,
             sink: None,
@@ -192,9 +187,8 @@ impl CampaignRunner {
     }
 
     /// A runner configured from the environment: worker count from
-    /// `ROAM_PARALLEL`, telemetry from `ROAM_TELEMETRY`; the transport and
-    /// fault schedule resolve once per run from `ROAM_TRANSPORT` and
-    /// `ROAM_FAULTS`.
+    /// `ROAM_PARALLEL`, telemetry from `ROAM_TELEMETRY`; the fault schedule
+    /// resolves once per run from `ROAM_FAULTS`.
     #[must_use]
     pub fn from_env(seed: u64) -> Self {
         CampaignRunner {
@@ -219,13 +213,6 @@ impl CampaignRunner {
         } else {
             RunMode::Parallel(workers)
         };
-        self
-    }
-
-    /// Pin the transport backend for the run, overriding `ROAM_TRANSPORT`.
-    #[must_use]
-    pub fn transport(mut self, kind: TransportKind) -> Self {
-        self.transport = Some(kind);
         self
     }
 
@@ -261,7 +248,6 @@ impl CampaignRunner {
     fn knobs(&self) -> RunKnobs {
         RunKnobs {
             telemetry: self.telemetry,
-            transport: self.transport.unwrap_or_else(TransportKind::from_env),
             faults: self.faults.unwrap_or_else(FaultSpec::current),
         }
     }
@@ -588,11 +574,11 @@ mod tests {
     fn runner_knobs_reach_every_shard_world() {
         let run = CampaignRunner::new(5)
             .scale(0.02)
-            .transport(TransportKind::Engine)
+            .telemetry(TelemetryMode::Summary)
             .faults(FaultSpec::heavy())
             .run();
         for shard in &run.shards {
-            assert_eq!(shard.world.net.transport(), TransportKind::Engine);
+            assert_eq!(shard.world.net.telemetry().mode(), TelemetryMode::Summary);
             assert_eq!(*shard.world.net.faults().spec(), FaultSpec::heavy());
         }
     }

@@ -561,15 +561,8 @@ pub(crate) fn supervise(
         let inputs = RunInputs::build(job.seed, job.knobs);
         for spec in quarantine {
             stats.quarantined += 1;
-            let outcome = run_fleet_shard(
-                &inputs,
-                job.seed,
-                &job.config,
-                spec,
-                job.knobs,
-                job.checkpoint.as_ref(),
-                false,
-            );
+            let outcome =
+                run_fleet_shard(&inputs, &job.config, spec, job.checkpoint.as_ref(), false);
             outcomes.entry(outcome.index).or_insert(outcome);
         }
     }

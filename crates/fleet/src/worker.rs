@@ -8,10 +8,9 @@
 //! 1. The parent spawns `fleet_worker` processes, writes one
 //!    [`KIND_JOB`] frame to each worker's stdin, and closes it. The job
 //!    carries everything the worker needs — seed, sizing, the run's
-//!    resolved [`RunKnobs`] (telemetry mode, transport, faults; workers
-//!    never consult the environment, so parent and workers can't
-//!    diverge), its
-//!    striped shard list with per-shard resume states, and the
+//!    resolved [`RunKnobs`] (telemetry mode and faults; workers never
+//!    consult the environment, so parent and workers can't diverge),
+//!    its striped shard list with per-shard resume states, and the
 //!    checkpoint policy.
 //! 2. The worker runs its shards sequentially. Before each shard it
 //!    writes one [`KIND_HEARTBEAT`] frame (shard index + attempt) so
@@ -48,16 +47,16 @@ use crate::exec::{run_fleet_shard, RunInputs, ShardOutcome, ShardSpec};
 use crate::report::FleetReport;
 use crate::supervisor::{InjectedFault, ProtocolViolation, WorkerFaultSpec};
 use roam_codec::{CodecError, Decoder, Encoder, Frame};
-use roam_netsim::{RunKnobs, TransportKind};
+use roam_netsim::RunKnobs;
 use roam_telemetry::{TelemetryMode, TelemetrySnapshot};
 use std::path::PathBuf;
 
-/// Field tags for the job payload.
+/// Field tags for the job payload. Tags 4 (transport) and 5 (calendar)
+/// are retired; decoders skip them like any unknown tag.
 mod job_tag {
     pub const SEED: u32 = 1;
     pub const CONFIG: u32 = 2;
     pub const TELEMETRY: u32 = 3;
-    pub const TRANSPORT: u32 = 4;
     pub const FAULTS: u32 = 6;
     pub const SHARD: u32 = 7;
     pub const CKPT_DIR: u32 = 8;
@@ -104,7 +103,7 @@ mod result_tag {
 pub(crate) struct WorkerJob {
     pub seed: u64,
     pub config: FleetConfig,
-    /// The run's resolved telemetry mode, transport and fault schedule.
+    /// The run's resolved telemetry mode and fault schedule.
     pub knobs: RunKnobs,
     /// The resolved worker-fault injection spec — shipped in the job
     /// (like every other knob) so parent and workers cannot diverge on
@@ -123,13 +122,6 @@ impl WorkerJob {
         e.u64(job_tag::SEED, self.seed);
         e.section(job_tag::CONFIG, |se| encode_config(se, &self.config));
         e.u64(job_tag::TELEMETRY, telemetry_to_wire(self.knobs.telemetry));
-        e.u64(
-            job_tag::TRANSPORT,
-            match self.knobs.transport {
-                TransportKind::ClosedForm => 0,
-                TransportKind::Engine => 1,
-            },
-        );
         e.section(job_tag::FAULTS, |se| encode_faults(se, &self.knobs.faults));
         if self.worker_faults.enabled() {
             e.section(job_tag::WORKER_FAULTS, |se| {
@@ -168,7 +160,6 @@ impl WorkerJob {
         let mut seed = None;
         let mut config = None;
         let mut telemetry = TelemetryMode::Off;
-        let mut transport = TransportKind::ClosedForm;
         let mut faults = None;
         let mut worker_faults = WorkerFaultSpec::off();
         let mut deadline_ms = crate::supervisor::DEFAULT_WORKER_DEADLINE_MS;
@@ -179,13 +170,6 @@ impl WorkerJob {
                 job_tag::SEED => seed = Some(v.as_u64(tag)?),
                 job_tag::CONFIG => config = Some(decode_config(&mut v.as_section(tag)?)?),
                 job_tag::TELEMETRY => telemetry = telemetry_from_wire(v.as_u64(tag)?)?,
-                job_tag::TRANSPORT => {
-                    transport = match v.as_u64(tag)? {
-                        0 => TransportKind::ClosedForm,
-                        1 => TransportKind::Engine,
-                        _ => return Err(CodecError::BadValue("transport kind")),
-                    };
-                }
                 job_tag::FAULTS => faults = Some(decode_faults(&mut v.as_section(tag)?)?),
                 job_tag::WORKER_FAULTS => {
                     let mut wd = v.as_section(tag)?;
@@ -258,7 +242,6 @@ impl WorkerJob {
             config: config.ok_or(CodecError::MissingField("config"))?,
             knobs: RunKnobs {
                 telemetry,
-                transport,
                 faults: faults.ok_or(CodecError::MissingField("faults"))?,
             },
             worker_faults,
@@ -522,15 +505,7 @@ pub fn serve(
             _ => {}
         }
         let inputs = inputs.get_or_insert_with(|| RunInputs::build(job.seed, job.knobs));
-        let outcome = run_fleet_shard(
-            inputs,
-            job.seed,
-            &job.config,
-            spec,
-            job.knobs,
-            job.checkpoint.as_ref(),
-            false,
-        );
+        let outcome = run_fleet_shard(inputs, &job.config, spec, job.checkpoint.as_ref(), false);
         let mut frame = result_frame(&outcome);
         match fault {
             Some(InjectedFault::TornTruncate) => {
@@ -576,7 +551,6 @@ mod tests {
             config: FleetConfig::default(),
             knobs: RunKnobs {
                 telemetry: TelemetryMode::Summary,
-                transport: TransportKind::Engine,
                 faults: roam_netsim::FaultSpec::heavy(),
             },
             worker_faults: WorkerFaultSpec::light(),

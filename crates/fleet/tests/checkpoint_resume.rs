@@ -66,7 +66,7 @@ fn halt_and_resume_matches_straight(tag: &str, faults: Option<FaultSpec>, parall
 
     let resumed = FleetRunner::resume(&dir)
         .expect("a freshly halted directory resumes")
-        .run_mode(roam_measure::RunMode::Sequential)
+        .parallel(1)
         .run();
     assert!(!resumed.halted);
     assert_eq!(

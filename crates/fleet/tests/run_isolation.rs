@@ -1,11 +1,11 @@
 //! Run isolation: a fleet run's bytes are a pure function of its own
 //! seed and knobs, even while another run with different knobs executes
-//! in the same process. Each runner resolves its transport and fault
-//! schedule once and hands them to the worlds it builds, so nothing one
-//! run chooses can reach another through process-wide state.
+//! in the same process. Each runner resolves its fault schedule once and
+//! hands it to the worlds it builds, so nothing one run chooses can
+//! reach another through process-wide state.
 
 use roam_fleet::FleetRunner;
-use roam_netsim::{FaultSpec, TransportKind};
+use roam_netsim::FaultSpec;
 use roam_telemetry::TelemetryMode;
 
 const SEED: u64 = 41;
@@ -19,18 +19,14 @@ fn runner() -> FleetRunner {
         .telemetry(TelemetryMode::Summary)
 }
 
-/// Heavy faults, timed by the engine transport.
+/// Heavy faults.
 fn hostile() -> FleetRunner {
-    runner()
-        .faults(FaultSpec::heavy())
-        .transport(TransportKind::Engine)
+    runner().faults(FaultSpec::heavy())
 }
 
-/// No faults, timed by the closed form.
+/// No faults.
 fn quiet() -> FleetRunner {
-    runner()
-        .faults(FaultSpec::off())
-        .transport(TransportKind::ClosedForm)
+    runner().faults(FaultSpec::off())
 }
 
 /// The report and telemetry renders of one run.

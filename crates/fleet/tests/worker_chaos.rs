@@ -7,7 +7,7 @@
 //! `(seed, spec)`, so a re-run shard is the shard.
 
 use roam_fleet::{FleetRunner, SupervisionStats, WorkerFaultSpec};
-use roam_netsim::{FaultSpec, TransportKind};
+use roam_netsim::FaultSpec;
 use roam_telemetry::TelemetryMode;
 
 const SEED: u64 = 47;
@@ -41,8 +41,8 @@ fn mask_hex(text: &str) -> String {
     out + rest
 }
 
-/// Heavy injected chaos across both transport backends and an active
-/// netsim fault plane: every recovery path may fire (crash, stall,
+/// Heavy injected chaos with the netsim fault plane off and heavy:
+/// every recovery path may fire (crash, stall,
 /// torn frame, nonzero exit, retry, quarantine) and the report must
 /// still be byte-identical to the clean in-process run. Injected faults
 /// are keyed by `(seed, shard, attempt)` and each slot is supervised on
@@ -50,13 +50,9 @@ fn mask_hex(text: &str) -> String {
 /// history: the same counters and the same errors in the same order.
 #[test]
 fn heavy_chaos_is_byte_identical_to_a_clean_run() {
-    for (transport, faults) in [
-        (TransportKind::ClosedForm, None),
-        (TransportKind::Engine, Some(FaultSpec::heavy())),
-    ] {
-        let mut clean = base().transport(transport);
+    for faults in [None, Some(FaultSpec::heavy())] {
+        let mut clean = base();
         let mut chaotic = base()
-            .transport(transport)
             .workers(3)
             .worker_bin(worker_bin())
             .worker_faults(WorkerFaultSpec::heavy())
@@ -71,7 +67,7 @@ fn heavy_chaos_is_byte_identical_to_a_clean_run() {
         assert_eq!(
             chaotic.report.render(),
             clean.report.render(),
-            "heavy worker chaos ({transport:?}) must not change a byte of the report"
+            "heavy worker chaos (faults {faults:?}) must not change a byte of the report"
         );
         assert_eq!(
             chaotic.report.degraded, clean.report.degraded,
@@ -87,12 +83,12 @@ fn heavy_chaos_is_byte_identical_to_a_clean_run() {
         assert_eq!(
             (a.respawns, a.retries, a.quarantined),
             (b.respawns, b.retries, b.quarantined),
-            "recovery counters replay ({transport:?})"
+            "recovery counters replay (faults {faults:?})"
         );
         assert_eq!(
             (a.stalls, a.protocol_errors, a.heartbeats),
             (b.stalls, b.protocol_errors, b.heartbeats),
-            "detection counters replay ({transport:?})"
+            "detection counters replay (faults {faults:?})"
         );
         let history = |s: &SupervisionStats| -> Vec<String> {
             s.errors.iter().map(|e| mask_hex(&e.to_string())).collect()
@@ -100,7 +96,7 @@ fn heavy_chaos_is_byte_identical_to_a_clean_run() {
         assert_eq!(
             history(a),
             history(b),
-            "the failure history replays in order ({transport:?})"
+            "the failure history replays in order (faults {faults:?})"
         );
     }
 }

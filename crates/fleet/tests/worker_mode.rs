@@ -8,7 +8,7 @@
 //! depend on `PATH` or the environment.
 
 use roam_fleet::FleetRunner;
-use roam_netsim::{FaultSpec, TransportKind};
+use roam_netsim::FaultSpec;
 use roam_telemetry::TelemetryMode;
 use std::path::PathBuf;
 
@@ -58,14 +58,10 @@ fn worker_processes_render_the_in_process_bytes() {
 }
 
 #[test]
-fn worker_processes_agree_under_faults_and_engine_transport() {
-    let in_process = base()
-        .faults(FaultSpec::heavy())
-        .transport(TransportKind::Engine)
-        .run();
+fn worker_processes_agree_under_faults() {
+    let in_process = base().faults(FaultSpec::heavy()).run();
     let distributed = base()
         .faults(FaultSpec::heavy())
-        .transport(TransportKind::Engine)
         .workers(3)
         .worker_bin(worker_bin())
         .run();

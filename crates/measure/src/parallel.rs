@@ -10,8 +10,9 @@
 //!    *stable label* ([`roam_netsim::engine::flow_seed`]: the attachment's
 //!    flow stamp plus the measurement's plan label, or a fleet user's uid),
 //!    never from execution order;
-//! 2. shards share no mutable state — each builds its own world from the
-//!    master seed;
+//! 2. shards share no mutable state — a campaign shard builds its own
+//!    world from the master seed, and fleet shards each clone one shared
+//!    set-up network (`roam_fleet::RunInputs`);
 //! 3. results are merged in shard-key order, not completion order.
 //!
 //! With those three rules, [`RunMode::Sequential`] and

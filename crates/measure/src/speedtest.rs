@@ -3,9 +3,9 @@
 //! The client picks the server nearest the device's **public-IP
 //! geolocation** — for roaming eSIMs that is the breakout site, which is why
 //! Fig. 11(c) is titled "latency to the nearest Ookla Speedtest server from
-//! the PGW". Throughput is the policy/PHY-capped TCP transfer of the
-//! selected [`roam_netsim::engine::Transport`]; latency is a real ping on
-//! the measurement's own flow.
+//! the PGW". Throughput is the policy/PHY-capped TCP transfer of
+//! [`roam_netsim::throughput::transfer_time_ms`]; latency is a real ping
+//! on the measurement's own flow.
 
 use crate::endpoint::Endpoint;
 use crate::error::{MeasureError, MeasureStatus};

@@ -7,10 +7,9 @@
 //! This module models all of that as *sim-time interval calendars* derived
 //! from the same keyed-RNG universe as every flow ([`flow_seed`]), so a
 //! fault window is a pure function of `(master_seed, entity, spec)` —
-//! never of execution order, shard layout, worker count or transport
-//! backend. That is what keeps campaign and fleet reports byte-identical
-//! across `ROAM_PARALLEL` × `ROAM_TRANSPORT` × `ROAM_FLEET_SHARDS` while
-//! the plane is active.
+//! never of execution order, shard layout or worker count. That is what
+//! keeps campaign and fleet reports byte-identical across `ROAM_PARALLEL`
+//! × `ROAM_FLEET_SHARDS` × `ROAM_FLEET_WORKERS` while the plane is active.
 //!
 //! Faults come in four kinds:
 //!
@@ -40,8 +39,8 @@
 //! A [`Network`](crate::Network) starts from
 //! `ROAM_FAULTS=off|light|heavy|<spec>` (see [`FaultSpec::parse`] and
 //! [`FaultSpec::current`]); a runner that resolved its own spec hands it
-//! over with [`Network::set_faults`](crate::Network::set_faults), the
-//! same way it hands over its [`TransportKind`](crate::engine::TransportKind).
+//! over with [`Network::set_faults`](crate::Network::set_faults) or as
+//! part of its [`RunKnobs`](crate::RunKnobs).
 
 use crate::engine::flow_seed;
 use crate::time::SimTime;
@@ -54,8 +53,8 @@ use std::sync::Mutex;
 /// mean dwell time in each state and the per-packet loss rate while the
 /// state holds. Realised as a deterministic calendar of alternating
 /// good/bad windows (exponential dwells drawn from a keyed seed) rather
-/// than a per-packet Markov step, so both transports and every shard
-/// observe the *same* windows.
+/// than a per-packet Markov step, so every shard and every retry
+/// observes the *same* windows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// Mean dwell time in the good state, ms.

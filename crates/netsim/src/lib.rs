@@ -11,9 +11,6 @@
 //! * a **hop-by-hop packet walk** ([`net::Network::traceroute`],
 //!   [`net::Network::ping`]) that decrements each probe's TTL at every
 //!   router and answers expiry with a time-exceeded retracing the path;
-//! * an **event queue** (a timing wheel keyed by [`time::SimTime`] with
-//!   monotonic sequence tie-breaking) behind the stepped transport and
-//!   the agent's scheduler;
 //! * an **IP registry** mapping prefixes to ASN / organisation / geolocation,
 //!   playing the role ipinfo and WHOIS play in the paper's methodology;
 //! * **CG-NAT** semantics: private hops inside a PGW provider's core answer
@@ -21,18 +18,18 @@
 //!   the outside world sees — exactly the demarcation rule of §4.3;
 //! * a **throughput model**: token-bucket policy enforcement plus a
 //!   TCP-shaped transfer-time estimator (handshake, slow start, and a
-//!   Mathis-style loss/RTT cap), used by the speedtest and CDN clients.
+//!   Mathis-style loss/RTT cap), used by the speedtest and CDN clients
+//!   and the only transfer model the simulator has.
 //!
 //! Everything is deterministic: all randomness (jitter, loss) flows from a
 //! seed supplied at [`net::Network::new`]. Two simulations with the same
 //! seed and the same call sequence produce bit-identical results — a
 //! property the integration suite checks explicitly. A run's knobs
-//! (telemetry, transport, faults) travel with each network as a
+//! (telemetry, faults) travel with each network as a
 //! [`net::RunKnobs`] value, so concurrent runs in one process never
 //! share them.
 
 pub mod engine;
-pub mod event;
 pub mod faults;
 pub mod ip;
 pub mod link;
@@ -42,10 +39,7 @@ pub mod throughput;
 pub mod time;
 pub mod wire;
 
-pub use engine::{
-    flow_seed, ClosedFormTransport, EngineSteppedTransport, Flow, FlowId, Transport, TransportKind,
-};
-pub use event::EventQueue;
+pub use engine::{flow_seed, Flow, FlowId};
 pub use faults::{FaultCalendar, FaultPlane, FaultSpec, GilbertElliott, NodeFaultState};
 pub use ip::{is_private, Ipv4Net};
 pub use link::{LatencyModel, Link, LinkClass};
@@ -54,5 +48,5 @@ pub use net::{
     RunKnobs, TraceHop, Traceroute, TracerouteOpts,
 };
 pub use registry::{Asn, IpRegistry, PrefixInfo};
-pub use throughput::{transfer_time_ms, TokenBucket, TransferSpec};
+pub use throughput::{transfer_time_ms, TokenBucket, TransferSpec, TransportKind};
 pub use time::SimTime;

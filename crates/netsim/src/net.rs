@@ -11,7 +11,7 @@
 //! recorder, which drops them unless it is on. The on-wire formats live
 //! in [`crate::wire`].
 
-use crate::engine::{Flow, TransportKind};
+use crate::engine::Flow;
 use crate::faults::{FaultPlane, FaultSpec, NodeFaultState};
 use crate::ip::is_private;
 use crate::link::{LatencyModel, Link, LinkClass};
@@ -405,22 +405,16 @@ pub struct Network {
     /// failover detours the session layer registers. Disabled (one bool
     /// check per walk) unless the network's spec says otherwise.
     faults: FaultPlane,
-    /// How probes and batched fleet transfers on this network time bulk
-    /// transfers.
-    transport: TransportKind,
 }
 
 /// The knobs one run resolves once and hands to every [`Network`] it
-/// builds ([`Network::set_knobs`]): what telemetry records, which
-/// transport times transfers, and the fault schedule. None of them is
-/// read from a process-global while the run executes, so two runs in
-/// one process cannot see each other's choices.
+/// builds ([`Network::set_knobs`]): what telemetry records and the fault
+/// schedule. Neither is read from a process-global while the run
+/// executes, so two runs in one process cannot see each other's choices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunKnobs {
     /// What the telemetry plane records.
     pub telemetry: TelemetryMode,
-    /// Which transport times bulk transfers.
-    pub transport: TransportKind,
     /// The fault schedule.
     pub faults: FaultSpec,
 }
@@ -517,15 +511,13 @@ impl Network {
             route_cache: HashMap::default(),
             telemetry: Recorder::off(),
             faults: FaultPlane::new(FaultSpec::current()),
-            transport: TransportKind::from_env(),
         }
     }
 
-    /// Hand the network a run's resolved knobs: telemetry mode,
-    /// transport and fault schedule.
+    /// Hand the network a run's resolved knobs: telemetry mode and fault
+    /// schedule.
     pub fn set_knobs(&mut self, knobs: RunKnobs) {
         self.set_telemetry_mode(knobs.telemetry);
-        self.set_transport(knobs.transport);
         self.set_faults(knobs.faults);
     }
 
@@ -534,19 +526,6 @@ impl Network {
     /// was built.
     pub fn set_faults(&mut self, spec: FaultSpec) {
         self.faults.set_spec(spec);
-    }
-
-    /// Select the transport that times bulk transfers. The default is
-    /// whatever [`TransportKind::from_env`] said when the network was
-    /// built.
-    pub fn set_transport(&mut self, kind: TransportKind) {
-        self.transport = kind;
-    }
-
-    /// The transport bulk transfers on this network go through.
-    #[must_use]
-    pub fn transport(&self) -> TransportKind {
-        self.transport
     }
 
     /// Read access to the fault plane (spec, drop/failover tallies).

@@ -1,14 +1,12 @@
 //! Fault-plane contracts: the Gilbert–Elliott realisation must converge
 //! to its stationary distribution, and the fault windows a run observes
-//! must be a pure function of (seed, spec) — in particular, identical
-//! under both transport implementations.
+//! must be a pure function of (seed, spec).
 
 use proptest::prelude::*;
 use roam_netsim::engine::flow_seed;
 use roam_netsim::link::{LatencyModel, LinkClass};
 use roam_netsim::{
     FaultPlane, FaultSpec, Flow, GilbertElliott, Network, NodeKind, ProbeError, SimTime,
-    TransportKind,
 };
 
 proptest! {
@@ -80,12 +78,11 @@ proptest! {
 }
 
 /// Build a small lossy topology with a dark-able gateway and run a fixed
-/// probe schedule under the currently pinned transport, returning every
-/// typed outcome plus the fault plane's tallies.
-fn probe_trace(seed: u64, transport: TransportKind) -> (Vec<String>, u64, u64) {
+/// probe schedule, returning every typed outcome plus the fault plane's
+/// tallies.
+fn probe_trace(seed: u64) -> (Vec<String>, u64, u64) {
     let mut net = Network::new(seed);
     net.set_faults(FaultSpec::heavy());
-    net.set_transport(transport);
     let ue = net.add_node(
         "ue",
         NodeKind::Host,
@@ -132,21 +129,22 @@ fn probe_trace(seed: u64, transport: TransportKind) -> (Vec<String>, u64, u64) {
 }
 
 /// The fault windows — and everything a probe observes through them — are
-/// transport-independent: the exact per-probe outcome sequence, drop tally
-/// and failover tally agree bit-for-bit under both backends.
+/// a pure function of (seed, spec): two networks built alike agree
+/// bit-for-bit on the exact per-probe outcome sequence, drop tally and
+/// failover tally.
 #[test]
-fn fault_windows_identical_under_both_transports() {
+fn fault_windows_replay_bit_for_bit() {
     let mut perturbed = false;
     for seed in [3u64, 17, 4242, 0x00C0_FFEE] {
-        let closed = probe_trace(seed, TransportKind::ClosedForm);
-        let engine = probe_trace(seed, TransportKind::Engine);
+        let first = probe_trace(seed);
         assert_eq!(
-            closed, engine,
-            "seed {seed}: transports disagree on fault windows"
+            first,
+            probe_trace(seed),
+            "seed {seed}: fault windows did not replay"
         );
         // Heavy's entity selection is fractional, so one seed may roll an
         // entirely healthy topology — but not all of them.
-        perturbed |= closed.1 > 0 || closed.2 > 0 || closed.0.iter().any(|o| o == "lost");
+        perturbed |= first.1 > 0 || first.2 > 0 || first.0.iter().any(|o| o == "lost");
     }
     assert!(perturbed, "heavy schedule never perturbed any probe");
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use roam_netsim::ip::Ipv4Net;
 use roam_netsim::throughput::{transfer_time_ms, TokenBucket, TransferSpec};
 use roam_netsim::wire::{DnsMessage, GtpuHeader};
-use roam_netsim::{EventQueue, SimTime};
+use roam_netsim::SimTime;
 use std::net::Ipv4Addr;
 
 proptest! {
@@ -43,22 +43,6 @@ proptest! {
             Some(ip) => prop_assert!(net.contains(ip)),
             None => prop_assert!(idx >= net.size()),
         }
-    }
-
-    #[test]
-    fn event_queue_pops_in_nondecreasing_time(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(*t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((at, _)) = q.pop() {
-            prop_assert!(at >= last, "time went backwards");
-            last = at;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! sub-shard- and thread-invariant ([`UserBatch`]), probes run on
 //! label-keyed flow streams, and same-instant fires order by
 //! registration. Nothing observable depends on wall time, thread
-//! interleaving, transport backend, or where a run was cut by a
-//! checkpoint.
+//! interleaving, or where a run was cut by a checkpoint.
 
 use crate::checkpoint::{service_fingerprint, AgentState, SoakRow};
 use crate::cohort::Cohort;
@@ -589,7 +588,7 @@ pub struct AgentRun {
 impl AgentRun {
     /// The fixed-layout agent report: the byte-identity boundary the
     /// service determinism tests and the CI soak compare. Wall time,
-    /// thread mode, transport, queue capacity and outcome-independent
+    /// thread mode, queue capacity and outcome-independent
     /// diagnostics are deliberately absent.
     #[must_use]
     pub fn render(&self) -> String {

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Service knobs come from `ROAM_SERVICE_*` (see `ServiceConfig`);
-//! execution knobs from the repo-wide `ROAM_PARALLEL`, `ROAM_TRANSPORT`,
-//! `ROAM_FAULTS`, `ROAM_TELEMETRY`, each resolved once when the agent
+//! execution knobs from the repo-wide `ROAM_PARALLEL`, `ROAM_FAULTS`,
+//! `ROAM_TELEMETRY`, each resolved once when the agent
 //! is built (a resumed agent keeps its checkpoint's faults and
 //! telemetry). When
 //! `ROAM_CHECKPOINT_DIR` is set the agent writes `agent.ckpt` there

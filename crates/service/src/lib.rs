@@ -27,7 +27,7 @@
 //!
 //! The determinism contract is the repo-wide one: the agent's report,
 //! session stream and soak table are byte-identical across thread
-//! counts, transport backends, and any kill-at-a-checkpoint/resume
+//! counts, export queue sizes, and any kill-at-a-checkpoint/resume
 //! split of the run. The agent carries its fault schedule itself and
 //! hands it to every cohort batch, so it never depends on — or leaks
 //! into — another run in the same process.

@@ -14,9 +14,9 @@
 //!   histogram sums are accumulated in shard-sequential order; events are
 //!   recorded in shard-local order and merged in shard-key order. The
 //!   rendered summary and JSONL stream are therefore byte-identical across
-//!   `ROAM_PARALLEL` worker counts and across both `ROAM_TRANSPORT`
-//!   backends (only transport-independent observables — packet walks,
-//!   probe RTTs, byte counts — enter the telemetry plane).
+//!   `ROAM_PARALLEL` worker counts (the observables — packet walks, probe
+//!   RTTs, byte counts — are functions of flow identity, never of
+//!   scheduling).
 //! * **Zero cost when off.** The disabled path is a single predictable
 //!   branch per call site: no allocation, no bucket scan, no event
 //!   construction. [`NoopSink`] is the statically-dispatched proof — a

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 ///
 /// The renderers are the determinism boundary: [`TelemetryReport::summary`]
 /// and [`TelemetryReport::jsonl`] must produce the same bytes for the same
-/// measured work regardless of worker count or transport backend. That
+/// measured work regardless of worker count. That
 /// falls out of the construction — integer counters, fixed buckets,
 /// ordered merges — and is pinned by `tests/telemetry_determinism.rs`.
 #[derive(Debug, Clone)]

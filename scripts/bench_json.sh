@@ -123,7 +123,6 @@ jq -n \
    '($b[0]."campaign/device_campaign_seq".mean_ns) as $seq
     | ($b[0]."campaign/device_campaign_par4".mean_ns) as $par
     | ($b[0]."engine/transfer_closed_form".mean_ns) as $cf
-    | ($b[0]."engine/transfer_engine_stepped".mean_ns) as $es
     | ($b[0]."telemetry/ping_recorder_off".mean_ns) as $toff
     | ($b[0]."telemetry/ping_recorder_summary".mean_ns) as $tsum
     | ($b[0]."netsim/packet_forward".mean_ns) as $fwd
@@ -133,9 +132,6 @@ jq -n \
     | ($b[0]."fleet/run_2k_users_4_shards_parallel".mean_ns) as $fpar
     | ($b[0]."faults/ping_faults_off".mean_ns) as $poff
     | ($b[0]."faults/ping_faults_heavy".mean_ns) as $pheavy
-    | ($b[0]."event_core/uniform_4k_wheel".mean_ns) as $ecuw
-    | ($b[0]."event_core/bursty_4k_wheel".mean_ns) as $ecbw
-    | ($b[0]."event_core/longtail_4k_wheel".mean_ns) as $eclw
     | ($b[0]."checkpoint/shard_encode_2k".mean_ns) as $cke
     | ($b[0]."checkpoint/shard_decode_2k".mean_ns) as $ckd
     | ($b[0]."checkpoint/shard_write_2k".mean_ns) as $ckw
@@ -157,10 +153,8 @@ jq -n \
          speedup_seq_over_par4: (if $seq != null and $par != null then ($seq / $par) else null end)
        },
        engine: {
-         note: "both transports time the same transfer to sub-microsecond agreement; the ratio is what stepping the event calendar costs over the closed form",
-         transfer_closed_form_ns: $cf,
-         transfer_engine_stepped_ns: $es,
-         engine_over_closed_form: (if $cf != null and $es != null then ($es / $cf) else null end)
+         note: "the closed-form transfer time (throughput::transfer_time_ms) of one 50 MB, 8-stream transfer",
+         transfer_closed_form_ns: $cf
        },
        faults: {
          note: "ping with a pinned-off fault spec over the bare packet_forward path gates the disabled-fault-plane overhead (the contract is one always-false branch per walk, <= 1.02); heavy_over_off is what a fully materialised heavy calendar set costs on the same walk",
@@ -169,12 +163,6 @@ jq -n \
          off_over_bare_ping: (if $poff != null and $fwd != null then ($poff / $fwd) else null end),
          heavy_over_off: (if $pheavy != null and $poff != null then ($pheavy / $poff) else null end),
          disabled_overhead_within_2pct: (if $poff != null and $fwd != null then ($poff / $fwd) <= 1.02 else null end)
-       },
-       event_core: {
-         note: "schedule+pop of 4k events on a rewound (capacity-retaining) timing-wheel calendar, per mix",
-         uniform_4k_wheel_ns: $ecuw,
-         bursty_4k_wheel_ns: $ecbw,
-         longtail_4k_wheel_ns: $eclw
        },
        fleet: {
          note: "2k-user run timed end-to-end (synthesis, purchases, sessions, sketches); users_per_sec_smoke is the population-scale throughput headline (best of three 100k-user fleet_smoke runs), gated against floor_users_per_sec on both backends; _threads4 spreads shards over 4 threads, _workers4 over 4 worker processes (pipes + codec frames), and workers4_over_threads4 is the process-backend tax (or win) — every mode produces byte-identical reports",
@@ -233,7 +221,7 @@ jq -n \
        benchmarks: $b[0]}' > "$out"
 
 echo "wrote $out"
-jq '.parallel, .engine, .telemetry, .faults, .event_core, .fleet, .service, .export, .supervision, .recovery, .checkpoint' "$out"
+jq '.parallel, .engine, .telemetry, .faults, .fleet, .service, .export, .supervision, .recovery, .checkpoint' "$out"
 
 if [ "$(jq '.faults.disabled_overhead_within_2pct' "$out")" = "false" ]; then
     echo "WARNING: disabled fault plane costs >2% over the bare ping path" >&2

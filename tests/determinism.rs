@@ -87,11 +87,10 @@ fn campaign_outputs_are_pinned() {
     use roam_bench::CampaignRunner;
     use roam_codec::hash64;
     use roamsim::measure::{Exporter, ShardTiming};
-    use roamsim::netsim::{FaultSpec, TransportKind};
+    use roamsim::netsim::FaultSpec;
     use roamsim::telemetry::TelemetryMode;
 
     let runner = CampaignRunner::new(11)
-        .transport(TransportKind::ClosedForm)
         .faults(FaultSpec::off())
         .telemetry(TelemetryMode::Jsonl);
     let keys = |timings: &[ShardTiming]| {

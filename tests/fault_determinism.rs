@@ -1,23 +1,22 @@
 //! The degraded-run determinism contract: with a pinned fault schedule,
 //! campaign exports and fleet reports are byte-identical across
-//! `ROAM_PARALLEL` × `ROAM_TRANSPORT` × `ROAM_FLEET_SHARDS`, runs
+//! `ROAM_PARALLEL` × `ROAM_FLEET_SHARDS`, runs
 //! complete with explicit `failed` rows instead of aborting, and the
 //! degradation summary is populated.
 
 use roam_bench::CampaignRunner;
 use roamsim::fleet::FleetRunner;
 use roamsim::measure::{Dataset, Exporter};
-use roamsim::netsim::{FaultSpec, TransportKind};
+use roamsim::netsim::FaultSpec;
 
 const SEED: u64 = 31;
 
 /// Every dataset a campaign exports, concatenated — the byte-identity
 /// boundary for the campaign half of the matrix.
-fn campaign_bytes(workers: usize, transport: TransportKind) -> (String, u64, u64) {
+fn campaign_bytes(workers: usize) -> (String, u64, u64) {
     let run = CampaignRunner::new(SEED)
         .scale(0.05)
         .parallel(workers)
-        .transport(transport)
         .faults(FaultSpec::heavy())
         .run();
     let mut bytes = String::new();
@@ -36,8 +35,8 @@ fn campaign_bytes(workers: usize, transport: TransportKind) -> (String, u64, u64
 
 #[test]
 fn degraded_runs_are_matrix_invariant_and_explicit() {
-    // -- campaign half: workers × transport under a heavy schedule --
-    let (base, failed, degraded) = campaign_bytes(1, TransportKind::ClosedForm);
+    // -- campaign half: workers under a heavy schedule --
+    let (base, failed, degraded) = campaign_bytes(1);
     assert!(
         failed > 0,
         "heavy faults must surface explicit failed rows, not silent gaps"
@@ -49,30 +48,20 @@ fn degraded_runs_are_matrix_invariant_and_explicit() {
             .any(|l| l.ends_with(",timeout") || l.ends_with(",unreachable")),
         "no failed row made it into the exports"
     );
-    for (workers, transport) in [
-        (4, TransportKind::ClosedForm),
-        (1, TransportKind::Engine),
-        (4, TransportKind::Engine),
-    ] {
-        let (bytes, f, d) = campaign_bytes(workers, transport);
-        assert_eq!(
-            base, bytes,
-            "campaign exports diverged at workers={workers}, {transport:?}"
-        );
-        assert_eq!((failed, degraded), (f, d));
-    }
+    let (bytes, f, d) = campaign_bytes(4);
+    assert_eq!(base, bytes, "campaign exports diverged at workers=4");
+    assert_eq!((failed, degraded), (f, d));
 
-    // -- fleet half: shards × workers × transport, 1.5k users --
-    let fleet = |shards: usize, workers: usize, transport: TransportKind| {
+    // -- fleet half: shards × workers, 1.5k users --
+    let fleet = |shards: usize, workers: usize| {
         FleetRunner::new(SEED)
             .users(1_500)
             .shards(shards)
             .parallel(workers)
-            .transport(transport)
             .faults(FaultSpec::heavy())
             .run()
     };
-    let base_run = fleet(1, 1, TransportKind::ClosedForm);
+    let base_run = fleet(1, 1);
     let base_render = base_run.report.render();
     assert!(
         base_render.contains("degradation:"),
@@ -80,16 +69,12 @@ fn degraded_runs_are_matrix_invariant_and_explicit() {
     );
     assert!(base_run.report.degraded.degraded() > 0);
     // The per-shard summaries fold exactly into the report's total.
-    for (shards, workers, transport) in [
-        (3, 1, TransportKind::ClosedForm),
-        (3, 4, TransportKind::Engine),
-        (5, 2, TransportKind::Engine),
-    ] {
-        let run = fleet(shards, workers, transport);
+    for (shards, workers) in [(3, 1), (3, 4), (5, 2)] {
+        let run = fleet(shards, workers);
         assert_eq!(
             base_render,
             run.report.render(),
-            "fleet report diverged at shards={shards}, workers={workers}, {transport:?}"
+            "fleet report diverged at shards={shards}, workers={workers}"
         );
         assert_eq!(run.degraded.len(), shards, "one summary per shard");
         let mut total = roamsim::measure::DegradationSummary::default();

@@ -1,43 +1,34 @@
 //! The fleet determinism contract: [`FleetReport::render`] is
-//! byte-identical across shard counts, worker counts and transport
-//! backends. Shard count cannot matter because every shard builds the
-//! same staged world and users only ever touch their own RNG streams;
-//! workers cannot matter because shards merge in index order through
-//! exactly-associative state; the transport cannot matter because only
-//! transport-independent observables (packet-walk RTTs, resolver
-//! lookups, drawn workload sizes) enter the report.
+//! byte-identical across shard counts and worker counts. Shard count
+//! cannot matter because every shard starts from the same set-up network
+//! and users only ever touch their own RNG streams; workers cannot matter
+//! because shards merge in index order through exactly-associative
+//! state. Only packet-walk RTTs, resolver lookups and drawn workload
+//! sizes enter the report. (The test names still say "transports": the
+//! transfer model used to be a third axis, and it has one value now.)
 
 use roamsim::fleet::FleetRunner;
-use roamsim::netsim::TransportKind;
 use roamsim::telemetry::TelemetryMode;
 
 const SEED: u64 = 23;
 const USERS: u64 = 1_500;
 
-// shards × workers × transport — every axis the report must be blind to.
-const MATRIX: [(usize, usize, TransportKind); 6] = [
-    (1, 1, TransportKind::ClosedForm),
-    (3, 1, TransportKind::ClosedForm),
-    (3, 4, TransportKind::ClosedForm),
-    (1, 1, TransportKind::Engine),
-    (3, 4, TransportKind::Engine),
-    (5, 2, TransportKind::Engine),
-];
+// shards × workers — every axis the report must be blind to.
+const MATRIX: [(usize, usize); 4] = [(1, 1), (3, 1), (3, 4), (5, 2)];
 
 #[test]
 fn fleet_report_bytes_survive_shards_workers_and_transports() {
     let mut renders = Vec::new();
-    for (shards, workers, transport) in MATRIX {
+    for (shards, workers) in MATRIX {
         let run = FleetRunner::new(SEED)
             .users(USERS)
             .shards(shards)
             .parallel(workers)
-            .transport(transport)
             .run();
         assert_eq!(run.timings.len(), shards, "one timing per shard");
-        renders.push((shards, workers, transport, run.report.render()));
+        renders.push((shards, workers, run.report.render()));
     }
-    let (_, _, _, base) = &renders[0];
+    let (_, _, base) = &renders[0];
     // Not trivially empty: the whole population ran and every session
     // kind fired.
     assert!(base.contains(&format!("users                {USERS}")));
@@ -45,10 +36,10 @@ fn fleet_report_bytes_survive_shards_workers_and_transports() {
     for needle in ["rtt_probes", "dns_lookups", "transfers", "spend_usd"] {
         assert!(base.contains(needle), "report lost its {needle} line");
     }
-    for (shards, workers, transport, render) in &renders[1..] {
+    for (shards, workers, render) in &renders[1..] {
         assert_eq!(
             base, render,
-            "fleet report diverged at shards={shards}, workers={workers}, {transport:?}"
+            "fleet report diverged at shards={shards}, workers={workers}"
         );
     }
 }
@@ -56,18 +47,13 @@ fn fleet_report_bytes_survive_shards_workers_and_transports() {
 #[test]
 fn telemetry_is_worker_and_transport_invariant_at_fixed_shards() {
     // Telemetry sees the shard structure (`shards_merged`), so unlike the
-    // report it is only pinned across workers × transport.
+    // report it is only pinned across workers.
     let mut renders = Vec::new();
-    for (workers, transport) in [
-        (1, TransportKind::ClosedForm),
-        (4, TransportKind::ClosedForm),
-        (4, TransportKind::Engine),
-    ] {
+    for workers in [1, 4] {
         let run = FleetRunner::new(SEED)
             .users(400)
             .shards(2)
             .parallel(workers)
-            .transport(transport)
             .telemetry(TelemetryMode::Summary)
             .run();
         renders.push(run.telemetry.render());
@@ -76,7 +62,6 @@ fn telemetry_is_worker_and_transport_invariant_at_fixed_shards() {
     assert!(renders[0].contains("fleet_sessions"));
     assert!(renders[0].contains("fleet_purchases"));
     assert_eq!(renders[0], renders[1]);
-    assert_eq!(renders[0], renders[2]);
 }
 
 #[test]

@@ -1,14 +1,13 @@
 //! Order insensitivity: every measurement in a device-campaign plan runs
 //! on its own flow, keyed by the attachment's flow stamp and the plan
 //! entry's label — never by execution order. Permuting the plan must
-//! therefore permute the records and change nothing else, under both the
-//! closed-form transport and the discrete-event engine.
+//! therefore permute the records and change nothing else.
 
 use roamsim::geo::Country;
 use roamsim::measure::{
     run_measurement, CampaignData, DeviceCampaignSpec, Endpoint, Exporter, PlannedMeasurement,
 };
-use roamsim::netsim::{Network, TransportKind};
+use roamsim::netsim::Network;
 use roamsim::world::World;
 
 /// Run one plan entry in isolation and serialize whatever it produced.
@@ -40,9 +39,9 @@ fn run_plan(
         .collect()
 }
 
-fn check_permutation_invariance(transport: TransportKind) {
+#[test]
+fn permuted_plan_yields_identical_records_per_flow_key() {
     let mut world = World::build(29);
-    world.net.set_transport(transport);
     let ep = world.attach_esim(Country::PAK);
     let spec = DeviceCampaignSpec {
         ookla: (2, 2),
@@ -76,10 +75,4 @@ fn check_permutation_invariance(transport: TransportKind) {
             );
         }
     }
-}
-
-#[test]
-fn permuted_plan_yields_identical_records_per_flow_key() {
-    check_permutation_invariance(TransportKind::ClosedForm);
-    check_permutation_invariance(TransportKind::Engine);
 }
