@@ -2,7 +2,7 @@
 # Kill-and-resume determinism harness for the fleet checkpoint plane.
 #
 # One invocation = one scenario, shaped entirely by the environment
-# (ROAM_PARALLEL, ROAM_TRANSPORT, ROAM_FAULTS, ROAM_FLEET_WORKERS, ...):
+# (ROAM_PARALLEL, ROAM_FAULTS, ROAM_FLEET_WORKERS, ...):
 #
 #   1. run fleet_smoke straight through (no checkpointing) as reference;
 #   2. run it again with ROAM_CHECKPOINT_DIR set, poll for the first

@@ -2,7 +2,7 @@
 # SIGTERM-and-resume soak harness for the long-running measurement agent.
 #
 # One invocation = one scenario, shaped entirely by the environment
-# (ROAM_PARALLEL, ROAM_TRANSPORT, ROAM_FAULTS,
+# (ROAM_PARALLEL, ROAM_FAULTS,
 # ROAM_SERVICE_*):
 #
 #   1. run roam_agent straight through for the full horizon (no

@@ -2,7 +2,7 @@
 # Worker-fault chaos harness for the supervised fleet backend.
 #
 # One invocation = two scenarios against one clean reference, shaped by
-# the environment (ROAM_FLEET_USERS, ROAM_FAULTS, ROAM_TRANSPORT, ...):
+# the environment (ROAM_FLEET_USERS, ROAM_FAULTS, ...):
 #
 #   1. injected chaos: fleet_smoke on the worker backend under
 #      ROAM_WORKER_FAULTS=heavy — keyed crashes, stalls, torn result
