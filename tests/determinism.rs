@@ -164,3 +164,96 @@ fn visibility_experiment_is_deterministic() {
     assert_eq!(run(5), run(5));
     assert_ne!(run(5).2, run(6).2);
 }
+
+/// FNV-1a-64 digests of columnar table bytes, so a change to the ingest
+/// path cannot move the frame or CSV bytes without failing here:
+/// `Table::to_frame` and `render_csv` of the fleet sessions table (seed 1,
+/// 2 000 users), of a synthetic table one chunk and ten rows long that
+/// covers every column kind, nulls and CSV quoting, and of the agent's
+/// `soak_frame` over fixed rows.
+#[test]
+fn table_frames_are_pinned() {
+    use roam_codec::hash64;
+    use roamsim::columnar::{
+        field, render_csv, CellValue, ColKind, Schema, Table, TableBuilder, CHUNK_ROWS,
+    };
+    use roamsim::fleet::{FleetConfig, SessionRows, UserBatch};
+    use roamsim::measure::{ColumnarSink, Dataset, Exporter};
+    use roamsim::service::{agent::soak_frame, SoakRow};
+
+    let digests = |t: &Table| {
+        let mut csv = String::new();
+        render_csv(t, &mut csv);
+        [hash64(&t.to_frame()), hash64(csv.as_bytes())]
+    };
+
+    let sessions = UserBatch {
+        record_sessions: true,
+        ..UserBatch::new(1, FleetConfig::default(), 0, 2_000)
+    }
+    .run()
+    .sessions;
+    let mut sink = ColumnarSink::new();
+    SessionRows(&sessions).export_rows(Dataset::Sessions, &mut sink);
+    let sessions = sink
+        .into_table(Dataset::Sessions)
+        .expect("the batch records sessions");
+
+    let mut b = TableBuilder::new(Schema::new(vec![
+        field("n", ColKind::U32),
+        field("ip", ColKind::Ipv4),
+        field("ms", ColKind::F64 { prec: 3 }),
+        field("status", ColKind::enumeration(&["ok", "timeout", "a,b"])),
+        field("label", ColKind::Dict),
+    ]));
+    let labels = ["PAK", "ARE", "say \"hi\"", "x,y", "PAK"];
+    let floats = [
+        Some(1.25),
+        Some(f64::NAN),
+        Some(f64::INFINITY),
+        Some(f64::NEG_INFINITY),
+        None,
+        Some(-0.0005),
+    ];
+    for i in 0..CHUNK_ROWS as u32 + 10 {
+        let label = match i % 7 {
+            6 => None,
+            k if k % 2 == 0 => Some(labels[(i as usize / 2) % labels.len()]),
+            _ => Some(labels[1]),
+        };
+        b.push_row(&[
+            CellValue::U32((i % 5 != 0).then_some(i)),
+            CellValue::U32((i % 3 != 0).then(|| i.wrapping_mul(2_654_435_761))),
+            CellValue::F64(floats[i as usize % floats.len()].map(|x| x * f64::from(i))),
+            CellValue::Code((i % 3) as u8),
+            CellValue::Str(label),
+        ]);
+    }
+    let synthetic = b.finish();
+
+    let countries = ["PAK", "DEU", "KOR"];
+    let soak: Vec<SoakRow> = (0..500u32)
+        .map(|i| SoakRow {
+            week: u64::from(i / 40),
+            country: countries[i as usize % countries.len()],
+            kind: (i % 2) as u8,
+            ms: (i % 9 != 0).then(|| f64::from(i) * 0.37),
+            status: (i % 4) as u8,
+        })
+        .collect();
+
+    let [sf, sc] = digests(&sessions);
+    let [yf, yc] = digests(&synthetic);
+    let got = [sf, sc, yf, yc, hash64(&soak_frame(&soak))];
+    let want: [u64; 5] = [
+        // sessions: frame, CSV
+        0x1e77_2540_5b72_73f7,
+        0x0519_b3b0_dca2_5bdd,
+        // synthetic: frame, CSV
+        0xcb2e_0fc8_b44b_9f4a,
+        0x57b5_fef1_8449_7ec6,
+        // soak_frame
+        0xacbf_f9e9_bf14_202e,
+    ];
+    assert_eq!(got, want, "table digests moved: {got:#018x?}");
+}
