@@ -141,7 +141,7 @@ impl Scheduler {
         next: Option<SimTime>,
     ) -> JobHandle {
         assert!(
-            period.is_none_or(|p| p > SimTime::ZERO),
+            period.map_or(true, |p| p > SimTime::ZERO),
             "job {id:?}: zero period would fire forever at one instant"
         );
         if let Some(at) = next {
