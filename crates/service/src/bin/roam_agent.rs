@@ -39,7 +39,7 @@ fn install_signals() {
     extern "C" fn on_signal(_sig: i32) {
         HALT.store(true, Ordering::Relaxed);
     }
-    unsafe extern "C" {
+    extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
     }
     const SIGINT: i32 = 2;
