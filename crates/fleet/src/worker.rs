@@ -432,9 +432,16 @@ pub(crate) fn read_worker_stream(mut input: impl std::io::Read, mut emit: impl F
                 }
             },
             Err(e) => {
-                emit(WorkerEvent::Violation(ProtocolViolation::Truncated(
-                    e.to_string(),
-                )));
+                // A header `read_from` refused is a frame fault, as it
+                // would be had the frame been read whole and parsed;
+                // any other error means the stream broke mid-frame.
+                let violation = match e.get_ref().and_then(|inner| inner.downcast_ref()) {
+                    Some(err) if e.kind() == std::io::ErrorKind::InvalidData => {
+                        ProtocolViolation::Frame(CodecError::clone(err))
+                    }
+                    _ => ProtocolViolation::Truncated(e.to_string()),
+                };
+                emit(WorkerEvent::Violation(violation));
                 return;
             }
         }
@@ -654,6 +661,42 @@ mod tests {
         assert!(matches!(
             parse_worker_frame(&future),
             Err(ProtocolViolation::WrongVersion(v)) if v == CKPT_VERSION + 1
+        ));
+    }
+
+    /// The one terminal event `read_worker_stream` emits for `bytes`.
+    fn stream_violation(bytes: &[u8]) -> ProtocolViolation {
+        let mut events = Vec::new();
+        read_worker_stream(bytes, |event| events.push(event));
+        match events.pop() {
+            Some(WorkerEvent::Violation(v)) if events.is_empty() => v,
+            _ => panic!("expected exactly one violation"),
+        }
+    }
+
+    #[test]
+    fn a_corrupt_stream_header_is_a_frame_violation_not_a_truncation() {
+        // A bad magic advertising 2^44 bytes: refused on its header
+        // before anything is allocated, and reported as a frame fault.
+        let mut alien = heartbeat_frame(0, 0);
+        alien[0..4].copy_from_slice(b"XXXX");
+        alien[10..18].copy_from_slice(&(1u64 << 44).to_le_bytes());
+        assert!(matches!(
+            stream_violation(&alien),
+            ProtocolViolation::Frame(CodecError::BadMagic)
+        ));
+        // A future wire version, with a plausible length.
+        let mut future = heartbeat_frame(0, 0);
+        future[4] ^= 0x80;
+        assert!(matches!(
+            stream_violation(&future),
+            ProtocolViolation::Frame(CodecError::UnsupportedVersion { .. })
+        ));
+        // A sound header whose stream ends early is a truncation.
+        let whole = heartbeat_frame(0, 0);
+        assert!(matches!(
+            stream_violation(&whole[..whole.len() - 1]),
+            ProtocolViolation::Truncated(_)
         ));
     }
 
