@@ -1,9 +1,8 @@
 //! Criterion micro/meso-benchmarks for the simulator's hot paths.
 //!
 //! These are performance benchmarks (the figure reproductions live in
-//! `src/bin/`): wire codecs, the event-driven traceroute walk, session
-//! establishment, routing, the statistics kernels, and the economics
-//! pipeline.
+//! `src/bin/`): the event-driven traceroute walk, session establishment,
+//! routing, the statistics kernels, and the economics pipeline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
@@ -13,23 +12,11 @@ use roam_econ::{median_per_gb_by_country, Crawler, Market, Vantage};
 use roam_geo::Country;
 use roam_measure::Service;
 use roam_netsim::engine::flow_seed;
-use roam_netsim::wire::GtpuHeader;
 use roam_netsim::{transfer_time_ms, FaultSpec, TracerouteOpts, TransferSpec};
 use roam_stats::test::LeveneCenter;
 use roam_stats::{levene_test, quantile, welch_t_test, Ecdf};
 use roam_world::World;
 use std::hint::black_box;
-
-fn bench_wire(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wire");
-    g.bench_function("gtpu_encap_decap", |b| {
-        b.iter(|| {
-            let t = GtpuHeader::encapsulate(0xBEEF, b"payload-of-a-probe");
-            black_box(GtpuHeader::decapsulate(&t).expect("self-encapsulated"))
-        })
-    });
-    g.finish();
-}
 
 fn bench_world(c: &mut Criterion) {
     let mut g = c.benchmark_group("world");
@@ -366,7 +353,6 @@ fn bench_checkpoint(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_wire,
     bench_world,
     bench_measure,
     bench_netsim,

@@ -21,13 +21,14 @@
 //!   v-MNO and slow for another (§4.3.2's Etisalat-vs-Jazz observation).
 
 pub mod breakout;
-pub mod gtpc;
 pub mod provider;
 pub mod session;
 
 pub use breakout::{BreakoutConfig, DnsMode, RoamingArch};
-pub use gtpc::{signalling_bytes_per_attach, Cause, GtpcMessage, GtpcMessageType};
 pub use provider::{
     IpAssignment, PgwProvider, PgwProviderId, PgwSelection, PgwSite, ProviderDirectory,
 };
-pub use session::{attach, try_attach, AttachError, AttachParams, Attachment, PeeringQuality};
+pub use session::{
+    attach, try_attach, AttachError, AttachParams, Attachment, PeeringQuality,
+    SIGNALLING_BYTES_PER_ATTACH,
+};

@@ -335,19 +335,17 @@ impl MeasurementEndpoint {
                     None => server.record_skip(self.id, job, SkipReason::NetworkFailure),
                 }
             }
-            Instrumentation::DnsCheck => {
-                match resolve_checked(net, &ep, targets, "test.nextdns.io", &label).ok() {
-                    Some(r) => data.dns.push(crate::campaign::DnsRecord {
-                        tag,
-                        lookup_ms: r.lookup_ms,
-                        attempts: r.attempts,
-                        resolver_city: Some(r.resolver_city),
-                        doh: r.doh,
-                        status: r.status,
-                    }),
-                    None => server.record_skip(self.id, job, SkipReason::NetworkFailure),
-                }
-            }
+            Instrumentation::DnsCheck => match resolve_checked(net, &ep, targets, &label).ok() {
+                Some(r) => data.dns.push(crate::campaign::DnsRecord {
+                    tag,
+                    lookup_ms: r.lookup_ms,
+                    attempts: r.attempts,
+                    resolver_city: Some(r.resolver_city),
+                    doh: r.doh,
+                    status: r.status,
+                }),
+                None => server.record_skip(self.id, job, SkipReason::NetworkFailure),
+            },
             Instrumentation::Video => match play_youtube(net, &ep, targets, &label) {
                 Some(r) => data.videos.push(crate::campaign::VideoRecord {
                     tag,

@@ -480,7 +480,7 @@ fn execute_measurement(
             }
         }
         PlannedMeasurement::Dns(i) => {
-            match resolve_checked(net, ep, targets, "test.nextdns.io", &format!("dns/{i}")) {
+            match resolve_checked(net, ep, targets, &format!("dns/{i}")) {
                 Ok(r) => data.dns.push(DnsRecord {
                     tag,
                     lookup_ms: r.lookup_ms,
@@ -570,7 +570,7 @@ pub fn run_web_measurement(
     targets: &ServiceTargets,
     label: &str,
 ) -> Option<WebRecord> {
-    let dns = resolve_checked(net, ep, targets, "test.nextdns.io", &format!("{label}/dns")).ok()?;
+    let dns = resolve_checked(net, ep, targets, &format!("{label}/dns")).ok()?;
     let fast = fastcom_test(net, ep, targets, label)?;
     Some(WebRecord {
         country: ep.country,

@@ -54,18 +54,6 @@ impl CdnProvider {
             CdnProvider::MicrosoftAjax => "Microsoft Ajax",
         }
     }
-
-    /// Hostname used for the DNS lookup.
-    #[must_use]
-    pub fn hostname(&self) -> &'static str {
-        match self {
-            CdnProvider::Cloudflare => "cdnjs.cloudflare.com",
-            CdnProvider::GoogleCdn => "ajax.googleapis.com",
-            CdnProvider::JsDelivr => "cdn.jsdelivr.net",
-            CdnProvider::JQuery => "code.jquery.com",
-            CdnProvider::MicrosoftAjax => "ajax.aspnetcdn.com",
-        }
-    }
 }
 
 impl std::fmt::Display for CdnProvider {
@@ -133,13 +121,7 @@ pub fn fetch_jquery_checked(
     opts: CdnOptions,
     label: &str,
 ) -> Result<CdnResult, MeasureError> {
-    let dns = resolve_checked(
-        net,
-        endpoint,
-        targets,
-        provider.hostname(),
-        &format!("{label}/dns"),
-    )?;
+    let dns = resolve_checked(net, endpoint, targets, &format!("{label}/dns"))?;
     let edge = targets
         .nearest(net, Service::Cdn(provider), endpoint.att.breakout_city)
         .ok_or(MeasureError::NoTarget)?;
@@ -371,7 +353,6 @@ mod tests {
         assert_eq!(CdnProvider::ALL.len(), 5);
         for p in CdnProvider::ALL {
             assert!(!p.name().is_empty());
-            assert!(p.hostname().contains('.'));
         }
     }
 

@@ -6,8 +6,6 @@
 //! * a **node/link graph** with geographically derived propagation delays
 //!   (great-circle distance × fiber speed × a circuitousness factor per link
 //!   class), per-hop processing delay, bounded jitter, and loss injection;
-//! * real **wire formats** for the tunnel and resolver traffic (GTP-U,
-//!   DNS) encoded and decoded through [`bytes`];
 //! * a **hop-by-hop packet walk** ([`net::Network::traceroute`],
 //!   [`net::Network::ping`]) that decrements each probe's TTL at every
 //!   router and answers expiry with a time-exceeded retracing the path;
@@ -37,7 +35,6 @@ pub mod net;
 pub mod registry;
 pub mod throughput;
 pub mod time;
-pub mod wire;
 
 pub use engine::{flow_seed, Flow, FlowId};
 pub use faults::{FaultCalendar, FaultPlane, FaultSpec, GilbertElliott, NodeFaultState};

@@ -8,8 +8,7 @@
 //! walk clock's arrival time back at the source — jitter, loss, fault
 //! outages and unresponsive hops included. One walk kernel serves pings and
 //! traceroutes alike and books every packet event with the telemetry
-//! recorder, which drops them unless it is on. The on-wire formats live
-//! in [`crate::wire`].
+//! recorder, which drops them unless it is on.
 
 use crate::engine::Flow;
 use crate::faults::{FaultPlane, FaultSpec, NodeFaultState};

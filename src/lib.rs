@@ -18,7 +18,7 @@
 //! | [`columnar`] | `roam-columnar` | zero-copy column pages + streaming query engine |
 //! | [`geo`] | `roam-geo` | geodesy, country/city gazetteer |
 //! | [`stats`] | `roam-stats` | quantiles, CDFs, Welch t, Levene |
-//! | [`netsim`] | `roam-netsim` | packet-level network simulator (wire formats, TTL/ICMP, CG-NAT, throughput) |
+//! | [`netsim`] | `roam-netsim` | packet-level network simulator (TTL/ICMP, CG-NAT, throughput) |
 //! | [`cellular`] | `roam-cellular` | PLMN/IMSI, radio/CQI, operators, SIM/eSIM + RSP |
 //! | [`ipx`] | `roam-ipx` | PGW providers, HR/LBO/IHBO, GTP sessions |
 //! | [`core`] | `roam-core` | thick-MNA model + tomography (the paper's contribution) |

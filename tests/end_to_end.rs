@@ -128,14 +128,7 @@ fn measurement_clients_work_on_every_archetype() {
             "{country} cdn"
         );
         assert!(
-            resolve_checked(
-                &mut world.net,
-                &ep,
-                &world.internet.targets,
-                "example.org",
-                "e2e/dns"
-            )
-            .is_ok(),
+            resolve_checked(&mut world.net, &ep, &world.internet.targets, "e2e/dns").is_ok(),
             "{country} dns"
         );
         assert!(
@@ -150,7 +143,7 @@ fn dns_mode_follows_architecture() {
     let mut world = World::build(15);
     // HR: operator resolver in Singapore.
     let hr = world.attach_esim(Country::PAK);
-    let r = resolve_checked(&mut world.net, &hr, &world.internet.targets, "x.org", "d/0")
+    let r = resolve_checked(&mut world.net, &hr, &world.internet.targets, "d/0")
         .expect("resolver reachable");
     assert!(!r.doh);
     assert_eq!(
@@ -160,14 +153,8 @@ fn dns_mode_follows_architecture() {
     );
     // IHBO: Google DoH near the PGW.
     let ihbo = world.attach_esim(Country::GEO);
-    let r2 = resolve_checked(
-        &mut world.net,
-        &ihbo,
-        &world.internet.targets,
-        "x.org",
-        "d/1",
-    )
-    .expect("resolver reachable");
+    let r2 = resolve_checked(&mut world.net, &ihbo, &world.internet.targets, "d/1")
+        .expect("resolver reachable");
     assert!(r2.doh, "IHBO uses DoH (the forgotten Android default)");
     let pgw_country = ihbo.att.breakout_city.country();
     // Anycast may flip to the second-nearest site, but it stays regional.
