@@ -1,43 +1,45 @@
 //! `run_fingerprint` folds a market of tens of thousands of offers, but
 //! it hashes their encoding as it is written: beyond building the world
 //! (with its own structural fingerprint) and the market, it allocates
-//! nothing that grows with them.
+//! nothing that grows with them. A ping on a cached route allocates
+//! nothing at all, with faults or telemetry on or off.
 //!
-//! This test owns its binary because it installs a counting global
-//! allocator. The allocator counts only on threads that switch
-//! counting on, so the test harness's own threads do not disturb it.
+//! These tests own their binary because it installs a counting global
+//! allocator. The allocator counts per thread, and only on threads that
+//! switch counting on, so neither the test harness's own threads nor the
+//! other test running alongside disturb a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use roam_econ::Market;
 use roam_fleet::checkpoint::run_fingerprint;
 use roam_fleet::FleetConfig;
+use roam_geo::Country;
+use roam_measure::Service;
 use roam_netsim::FaultSpec;
 use roam_telemetry::TelemetryMode;
 use roam_world::World;
 
 struct Counting;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations and bytes counted on this thread; `None` when not
+    /// counting.
+    static COUNTS: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
 fn note(size: usize) {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(size, Ordering::Relaxed);
-    }
+    let _ = COUNTS.try_with(|c| {
+        if let Some((allocs, bytes)) = c.get() {
+            c.set(Some((allocs + 1, bytes + size)));
+        }
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // whose contract is the one `GlobalAlloc` states; counting touches only
-// atomics and a thread-local without a destructor, and allocates
-// nothing itself.
+// a thread-local without a destructor, and allocates nothing itself.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -64,17 +66,9 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations and bytes requested by `f` on this thread.
 fn allocs_in(f: impl FnOnce()) -> (usize, usize) {
-    let before = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    COUNTING.with(|c| c.set(true));
+    COUNTS.with(|c| c.set(Some((0, 0))));
     f();
-    COUNTING.with(|c| c.set(false));
-    (
-        ALLOCS.load(Ordering::Relaxed) - before.0,
-        BYTES.load(Ordering::Relaxed) - before.1,
-    )
+    COUNTS.with(|c| c.replace(None)).expect("counting was on")
 }
 
 /// What the fingerprint may allocate beyond its world and market: the
@@ -104,6 +98,51 @@ fn fingerprint_allocates_only_its_world_and_market() {
             total <= inputs + EXTRA_ALLOCS && total_bytes <= input_bytes + EXTRA_BYTES,
             "seed {seed}: run_fingerprint made {total} allocations of {total_bytes} B; \
              its world and market alone make {inputs} of {input_bytes} B"
+        );
+    }
+}
+
+#[test]
+fn a_ping_on_a_cached_route_allocates_nothing() {
+    let settings = [
+        (
+            "faults and telemetry off",
+            FaultSpec::off(),
+            TelemetryMode::Off,
+        ),
+        ("heavy faults", FaultSpec::heavy(), TelemetryMode::Off),
+        (
+            "summary telemetry",
+            FaultSpec::off(),
+            TelemetryMode::Summary,
+        ),
+    ];
+    for (name, faults, mode) in settings {
+        let mut world = World::build(7);
+        world.net.set_faults(faults);
+        world.net.set_telemetry_mode(mode);
+        let ep = world.attach_esim(Country::PAK);
+        let google = world
+            .internet
+            .targets
+            .nearest(&world.net, Service::Google, ep.att.breakout_city)
+            .expect("google edge");
+        let _ = world.net.route(ep.att.ue, google);
+        for _ in 0..100 {
+            std::hint::black_box(world.net.ping(ep.att.ue, google));
+        }
+        let mut answered = 0;
+        let (allocs, bytes) = allocs_in(|| {
+            for _ in 0..1_000 {
+                let pong = std::hint::black_box(world.net.ping(ep.att.ue, google));
+                answered += usize::from(pong.is_some());
+            }
+        });
+        assert!(answered > 0, "{name}: no ping was answered");
+        assert_eq!(
+            (allocs, bytes),
+            (0, 0),
+            "{name}: 1,000 warm pings made {allocs} allocations of {bytes} B"
         );
     }
 }
