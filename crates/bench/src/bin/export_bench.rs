@@ -15,8 +15,8 @@
 //!   the streaming query engine over the pages.
 //!
 //! Both sides must produce the same answer (asserted) — the race is
-//! fair by construction. Stderr carries the machine-parseable gate
-//! lines `scripts/bench_json.sh` consumes:
+//! fair by construction. Stderr carries machine-parseable lines; the CI
+//! export gate reads `export_bench_speedup`:
 //!
 //! ```text
 //! export_bench_csv_mb_per_sec: …        # CSV bytes rendered / sec

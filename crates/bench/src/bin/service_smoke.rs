@@ -16,9 +16,9 @@
 //! a session record through the bounded export queue, so the rate covers
 //! both the virtual-clock loop and the streaming path.
 //!
-//! Knobs: `ROAM_SERVICE_*` (sizing), `ROAM_SERVICE_BENCH_DAYS` (horizon,
-//! default 30), `ROAM_SEED`, plus the repo-wide `ROAM_PARALLEL`,
-//! `ROAM_FAULTS`, `ROAM_TELEMETRY`.
+//! The horizon is fixed at [`DAYS`] simulated days. Knobs:
+//! `ROAM_SERVICE_*` (sizing), `ROAM_SEED`, plus the repo-wide
+//! `ROAM_PARALLEL`, `ROAM_FAULTS`, `ROAM_TELEMETRY`.
 //!
 //! [`AgentRun::render`]: roam_service::AgentRun::render
 
@@ -28,15 +28,14 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// Simulated days the agent runs for.
+const DAYS: u64 = 30;
+
 fn main() -> ExitCode {
     let seed = std::env::var("ROAM_SEED")
         .ok()
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or(42);
-    let days = std::env::var("ROAM_SERVICE_BENCH_DAYS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(30);
 
     let config = ServiceConfig::from_env();
     let agent = match Agent::new(seed, config) {
@@ -53,7 +52,7 @@ fn main() -> ExitCode {
         .sink(Arc::new(Mutex::new(MemorySink::new())));
 
     let started = Instant::now();
-    let run = match agent.run(Horizon::SimDays(days), None) {
+    let run = match agent.run(Horizon::SimDays(DAYS), None) {
         Ok(run) => run,
         Err(err) => {
             eprintln!("service_smoke: {err}");
@@ -65,7 +64,7 @@ fn main() -> ExitCode {
     print!("{}", run.render());
 
     eprintln!(
-        "service_smoke: {days} sim-days, {} fires, {} sessions streamed, {} soak rows in {wall:.2}s",
+        "service_smoke: {DAYS} sim-days, {} fires, {} sessions streamed, {} soak rows in {wall:.2}s",
         run.fires,
         run.streamed,
         run.soak.len()

@@ -26,7 +26,7 @@ use roam_geo::Country;
 use roam_measure::{resolve_timing, Endpoint, MeasureError, MeasureStatus, ResolverPlan, Service};
 use roam_netsim::engine::flow_seed;
 use roam_netsim::{Network, NodeId, RunKnobs};
-use roam_telemetry::{Counter, Sink, TelemetrySnapshot};
+use roam_telemetry::{Counter, TelemetrySnapshot};
 use roam_world::World;
 use std::time::Instant;
 

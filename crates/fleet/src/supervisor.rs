@@ -59,7 +59,7 @@ use crate::exec::{run_fleet_shard, RunInputs, ShardOutcome, ShardSpec};
 use crate::worker::{self, WorkerEvent, WorkerJob};
 use roam_codec::CodecError;
 use roam_netsim::engine::flow_seed;
-use roam_telemetry::{Counter, Recorder, Sink as _, TelemetrySnapshot};
+use roam_telemetry::{Counter, Recorder, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

@@ -20,7 +20,7 @@ use roam_core::PathAnalysis;
 use roam_geo::{City, Country};
 use roam_ipx::RoamingArch;
 use roam_netsim::Network;
-use roam_telemetry::{Counter, Event, EventScope, Sink};
+use roam_telemetry::{Counter, Event, EventScope};
 use std::net::Ipv4Addr;
 
 /// Context tag attached to every record.

@@ -14,7 +14,7 @@ use roam_netsim::engine::{flow_seed, Flow};
 use roam_netsim::{
     throughput, Network, NodeId, PingResult, ProbeError, Traceroute, TracerouteOpts, TransferSpec,
 };
-use roam_telemetry::{Counter, Event, EventScope, Hist, Sink};
+use roam_telemetry::{Counter, Event, EventScope, Hist};
 
 /// Everything a measurement client needs to know about the device it runs
 /// on: the attachment (node handles, breakout, DNS mode) and the resolved

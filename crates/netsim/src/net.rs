@@ -19,7 +19,7 @@ use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use roam_geo::City;
-use roam_telemetry::{Counter, Hist, Recorder, Sink, TelemetryMode, TelemetrySnapshot};
+use roam_telemetry::{Counter, Hist, Recorder, TelemetryMode, TelemetrySnapshot};
 use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;

@@ -39,7 +39,7 @@ use roam_fleet::{
 use roam_geo::Country;
 use roam_measure::{status_code, MeasureError, RunMode, STATUS_LABELS};
 use roam_netsim::{FaultSpec, SimTime};
-use roam_telemetry::{Counter, Recorder, Sink as _, TelemetryMode, TelemetryReport};
+use roam_telemetry::{Counter, Recorder, TelemetryMode, TelemetryReport};
 use roam_world::World;
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -347,38 +347,6 @@ pub struct PacketRecord {
     pub arg: u8,
 }
 
-/// The statically-dispatched recording surface. [`Recorder`] implements it
-/// for real; [`NoopSink`] implements it as empty inline bodies, which is
-/// what the disabled-telemetry Criterion comparison in `crates/bench`
-/// measures against.
-pub trait Sink {
-    /// Add `n` to a counter.
-    fn add(&mut self, c: Counter, n: u64);
-    /// Record one histogram observation.
-    fn observe(&mut self, h: Hist, value: f64);
-    /// Record a structured event.
-    fn push_event(&mut self, ev: Event);
-    /// Is anything being recorded?
-    fn active(&self) -> bool;
-}
-
-/// The no-op recorder: every method compiles to nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    #[inline(always)]
-    fn add(&mut self, _c: Counter, _n: u64) {}
-    #[inline(always)]
-    fn observe(&mut self, _h: Hist, _value: f64) {}
-    #[inline(always)]
-    fn push_event(&mut self, _ev: Event) {}
-    #[inline(always)]
-    fn active(&self) -> bool {
-        false
-    }
-}
-
 /// Everything one recorder accumulated: the unit of cross-shard merging.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
@@ -476,6 +444,37 @@ impl Recorder {
         &self.packets
     }
 
+    /// Add `n` to a counter.
+    #[inline]
+    pub fn add(&mut self, c: Counter, n: u64) {
+        if self.mode.enabled() {
+            self.snap.counters[c as usize] += n;
+        }
+    }
+
+    /// Record one histogram observation.
+    #[inline]
+    pub fn observe(&mut self, h: Hist, value: f64) {
+        if self.mode.enabled() {
+            self.snap.hists[h as usize].observe(value);
+        }
+    }
+
+    /// Record a structured event.
+    #[inline]
+    pub fn push_event(&mut self, ev: Event) {
+        if self.mode.wants_events() {
+            self.snap.events.push(ev);
+        }
+    }
+
+    /// Is anything being recorded?
+    #[inline]
+    #[must_use]
+    pub fn active(&self) -> bool {
+        self.mode.enabled() || self.trace_packets
+    }
+
     /// Record one packet-level event (no-op unless tracing is enabled).
     #[inline]
     pub fn packet(&mut self, at_ns: u64, node: u32, code: u8, arg: u8) {
@@ -513,34 +512,6 @@ impl Recorder {
     /// not (float addition is not associative).
     pub fn restore(&mut self, snap: TelemetrySnapshot) {
         self.snap = snap;
-    }
-}
-
-impl Sink for Recorder {
-    #[inline]
-    fn add(&mut self, c: Counter, n: u64) {
-        if self.mode.enabled() {
-            self.snap.counters[c as usize] += n;
-        }
-    }
-
-    #[inline]
-    fn observe(&mut self, h: Hist, value: f64) {
-        if self.mode.enabled() {
-            self.snap.hists[h as usize].observe(value);
-        }
-    }
-
-    #[inline]
-    fn push_event(&mut self, ev: Event) {
-        if self.mode.wants_events() {
-            self.snap.events.push(ev);
-        }
-    }
-
-    #[inline]
-    fn active(&self) -> bool {
-        self.mode.enabled() || self.trace_packets
     }
 }
 
@@ -860,14 +831,6 @@ mod tests {
         let empty = r.take();
         assert_eq!(empty.counters[Counter::FlowsOpened as usize], 0);
         assert_eq!(r.mode(), TelemetryMode::Summary);
-    }
-
-    #[test]
-    fn noop_sink_is_inert() {
-        let mut s = NoopSink;
-        s.add(Counter::PacketsSent, 1);
-        s.observe(Hist::ProbeRttMs, 1.0);
-        assert!(!s.active());
     }
 
     fn busy_snapshot() -> TelemetrySnapshot {

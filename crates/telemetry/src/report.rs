@@ -177,7 +177,7 @@ pub fn merge_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, Sink};
+    use crate::recorder::Recorder;
 
     fn snap(rtt: f64) -> TelemetrySnapshot {
         let mut r = Recorder::new(TelemetryMode::Jsonl);

@@ -8,8 +8,7 @@
 use proptest::prelude::*;
 use roam_codec::{Decoder, Encoder};
 use roam_telemetry::{
-    merge_shards, Counter, Event, EventScope, Hist, Recorder, Sink, TelemetryMode,
-    TelemetrySnapshot,
+    merge_shards, Counter, Event, EventScope, Hist, Recorder, TelemetryMode, TelemetrySnapshot,
 };
 
 /// One recorded action: a counter bump, a histogram observation or an
