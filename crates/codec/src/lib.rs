@@ -31,7 +31,7 @@
 //! the same fields into any [`Sink`]: [`Fnv64`] hashes an encoding and
 //! [`ByteCount`] sizes one without either ever being built.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Wire-format version stamped into every [`Frame`]. Bump when the field
 /// encoding itself (not a payload schema) changes shape.
@@ -210,6 +210,16 @@ impl Sink for Fnv64 {
     }
 }
 
+/// Formatted text written straight into a [`Sink`].
+struct SinkText<'s, S>(&'s mut S);
+
+impl<S: Sink> fmt::Write for SinkText<'_, S> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.put_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// A sink that keeps only the number of bytes it was given: the length
 /// of an encoding, without the encoding.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -346,6 +356,20 @@ impl<S: Sink> FieldWriter<S> {
     #[inline]
     pub fn str(&mut self, tag: u32, s: &str) {
         self.bytes(tag, s.as_bytes());
+    }
+
+    /// Write a string field holding formatted text without building the
+    /// string: one pass formats into a [`ByteCount`] for the length, a
+    /// second streams the text into this writer's sink. The bytes are
+    /// those of [`FieldWriter::str`] over `text.to_string()`, provided
+    /// the text formats the same both times (as derived `Debug` does).
+    pub fn str_fmt(&mut self, tag: u32, text: fmt::Arguments<'_>) {
+        const FAILED: &str = "a formatting trait implementation returned an error";
+        let mut len = ByteCount::default();
+        SinkText(&mut len).write_fmt(text).expect(FAILED);
+        self.header(tag, WIRE_BYTES);
+        write_varint(&mut self.sink, len.total());
+        SinkText(&mut self.sink).write_fmt(text).expect(FAILED);
     }
 
     /// Write a nested section: a tagged, length-prefixed run of fields

@@ -1,7 +1,8 @@
 //! Every sink sees the same fields: hashing a [`FieldWriter`]'s output
 //! through [`Fnv64`] gives `hash64` of the bytes [`Encoder`] writes, and
 //! counting it through [`ByteCount`] gives their length, for every field
-//! kind and for sections written with [`FieldWriter::section_of`] or
+//! kind (formatted text streamed with [`FieldWriter::str_fmt`] among
+//! them) and for sections written with [`FieldWriter::section_of`] or
 //! built with [`FieldWriter::section`].
 
 use proptest::prelude::*;
@@ -15,6 +16,8 @@ enum Field {
     F64(f64),
     Bytes(Vec<u8>),
     Str(String),
+    /// A string's `Debug` text, streamed with `str_fmt`.
+    Debug(String),
     /// A section streamed with `section_of`.
     Section(Run),
     /// A section built in a scratch encoder with `section`.
@@ -34,6 +37,7 @@ impl Fields for Run {
                 Field::F64(v) => w.f64(tag, *v),
                 Field::Bytes(b) => w.bytes(tag, b),
                 Field::Str(s) => w.str(tag, s),
+                Field::Debug(s) => w.str_fmt(tag, format_args!("{s:?}")),
                 Field::Section(run) => w.section_of(tag, run),
                 Field::Built(run) => w.section(tag, |se| run.write_fields(se)),
             }
@@ -54,6 +58,7 @@ fn materialise(run: &Run, e: &mut Encoder) {
             Field::F64(v) => e.f64(tag, *v),
             Field::Bytes(b) => e.bytes(tag, b),
             Field::Str(s) => e.str(tag, s),
+            Field::Debug(s) => e.str(tag, &format!("{s:?}")),
         }
     }
 }
@@ -119,6 +124,7 @@ fn every_field_kind_agrees_at_its_edges() {
     }
     for s in ["", "FRA", "say \"hi\"", "ümlaut"] {
         fields.push(Field::Str(s.to_string()));
+        fields.push(Field::Debug(s.to_string()));
     }
     for field in &fields {
         assert_sinks_agree(&Run(vec![field.clone()]));
@@ -182,7 +188,8 @@ proptest! {
             Field::I128(i >> (u % 128)),
             Field::F64(f64::from_bits(bits)),
             Field::Bytes(b),
-            Field::Str(s),
+            Field::Str(s.clone()),
+            Field::Debug(s),
         ];
         let mut run = Run(leaves.clone());
         for level in 0..depth {

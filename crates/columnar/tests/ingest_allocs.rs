@@ -3,33 +3,33 @@
 //! already interned must not touch the heap.
 //!
 //! This test owns its binary because it installs a counting global
-//! allocator. The allocator counts only on threads that switch
-//! counting on, so the test harness's own threads do not disturb it.
+//! allocator. The allocator counts per thread, and only on threads that
+//! switch counting on, so the test harness's own threads do not disturb
+//! it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use roam_columnar::{field, CellValue, ColKind, ColumnarSource, Schema, TableBuilder, CHUNK_ROWS};
 
 struct Counting;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on this thread; `None` when not counting.
+    static ALLOCS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 fn note() {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = ALLOCS.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // whose contract is the one `GlobalAlloc` states; counting touches only
-// an atomic and a thread-local without a destructor, and allocates
-// nothing itself.
+// a thread-local without a destructor, and allocates nothing itself.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note();
@@ -56,11 +56,9 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations made by `f` on this thread.
 fn allocs_in(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
+    ALLOCS.with(|c| c.set(Some(0)));
     f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(|c| c.replace(None)).expect("counting was on")
 }
 
 const LABELS: [&str; 4] = ["PAK", "ARE", "say \"hi\"", "x,y"];

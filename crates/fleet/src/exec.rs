@@ -262,9 +262,12 @@ fn choose_offer<'m>(
 ///
 /// A shard touches nothing of the world but its network, so the world
 /// is dropped after set-up and each shard starts from a clone of the
-/// network — bit for bit the state a fresh build plus pool reaches,
-/// including the set-up telemetry records, the route cache and the
-/// fault plane.
+/// network. The clone shares the set-up topology and the run's route
+/// table, so a route any shard finds is found for every later shard of
+/// the run, and copies the rest of the state a fresh build plus pool
+/// reaches: the set-up telemetry records, the fault plane and the routes
+/// the set-up looked up. Finding a route draws no randomness and books
+/// no telemetry, so which shard found it first never shows in the bytes.
 pub struct RunInputs {
     seed: u64,
     knobs: RunKnobs,

@@ -1,13 +1,14 @@
 //! `run_fingerprint` folds a market of tens of thousands of offers, but
 //! it hashes their encoding as it is written: beyond building the world
-//! (with its own structural fingerprint) and the market, it allocates
-//! nothing that grows with them. A ping on a cached route allocates
-//! nothing at all, with faults or telemetry on or off.
+//! and the market, it allocates nothing that grows with them, and the
+//! world's own structural fingerprint allocates nothing at all. Neither
+//! does a ping on a cached route, with faults or telemetry on or off.
+//! Cloning a set-up network copies none of its topology.
 //!
 //! These tests own their binary because it installs a counting global
 //! allocator. The allocator counts per thread, and only on threads that
 //! switch counting on, so neither the test harness's own threads nor the
-//! other test running alongside disturb a count.
+//! other tests running alongside disturb a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,6 +79,13 @@ fn allocs_in(f: impl FnOnce()) -> (usize, usize) {
 const EXTRA_ALLOCS: usize = 8;
 const EXTRA_BYTES: usize = 1024;
 
+/// What cloning `World::build(1)`'s network may allocate: its own maps
+/// and recorder (4 allocations, 344 B), none of them sized by the
+/// topology. A clone that deep-copied the 616-node topology made 1,664
+/// allocations of 141 KB.
+const CLONE_ALLOCS: usize = 8;
+const CLONE_BYTES: usize = 1024;
+
 #[test]
 fn fingerprint_allocates_only_its_world_and_market() {
     let config = FleetConfig::default();
@@ -145,4 +153,32 @@ fn a_ping_on_a_cached_route_allocates_nothing() {
             "{name}: 1,000 warm pings made {allocs} allocations of {bytes} B"
         );
     }
+}
+
+#[test]
+fn a_world_fingerprint_allocates_nothing() {
+    for seed in [1, 2024] {
+        let world = World::build(seed);
+        let (allocs, bytes) = allocs_in(|| {
+            std::hint::black_box(world.fingerprint());
+        });
+        assert_eq!(
+            (allocs, bytes),
+            (0, 0),
+            "seed {seed}: World::fingerprint made {allocs} allocations of {bytes} B"
+        );
+    }
+}
+
+#[test]
+fn cloning_a_set_up_network_copies_no_topology() {
+    let world = World::build(1);
+    let (allocs, bytes) = allocs_in(|| {
+        std::hint::black_box(world.net.clone());
+    });
+    assert!(
+        allocs <= CLONE_ALLOCS && bytes <= CLONE_BYTES,
+        "cloning a {}-node network made {allocs} allocations of {bytes} B",
+        world.net.node_count()
+    );
 }

@@ -22,7 +22,7 @@ use roam_geo::City;
 use roam_telemetry::{Counter, Hist, Recorder, TelemetryMode, TelemetrySnapshot};
 use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Identifier of a node in a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -380,21 +380,66 @@ enum WalkDir {
     Reverse,
 }
 
-/// The simulated network.
-///
-/// A clone is an independent network in exactly the state of the
-/// original — RNG cursor, route cache, fault plane and telemetry
-/// included — so a run can set one up once and start every shard from
-/// a copy of it.
-#[derive(Debug, Clone)]
-pub struct Network {
+/// Routes by `(src, dst)` node index; `None` marks a pair known to be
+/// unroutable.
+type RouteMap = HashMap<(u32, u32), Option<RoutePath>, BuildRouteKeyHasher>;
+
+/// The routes any clone of a network has found, behind a lock so that
+/// clones on different threads fill one table. A copy (made when a
+/// mutator copies the topology on write) starts with the same entries.
+#[derive(Debug, Default)]
+struct RouteTable(Mutex<RouteMap>);
+
+impl RouteTable {
+    /// The table, locked. Entries are inserted whole, so a panic that
+    /// poisoned the lock left nothing half-written behind.
+    fn lock(&self) -> MutexGuard<'_, RouteMap> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Forget every route (the links changed).
+    fn clear(&mut self) {
+        self.0
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
+}
+
+impl Clone for RouteTable {
+    fn clone(&self) -> Self {
+        RouteTable(Mutex::new(self.lock().clone()))
+    }
+}
+
+/// What every clone of a [`Network`] shares: the topology and the
+/// routes found on it.
+#[derive(Debug, Clone, Default)]
+struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
     adj: Vec<Vec<u32>>, // node index -> indices into `links`
     registry: IpRegistry,
+    routes: RouteTable,
+}
+
+/// The simulated network.
+///
+/// The topology (nodes, links, adjacency and address registry) and the
+/// table of routes found on it sit behind one [`Arc`] that every clone
+/// shares. A clone copies only its own state — RNG cursor, telemetry
+/// recorder, fault plane and its map of the routes it has looked up —
+/// so a run can set one network up once and start every shard from a
+/// copy of it, at a cost that does not grow with the topology. A route
+/// one clone finds serves all of them. The mutators copy the topology
+/// on write, so an edit on one clone never reaches another.
+#[derive(Debug, Clone)]
+pub struct Network {
+    topo: Arc<Topology>,
     rng: SmallRng,
     master_seed: u64,
-    route_cache: HashMap<(u32, u32), Option<RoutePath>, BuildRouteKeyHasher>,
+    /// The routes this network has looked up: hits need no lock.
+    route_cache: RouteMap,
     /// The telemetry plane: counters, histograms, events and the packet
     /// story all accumulate here. Disabled by default (one branch per
     /// walk leg, no allocation).
@@ -501,10 +546,7 @@ impl Network {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Network {
-            nodes: Vec::new(),
-            links: Vec::new(),
-            adj: Vec::new(),
-            registry: IpRegistry::new(),
+            topo: Arc::default(),
             rng: SmallRng::seed_from_u64(seed),
             master_seed: seed,
             route_cache: HashMap::default(),
@@ -625,35 +667,42 @@ impl Network {
         self.telemetry.take()
     }
 
+    /// The topology for editing: this network's own copy of it, made on
+    /// the first write after a clone, so no sibling sees the edit.
+    fn topo_mut(&mut self) -> &mut Topology {
+        Arc::make_mut(&mut self.topo)
+    }
+
     /// Add a node.
     pub fn add_node(&mut self, name: &str, kind: NodeKind, city: City, ip: Ipv4Addr) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
+        let topo = self.topo_mut();
+        let id = NodeId(topo.nodes.len() as u32);
+        topo.nodes.push(Node {
             name: name.to_string(),
             kind,
             city,
             ip,
             icmp_responds: true,
         });
-        self.adj.push(Vec::new());
+        topo.adj.push(Vec::new());
         id
     }
 
     /// Node accessor.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0 as usize]
+        &self.topo.nodes[id.0 as usize]
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.topo.nodes.len()
     }
 
     /// Make a node ICMP-silent (or responsive again).
     pub fn set_icmp_responds(&mut self, id: NodeId, responds: bool) {
-        self.nodes[id.0 as usize].icmp_responds = responds;
+        self.topo_mut().nodes[id.0 as usize].icmp_responds = responds;
     }
 
     /// Connect two nodes with a link whose latency derives from their
@@ -678,124 +727,64 @@ impl Network {
     ) -> usize {
         assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
         assert_ne!(a, b, "self-links are not allowed");
-        let idx = self.links.len();
-        self.links.push(Link {
+        let topo = self.topo_mut();
+        let idx = topo.links.len();
+        topo.links.push(Link {
             a: a.0,
             b: b.0,
             class,
             latency,
             loss,
         });
-        self.adj[a.0 as usize].push(idx as u32);
-        self.adj[b.0 as usize].push(idx as u32);
-        self.route_cache.clear(); // topology changed
+        topo.adj[a.0 as usize].push(idx as u32);
+        topo.adj[b.0 as usize].push(idx as u32);
+        topo.routes.clear(); // topology changed
+        self.route_cache.clear();
         idx
     }
 
-    /// Set a link's loss probability (fault injection). Drops the route
-    /// cache: cached walk plans bake per-hop loss in, and a stale plan
+    /// Set a link's loss probability (fault injection). Drops the cached
+    /// routes: their walk plans bake per-hop loss in, and a stale plan
     /// would keep sampling the old rate.
     pub fn set_link_loss(&mut self, link_idx: usize, loss: f64) {
         assert!((0.0..=1.0).contains(&loss));
-        self.links[link_idx].loss = loss;
+        let topo = self.topo_mut();
+        topo.links[link_idx].loss = loss;
+        topo.routes.clear();
         self.route_cache.clear();
     }
 
     /// The IP registry (ipinfo analogue).
     #[must_use]
     pub fn registry(&self) -> &IpRegistry {
-        &self.registry
+        &self.topo.registry
     }
 
     /// Mutable registry access, for scenario builders.
     pub fn registry_mut(&mut self) -> &mut IpRegistry {
-        &mut self.registry
+        &mut self.topo_mut().registry
     }
 
     /// Least-latency route from `src` to `dst` (Dijkstra over base delays),
-    /// inclusive of both endpoints. Cached until the topology changes;
-    /// cache hits hand back a shared handle without copying the path.
+    /// inclusive of both endpoints. A pair this network looked up before
+    /// is answered from its own map, without a lock or a copy of the path.
+    /// Otherwise the lookup takes the table shared with its clones, runs
+    /// Dijkstra only if no clone has routed the pair yet, and both keep
+    /// the answer (unroutable included) until a link changes.
     pub fn route(&mut self, src: NodeId, dst: NodeId) -> Option<RoutePath> {
-        if let Some(cached) = self.route_cache.get(&(src.0, dst.0)) {
+        let key = (src.0, dst.0);
+        if let Some(cached) = self.route_cache.get(&key) {
             return cached.clone();
         }
-        let entry = self.dijkstra(src.0, dst.0).and_then(|p| {
-            // A hop pair without a shared link means the predecessor map
-            // and adjacency disagree — treat it as unroutable rather than
-            // panicking mid-campaign.
-            let hop_links: Vec<u32> = p
-                .windows(2)
-                .map(|w| self.best_link_index(w[0], w[1]))
-                .collect::<Option<_>>()?;
-            let nodes: Vec<NodeId> = p.into_iter().map(NodeId).collect();
-            let plan = WalkPlan::build(&nodes, &hop_links, &self.links, &self.nodes);
-            Some(RoutePath {
-                entry: Arc::new(RouteEntry {
-                    nodes,
-                    hop_links,
-                    plan,
-                }),
-            })
-        });
-        self.route_cache.insert((src.0, dst.0), entry.clone());
-        entry
-    }
-
-    fn dijkstra(&self, src: u32, dst: u32) -> Option<Vec<u32>> {
-        const UNSEEN: u64 = u64::MAX;
-        let n = self.nodes.len();
-        let mut dist = vec![UNSEEN; n];
-        let mut prev = vec![u32::MAX; n];
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
-        dist[src as usize] = 0;
-        heap.push(std::cmp::Reverse((0, src)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue;
-            }
-            if u == dst {
-                break;
-            }
-            for &li in &self.adj[u as usize] {
-                let link = &self.links[li as usize];
-                let Some(v) = link.other(u) else {
-                    continue; // stale adjacency entry: skip, don't panic
-                };
-                let w = SimTime::from_ms(link.latency.base_ms).as_nanos().max(1);
-                let nd = d.saturating_add(w);
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    prev[v as usize] = u;
-                    heap.push(std::cmp::Reverse((nd, v)));
-                }
-            }
-        }
-        if dist[dst as usize] == UNSEEN {
-            return None;
-        }
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while cur != src {
-            cur = prev[cur as usize];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    /// Index of the lowest-latency link joining two adjacent nodes, or
-    /// `None` when they share none. Resolved once per route (the result
-    /// lives in the route cache's `hop_links`), not once per forwarded
-    /// packet.
-    fn best_link_index(&self, a: u32, b: u32) -> Option<u32> {
-        self.adj[a as usize]
-            .iter()
-            .copied()
-            .filter(|&li| self.links[li as usize].other(a) == Some(b))
-            .min_by(|&x, &y| {
-                let (lx, ly) = (&self.links[x as usize], &self.links[y as usize]);
-                lx.latency.base_ms.total_cmp(&ly.latency.base_ms)
-            })
+        let topo = &*self.topo;
+        let found = topo
+            .routes
+            .lock()
+            .entry(key)
+            .or_insert_with(|| topo.find_route(src.0, dst.0))
+            .clone();
+        self.route_cache.insert(key, found.clone());
+        found
     }
 
     /// The public address the outside world sees for traffic from `src`
@@ -817,7 +806,7 @@ impl Network {
             path.entry
                 .hop_links
                 .iter()
-                .map(|&li| self.links[li as usize].latency.base_ms)
+                .map(|&li| self.topo.links[li as usize].latency.base_ms)
                 .sum(),
         )
     }
@@ -1165,6 +1154,87 @@ impl Network {
     }
 }
 
+impl Topology {
+    /// Resolve a route from scratch: Dijkstra, then each hop's link and
+    /// the baked walk plan.
+    fn find_route(&self, src: u32, dst: u32) -> Option<RoutePath> {
+        let p = self.dijkstra(src, dst)?;
+        // A hop pair without a shared link means the predecessor map
+        // and adjacency disagree — treat it as unroutable rather than
+        // panicking mid-campaign.
+        let hop_links: Vec<u32> = p
+            .windows(2)
+            .map(|w| self.best_link_index(w[0], w[1]))
+            .collect::<Option<_>>()?;
+        let nodes: Vec<NodeId> = p.into_iter().map(NodeId).collect();
+        let plan = WalkPlan::build(&nodes, &hop_links, &self.links, &self.nodes);
+        Some(RoutePath {
+            entry: Arc::new(RouteEntry {
+                nodes,
+                hop_links,
+                plan,
+            }),
+        })
+    }
+
+    fn dijkstra(&self, src: u32, dst: u32) -> Option<Vec<u32>> {
+        const UNSEEN: u64 = u64::MAX;
+        let n = self.nodes.len();
+        let mut dist = vec![UNSEEN; n];
+        let mut prev = vec![u32::MAX; n];
+        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
+        dist[src as usize] = 0;
+        heap.push(std::cmp::Reverse((0, src)));
+        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            if u == dst {
+                break;
+            }
+            for &li in &self.adj[u as usize] {
+                let link = &self.links[li as usize];
+                let Some(v) = link.other(u) else {
+                    continue; // stale adjacency entry: skip, don't panic
+                };
+                let w = SimTime::from_ms(link.latency.base_ms).as_nanos().max(1);
+                let nd = d.saturating_add(w);
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
+                    prev[v as usize] = u;
+                    heap.push(std::cmp::Reverse((nd, v)));
+                }
+            }
+        }
+        if dist[dst as usize] == UNSEEN {
+            return None;
+        }
+        let mut path = vec![dst];
+        let mut cur = dst;
+        while cur != src {
+            cur = prev[cur as usize];
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Index of the lowest-latency link joining two adjacent nodes, or
+    /// `None` when they share none. Resolved once per route (the result
+    /// lives in the route cache's `hop_links`), not once per forwarded
+    /// packet.
+    fn best_link_index(&self, a: u32, b: u32) -> Option<u32> {
+        self.adj[a as usize]
+            .iter()
+            .copied()
+            .filter(|&li| self.links[li as usize].other(a) == Some(b))
+            .min_by(|&x, &y| {
+                let (lx, ly) = (&self.links[x as usize], &self.links[y as usize]);
+                lx.latency.base_ms.total_cmp(&ly.latency.base_ms)
+            })
+    }
+}
+
 /// The TTL every echo request and ICMP answer leaves its sender with.
 const ECHO_TTL: u8 = 64;
 
@@ -1399,6 +1469,108 @@ mod tests {
             0.0,
         );
         assert_eq!(net.route(a, b).unwrap(), vec![a, b]);
+    }
+
+    fn same_entry(a: &RoutePath, b: &RoutePath) -> bool {
+        Arc::ptr_eq(&a.entry, &b.entry)
+    }
+
+    #[test]
+    fn clones_share_the_routes_either_one_finds() {
+        let (net, ue, sp, nat) = chain();
+        let (mut a, mut b) = (net.clone(), net.clone());
+        let via_a = a.route(ue, sp).unwrap();
+        let via_b = b.route(ue, sp).unwrap();
+        assert!(same_entry(&via_a, &via_b), "b ran Dijkstra again");
+        let (mut fresh, ..) = chain();
+        assert_eq!(via_a, fresh.route(ue, sp).unwrap());
+        assert!(!same_entry(&via_a, &fresh.route(ue, sp).unwrap()));
+        // Whichever clone finds a route first serves the others.
+        let back = b.route(nat, ue).unwrap();
+        assert!(same_entry(&back, &a.route(nat, ue).unwrap()));
+        assert!(same_entry(&via_a, &net.clone().route(ue, sp).unwrap()));
+        // An unroutable pair is cached as such.
+        let mut c = net.clone();
+        let lone = c.add_node("lone", NodeKind::Host, City::Tokyo, ip("10.9.9.9"));
+        assert!(c.route(ue, lone).is_none());
+        assert_eq!(c.topo.routes.lock().get(&(ue.0, lone.0)), Some(&None));
+    }
+
+    #[test]
+    fn an_edit_on_one_clone_never_reaches_a_sibling() {
+        let (mut net, ue, sp, _) = chain();
+        let before = net.route(ue, sp).unwrap();
+        let (mut lossy, mut linked, mut other) = (net.clone(), net.clone(), net.clone());
+        lossy.set_link_loss(0, 1.0);
+        let rederived = lossy.route(ue, sp).unwrap();
+        assert_eq!(rederived, before, "same path");
+        assert!(!same_entry(&rederived, &before), "the stale plan survived");
+        assert_eq!(rederived.entry.plan.loss[0], 1.0);
+        assert!(lossy.ping(ue, sp).is_none());
+        linked.link_with(
+            ue,
+            sp,
+            LinkClass::Backbone,
+            LatencyModel::fixed(0.1, 0.0),
+            0.0,
+        );
+        let extra = linked.add_node("extra", NodeKind::Router, City::Paris, ip("80.9.9.9"));
+        assert_eq!(linked.route(ue, sp).unwrap(), vec![ue, sp]);
+        assert_eq!(linked.route(ue, extra), None);
+        // The network they were cloned from copies on write as well.
+        net.set_link_loss(1, 0.5);
+        net.add_node("late", NodeKind::Host, City::Rome, ip("10.8.8.8"));
+        assert_eq!(net.node_count(), 6);
+        // The sibling keeps its topology, its route and the loss its
+        // plan baked in, and pings as before.
+        assert_eq!((other.node_count(), other.topo.links.len()), (5, 4));
+        assert!(other.topo.links.iter().all(|l| l.loss == 0.0));
+        let kept = other.route(ue, sp).unwrap();
+        assert!(same_entry(&kept, &before));
+        assert_eq!(kept.entry.plan.loss[0], 0.0);
+        assert!((0..20).all(|_| other.ping(ue, sp).is_some()));
+    }
+
+    #[test]
+    fn clones_on_racing_threads_end_with_one_entry_per_pair() {
+        const THREADS: usize = 4;
+        let (net, ..) = long_chain(12);
+        let nodes: Vec<NodeId> = (0..net.node_count() as u32).map(NodeId).collect();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let found: Vec<Vec<Option<RoutePath>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let mut mine = net.clone();
+                    let (nodes, barrier) = (&nodes, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let mut out = Vec::new();
+                        for &a in nodes {
+                            for &b in nodes {
+                                out.push(mine.route(a, b));
+                            }
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let table = net.topo.routes.lock();
+        // `long_chain` routed its end-to-end pair before cloning.
+        assert_eq!(table.len(), nodes.len() * nodes.len());
+        for (i, first) in found[0].iter().enumerate() {
+            let first = first.as_ref().expect("the chain is connected");
+            let key = (first[0].0, first[first.len() - 1].0);
+            let shared = table[&key].as_ref().unwrap();
+            for other in &found[1..] {
+                assert!(
+                    same_entry(other[i].as_ref().unwrap(), shared),
+                    "pair {key:?}"
+                );
+            }
+            assert!(same_entry(first, shared), "pair {key:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@ use crate::topology::PublicInternet;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use roam_cellular::{ChannelSampler, ImsiRange, MnoId, Rat, SimProfile, SimType, SubscriberClass};
-use roam_core::Aggregator;
+use roam_codec::{FieldWriter, Fields, Fnv64, Sink};
+use roam_core::{Aggregator, CountryOffer};
 use roam_geo::{City, Country};
 use roam_ipx::{
     attach, AttachParams, BreakoutConfig, DnsMode, PeeringQuality, PgwProviderId, RoamingArch,
@@ -58,6 +59,36 @@ fn ch(mode_cqi: u8, weak_tail: f64) -> ChannelSampler {
     ChannelSampler {
         mode_cqi,
         weak_tail,
+    }
+}
+
+/// A plan's section of [`World::fingerprint`].
+struct PlanFields<'a>(&'a CountryPlan);
+
+impl Fields for PlanFields<'_> {
+    fn write_fields<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        let p = self.0;
+        w.str(1, p.country.alpha3());
+        w.str(2, p.v_mno);
+        w.str(3, p.b_mno);
+        w.str_fmt(4, format_args!("{:?}", p.rat));
+        w.str_fmt(5, format_args!("{:?}", p.arrangement));
+        w.str(6, p.physical.unwrap_or(""));
+        w.u64(7, u64::from(p.channel.mode_cqi));
+        w.f64(8, p.channel.weak_tail);
+    }
+}
+
+/// An Airalo offer's section of [`World::fingerprint`].
+struct OfferFields<'a>(&'a CountryOffer);
+
+impl Fields for OfferFields<'_> {
+    fn write_fields<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        let o = self.0;
+        w.str(1, o.country.alpha3());
+        w.u64(2, u64::from(o.b_mno.0));
+        w.str_fmt(3, format_args!("{:?}", o.config));
+        w.u64(4, u64::from(o.native));
     }
 }
 
@@ -442,7 +473,9 @@ impl World {
 
     /// Deterministic structural digest of the built world: topology size,
     /// the full country-plan table and the marketplace catalogue, folded
-    /// through the roam-codec field encoding into one FNV-1a hash.
+    /// through the roam-codec field encoding into one FNV-1a hash. The
+    /// encoding streams into the hash as it is written, so the digest
+    /// allocates nothing.
     ///
     /// Two processes that call `World::build` with the same seed (on any
     /// build of the same schema) agree on this value; a world built from
@@ -452,29 +485,15 @@ impl World {
     /// producing a plausible-but-wrong report.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut e = roam_codec::Encoder::new();
-        e.u64(1, self.net.node_count() as u64);
+        let mut h = FieldWriter::with_sink(Fnv64::new());
+        h.u64(1, self.net.node_count() as u64);
         for p in &self.plans {
-            e.section(2, |s| {
-                s.str(1, p.country.alpha3());
-                s.str(2, p.v_mno);
-                s.str(3, p.b_mno);
-                s.str(4, &format!("{:?}", p.rat));
-                s.str(5, &format!("{:?}", p.arrangement));
-                s.str(6, p.physical.unwrap_or(""));
-                s.u64(7, u64::from(p.channel.mode_cqi));
-                s.f64(8, p.channel.weak_tail);
-            });
+            h.section_of(2, &PlanFields(p));
         }
         for o in self.airalo.offers() {
-            e.section(3, |s| {
-                s.str(1, o.country.alpha3());
-                s.u64(2, u64::from(o.b_mno.0));
-                s.str(3, &format!("{:?}", o.config));
-                s.u64(4, u64::from(o.native));
-            });
+            h.section_of(3, &OfferFields(o));
         }
-        roam_codec::hash64(&e.into_bytes())
+        h.into_sink().finish()
     }
 
     /// The country plan table.
