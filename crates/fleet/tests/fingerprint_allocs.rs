@@ -2,7 +2,8 @@
 //! it hashes their encoding as it is written: beyond building the world
 //! and the market, it allocates nothing that grows with them, and the
 //! world's own structural fingerprint allocates nothing at all. Neither
-//! does a ping on a cached route, with faults or telemetry on or off.
+//! does a ping on a cached route, with faults or telemetry on or off, nor
+//! one whose every hop asks a fault calendar the plane already built.
 //! Cloning a set-up network copies none of its topology.
 //!
 //! These tests own their binary because it installs a counting global
@@ -153,6 +154,61 @@ fn a_ping_on_a_cached_route_allocates_nothing() {
             "{name}: 1,000 warm pings made {allocs} allocations of {bytes} B"
         );
     }
+}
+
+#[test]
+fn a_heavy_fault_ping_on_built_calendars_allocates_nothing() {
+    // Every link flaps and every gateway takes outages and rebinds, so
+    // each hop of each walk reads a calendar, and the routes' sparse
+    // link and node ids spread over the plane's tables.
+    let every_entity = FaultSpec {
+        link_flap_rate: 1.0,
+        gateway_outage_rate: 1.0,
+        dns_blackhole_rate: 1.0,
+        cgnat_rebind_rate: 1.0,
+        ..FaultSpec::heavy()
+    };
+    let mut world = World::build(7);
+    world.net.set_faults(every_entity);
+    let mut pairs = Vec::new();
+    for country in [Country::PAK, Country::DEU, Country::KOR, Country::USA] {
+        let ep = world.attach_esim(country);
+        for service in [Service::Google, Service::Facebook, Service::YouTube] {
+            let target = world
+                .internet
+                .targets
+                .nearest(&world.net, service, ep.att.breakout_city)
+                .expect("service edge");
+            pairs.push((ep.att.ue, target));
+        }
+    }
+    for &(ue, target) in &pairs {
+        let _ = world.net.route(ue, target);
+        for _ in 0..100 {
+            std::hint::black_box(world.net.ping(ue, target));
+        }
+    }
+    let drops = world.net.fault_drops();
+    let mut answered = 0;
+    let (allocs, bytes) = allocs_in(|| {
+        for _ in 0..100 {
+            for &(ue, target) in &pairs {
+                let pong = std::hint::black_box(world.net.ping(ue, target));
+                answered += usize::from(pong.is_some());
+            }
+        }
+    });
+    assert!(answered > 0, "no ping was answered");
+    assert!(
+        world.net.fault_drops() > drops,
+        "no gateway window dropped a counted ping"
+    );
+    assert_eq!(
+        (allocs, bytes),
+        (0, 0),
+        "{} warm pings over built calendars made {allocs} allocations of {bytes} B",
+        100 * pairs.len()
+    );
 }
 
 #[test]

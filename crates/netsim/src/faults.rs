@@ -46,7 +46,7 @@ use crate::engine::flow_seed;
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::io::Write as _;
 use std::sync::Mutex;
 
 /// A two-state Gilbert–Elliott burst-loss process, parameterised by the
@@ -130,9 +130,12 @@ impl FaultCalendar {
     #[must_use]
     pub fn is_bad(&self, at: SimTime) -> bool {
         let t = at.as_nanos() % self.period_ns;
-        // Window lists are short (dwells are a sizable fraction of the
-        // period); a linear scan beats binary search at this length.
-        self.bad.iter().any(|&(s, e)| t >= s && t < e)
+        // The windows are sorted and disjoint, so their ends ascend: the
+        // first window ending after `t` is the only one that can hold it.
+        // A heavy flap calendar has ~19 windows and most queries miss, so
+        // a binary search reads ~5 of them where a scan read all.
+        let i = self.bad.partition_point(|&(_, e)| e <= t);
+        self.bad.get(i).is_some_and(|&(s, _)| s <= t)
     }
 
     /// Fraction of the period covered by bad windows.
@@ -350,25 +353,37 @@ pub enum NodeFaultState {
     Dark,
 }
 
+/// One entity's calendar slot: `None` until first asked for, then
+/// `Some(None)` when the entity is healthy or `Some(Some(calendar))`.
+type CalendarSlot = Option<Option<FaultCalendar>>;
+
 /// Per-network fault state: the spec, lazily materialised calendars for
 /// every fault-prone entity, registered failover detours and the plane's
 /// own deterministic counters (kept outside the telemetry plane so
 /// clients can observe failovers even with telemetry off).
+///
+/// Every per-entity table is a dense `Vec` indexed by link or node id,
+/// grown on demand to `id + 1`: the walk asks one to three of them per
+/// hop, and an index is cheaper than a hash. A table is as long as the
+/// largest id asked of it, which for a network's own links and nodes is
+/// at most the network's size.
 #[derive(Debug, Clone)]
 pub struct FaultPlane {
     spec: FaultSpec,
     enabled: bool,
-    /// Link index → flap calendar (`None` = link does not flap).
-    link_cal: HashMap<u32, Option<FaultCalendar>>,
-    /// Node index → outage calendar (CG-NATs; `None` = no outages).
-    outage_cal: HashMap<u32, Option<FaultCalendar>>,
-    /// Node index → blackhole calendar (resolvers; `None` = healthy).
-    dns_cal: HashMap<u32, Option<FaultCalendar>>,
-    /// Node index → rebind calendar (CG-NATs; `None` = stable pool).
-    rebind_cal: HashMap<u32, Option<FaultCalendar>>,
+    /// Link index → flap calendar (`Some(None)` = link does not flap).
+    link_cal: Vec<CalendarSlot>,
+    /// Node index → outage calendar (CG-NATs; `Some(None)` = no outages).
+    outage_cal: Vec<CalendarSlot>,
+    /// Node index → blackhole calendar (resolvers; `Some(None)` =
+    /// healthy).
+    dns_cal: Vec<CalendarSlot>,
+    /// Node index → rebind calendar (CG-NATs; `Some(None)` = stable
+    /// pool).
+    rebind_cal: Vec<CalendarSlot>,
     /// Node index → failover detour delay, registered by the session
     /// layer at attach time (next-nearest breakout site).
-    failover: HashMap<u32, SimTime>,
+    failover: Vec<Option<SimTime>>,
     /// Packets killed by a fault (dark node or rebind window).
     drops: u64,
     /// Packets that took a registered failover detour.
@@ -382,11 +397,11 @@ impl FaultPlane {
         FaultPlane {
             spec,
             enabled: spec.enabled(),
-            link_cal: HashMap::new(),
-            outage_cal: HashMap::new(),
-            dns_cal: HashMap::new(),
-            rebind_cal: HashMap::new(),
-            failover: HashMap::new(),
+            link_cal: Vec::new(),
+            outage_cal: Vec::new(),
+            dns_cal: Vec::new(),
+            rebind_cal: Vec::new(),
+            failover: Vec::new(),
             drops: 0,
             failovers: 0,
         }
@@ -420,7 +435,7 @@ impl FaultPlane {
     /// delay a packet pays when the gateway is dark but the session can
     /// break out at the next-nearest site.
     pub fn set_failover(&mut self, node: u32, detour: SimTime) {
-        self.failover.insert(node, detour);
+        *slot(&mut self.failover, node) = Some(detour);
     }
 
     /// Total fault-killed packets so far.
@@ -440,7 +455,7 @@ impl FaultPlane {
     /// (caller keeps the link's base loss).
     pub fn link_burst_loss(&mut self, master: u64, li: u32, at: SimTime) -> Option<f64> {
         let spec = self.spec;
-        let cal = self.link_cal.entry(li).or_insert_with(|| {
+        let cal = slot(&mut self.link_cal, li).get_or_insert_with(|| {
             entity_calendar(
                 master,
                 "fault/flap",
@@ -463,10 +478,8 @@ impl FaultPlane {
     /// in-flight flow either.
     pub fn cgnat_state(&mut self, master: u64, node: u32, at: SimTime) -> NodeFaultState {
         let spec = self.spec;
-        let rebinding = self
-            .rebind_cal
-            .entry(node)
-            .or_insert_with(|| {
+        let rebinding = slot(&mut self.rebind_cal, node)
+            .get_or_insert_with(|| {
                 entity_calendar(
                     master,
                     "fault/rebind",
@@ -483,10 +496,8 @@ impl FaultPlane {
             self.drops += 1;
             return NodeFaultState::Dark;
         }
-        let dark = self
-            .outage_cal
-            .entry(node)
-            .or_insert_with(|| {
+        let dark = slot(&mut self.outage_cal, node)
+            .get_or_insert_with(|| {
                 entity_calendar(
                     master,
                     "fault/outage",
@@ -502,8 +513,8 @@ impl FaultPlane {
         if !dark {
             return NodeFaultState::Up;
         }
-        match self.failover.get(&node) {
-            Some(&detour) => {
+        match self.failover.get(node as usize).copied().flatten() {
+            Some(detour) => {
                 self.failovers += 1;
                 NodeFaultState::Failover(detour)
             }
@@ -517,10 +528,8 @@ impl FaultPlane {
     /// Is a resolver node blackholed at cyclic time `at`? Counts the drop.
     pub fn dns_dark(&mut self, master: u64, node: u32, at: SimTime) -> bool {
         let spec = self.spec;
-        let dark = self
-            .dns_cal
-            .entry(node)
-            .or_insert_with(|| {
+        let dark = slot(&mut self.dns_cal, node)
+            .get_or_insert_with(|| {
                 entity_calendar(
                     master,
                     "fault/dns",
@@ -540,6 +549,16 @@ impl FaultPlane {
     }
 }
 
+/// Entry `id` of a dense per-entity table, growing the table to `id + 1`
+/// slots (all `None`) when it is shorter.
+fn slot<T>(table: &mut Vec<Option<T>>, id: u32) -> &mut Option<T> {
+    let i = id as usize;
+    if i >= table.len() {
+        table.resize_with(i + 1, || None);
+    }
+    &mut table[i]
+}
+
 /// Build (or decline to build) the calendar for one entity. Membership and
 /// windows both come from `flow_seed(master, "<kind>/<index>")`, so the
 /// answer is a pure function of identity — lazy fill order is irrelevant.
@@ -555,7 +574,15 @@ fn entity_calendar(
     if rate <= 0.0 {
         return None;
     }
-    let seed = flow_seed(master, &format!("{kind}/{index}"));
+    // The label is built on the stack: the longest kind (12 bytes), a
+    // slash and a 10-digit index fit with room to spare.
+    let mut label = [0u8; 40];
+    let mut rest = &mut label[..];
+    write!(rest, "{kind}/{index}").expect("entity label fits its buffer");
+    let unused = rest.len();
+    let len = label.len() - unused;
+    let key = std::str::from_utf8(&label[..len]).expect("entity label is UTF-8");
+    let seed = flow_seed(master, key);
     let mut rng = SmallRng::seed_from_u64(seed);
     if !rng.gen_bool(rate.min(1.0)) {
         return None;

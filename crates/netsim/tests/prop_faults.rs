@@ -1,13 +1,22 @@
 //! Fault-plane contracts: the Gilbert–Elliott realisation must converge
-//! to its stationary distribution, and the fault windows a run observes
+//! to its stationary distribution, a calendar's window lookup must agree
+//! with a plain scan of its windows, and the fault windows a run observes
 //! must be a pure function of (seed, spec).
 
 use proptest::prelude::*;
 use roam_netsim::engine::flow_seed;
 use roam_netsim::link::{LatencyModel, LinkClass};
 use roam_netsim::{
-    FaultPlane, FaultSpec, Flow, GilbertElliott, Network, NodeKind, ProbeError, SimTime,
+    FaultCalendar, FaultPlane, FaultSpec, Flow, GilbertElliott, Network, NodeKind, ProbeError,
+    SimTime,
 };
+
+/// The reference lookup: reduce `at` modulo the period, then check every
+/// window in turn.
+fn is_bad_by_scan(cal: &FaultCalendar, period_ns: u64, at: SimTime) -> bool {
+    let t = at.as_nanos() % period_ns;
+    cal.windows().iter().any(|&(s, e)| t >= s && t < e)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -51,13 +60,50 @@ proptest! {
         }
     }
 
+    /// `is_bad`'s binary search answers exactly as a scan of every
+    /// window, on calendars with heavy (many short windows) and light
+    /// (few long windows) dwells: at each window's first, last and
+    /// one-past-last nanosecond, at 0, and at times a whole number of
+    /// periods later.
+    #[test]
+    fn window_lookup_matches_a_linear_scan(
+        seed in any::<u64>(),
+        period_ms in prop_oneof![100.0f64..1_000.0, 1_000.0f64..20_000.0],
+        (mean_up_ms, mean_dark_ms) in prop_oneof![
+            (50.0f64..600.0, 20.0f64..300.0),
+            (1_000.0f64..8_000.0, 100.0f64..2_000.0),
+        ],
+        laps in 1u64..1_000,
+    ) {
+        let cal = FaultCalendar::dwell(seed, period_ms, mean_up_ms, mean_dark_ms);
+        let period = SimTime::from_ms(period_ms).as_nanos().max(1);
+        let mut times = vec![0, period - 1, period, laps * period, u64::MAX];
+        for &(s, e) in cal.windows() {
+            for t in [s, e - 1, e] {
+                times.extend([t, t + period, t + laps * period]);
+            }
+        }
+        for t in times {
+            let at = SimTime::from_nanos(t);
+            prop_assert_eq!(
+                cal.is_bad(at),
+                is_bad_by_scan(&cal, period, at),
+                "t = {} ns, period {} ns, {} windows",
+                t,
+                period,
+                cal.windows().len()
+            );
+        }
+    }
+
     /// Calendar queries are pure functions of (seed, spec, entity):
     /// lazily materialised planes answer identically regardless of query
-    /// order, which is what makes shard decomposition sound.
+    /// order, which is what makes shard decomposition sound. Sparse ids
+    /// up to 2,048 grow the plane's per-entity tables in every order.
     #[test]
     fn fault_plane_answers_are_query_order_free(
         master in any::<u64>(),
-        entities in proptest::collection::vec((0u32..32, 0u64..20_000), 1..24),
+        entities in proptest::collection::vec((0u32..=2_048, 0u64..20_000), 1..24),
     ) {
         let spec = FaultSpec::heavy();
         let mut forward = FaultPlane::new(spec);
