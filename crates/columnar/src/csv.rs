@@ -41,7 +41,7 @@ pub fn push_value(out: &mut String, kind: &ColKind, cell: &CellValue<'_>) {
             let _ = write!(out, "{}", Ipv4Addr::from(*v));
         }
         (ColKind::F64 { prec }, CellValue::F64(Some(v))) if v.is_finite() => {
-            let _ = write!(out, "{:.*}", usize::from(*prec), v);
+            push_fixed(out, *v, usize::from(*prec));
         }
         (ColKind::Dict, CellValue::Str(Some(s))) => push_csv_field(out, s),
         (ColKind::Enum(labels), CellValue::Code(c)) => push_csv_field(out, &labels[*c as usize]),
@@ -50,6 +50,59 @@ pub fn push_value(out: &mut String, kind: &ColKind, cell: &CellValue<'_>) {
         | (ColKind::Dict, CellValue::Str(None)) => {}
         (kind, cell) => panic!("cell {cell:?} does not render under kind {kind:?}"),
     }
+}
+
+/// Append `v` with `prec` fraction digits: the same bytes as
+/// `write!(out, "{:.*}", prec, v)`, without std's exact formatter on
+/// the common path.
+///
+/// A value in `[0, 1e12)` at precision ≤ 4 is scaled once by `10^prec`.
+/// That product is off from the exact `v · 10^prec` by at most half an
+/// ulp, so rounding it to the nearest integer agrees with rounding the
+/// exact value unless its fraction lies within that distance of one
+/// half. Those near ties (exact ties included, which std rounds to
+/// even), negative values, `-0.0` and everything out of range take
+/// std's exact path.
+pub fn push_fixed(out: &mut String, v: f64, prec: usize) {
+    const SCALE: [f64; 5] = [1.0, 10.0, 100.0, 1e3, 1e4];
+    if prec < SCALE.len() && v.is_sign_positive() && v < 1e12 {
+        let s = v * SCALE[prec];
+        let t = s.trunc();
+        let frac = s - t;
+        // The gap to the next float up bounds the product's error from above.
+        let ulp = f64::from_bits(s.to_bits() + 1) - s;
+        if (frac - 0.5).abs() > 4.0 * ulp {
+            // `0 <= t < 1e16`, so the cast is exact.
+            push_scaled(out, t as u64 + u64::from(frac > 0.5), prec);
+            return;
+        }
+    }
+    let _ = write!(out, "{v:.prec$}");
+}
+
+/// Append `n / 10^prec` with exactly `prec` fraction digits.
+fn push_scaled(out: &mut String, mut n: u64, prec: usize) {
+    // The fast path's `n` is at most 1e16: 17 digits, plus the point.
+    let mut buf = [0u8; 18];
+    let mut i = buf.len();
+    for _ in 0..prec {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    if prec > 0 {
+        i -= 1;
+        buf[i] = b'.';
+    }
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
 
 /// The header line for a schema: column names joined by commas, `\n`.

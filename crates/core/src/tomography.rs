@@ -7,7 +7,7 @@
 //! that rule; [`TomographyReport`] applies it across a campaign's worth of
 //! observations and regenerates Table 2.
 
-use roam_geo::{City, Country, GeoPoint};
+use roam_geo::{City, Country};
 use roam_ipx::RoamingArch;
 use roam_netsim::{Asn, IpRegistry};
 use std::collections::BTreeMap;
@@ -188,14 +188,6 @@ impl TomographyReport {
         }
         out
     }
-}
-
-/// Convenience used by several reports: the great-circle distance between a
-/// user city and a breakout city.
-#[must_use]
-pub fn breakout_distance_km(user: City, pgw: City) -> f64 {
-    let a: GeoPoint = user.location();
-    a.distance_km(pgw.location())
 }
 
 #[cfg(test)]

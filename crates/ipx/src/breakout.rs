@@ -115,17 +115,6 @@ impl BreakoutConfig {
         }
     }
 
-    /// A Local-Breakout config through the v-MNO's own gateway (provider id
-    /// resolved at attach time — here we record the v-MNO's provider).
-    #[must_use]
-    pub fn local_breakout(vmno_provider: PgwProviderId) -> Self {
-        BreakoutConfig {
-            arch: RoamingArch::LocalBreakout,
-            providers: vec![vmno_provider],
-            dns: DnsMode::OperatorResolver,
-        }
-    }
-
     /// Pick the provider for a new session. When several providers are
     /// configured the choice alternates pseudo-randomly, reproducing the
     /// observed Packet-Host/OVH iteration.

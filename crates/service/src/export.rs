@@ -96,15 +96,14 @@ impl BoundedSink {
 /// A single-dataset CSV file sink that counts accepted bytes.
 ///
 /// Rows render through the same `String` thin view every other CSV
-/// export uses, then append to an internal write buffer; [`CsvFile::sync`]
+/// export uses, straight onto an internal write buffer; [`CsvFile::sync`]
 /// pushes the buffer to disk and fsyncs, returning the durable byte
 /// offset. [`CsvFile::resume`] reopens a file at a recorded offset,
 /// truncating any unsynced tail a crash may have left behind.
 pub struct CsvFile {
     file: File,
     ds: Dataset,
-    line: String,
-    pending: Vec<u8>,
+    pending: String,
     bytes: u64,
     /// First write failure, sticky: once set, rows no-op and `sync`
     /// keeps returning it. `bytes` stops advancing at the same instant,
@@ -119,18 +118,16 @@ impl CsvFile {
     /// Create (truncate) `path` and write the dataset header.
     pub fn create(path: &Path, ds: Dataset) -> std::io::Result<Self> {
         let file = File::create(path)?;
-        let mut sink = CsvFile {
+        let mut pending = String::with_capacity(PENDING_FLUSH + 256);
+        pending.push_str(ds.header());
+        pending.push('\n');
+        Ok(CsvFile {
             file,
             ds,
-            line: String::with_capacity(96),
-            pending: Vec::with_capacity(PENDING_FLUSH + 256),
-            bytes: 0,
+            bytes: pending.len() as u64,
+            pending,
             sick: None,
-        };
-        let header = ds.header_csv();
-        sink.pending.extend_from_slice(header.as_bytes());
-        sink.bytes += header.len() as u64;
-        Ok(sink)
+        })
     }
 
     /// Reopen `path` with `bytes` of durable prefix: refuse a file
@@ -154,8 +151,7 @@ impl CsvFile {
         Ok(CsvFile {
             file,
             ds,
-            line: String::with_capacity(96),
-            pending: Vec::with_capacity(PENDING_FLUSH + 256),
+            pending: String::with_capacity(PENDING_FLUSH + 256),
             bytes,
             sick: None,
         })
@@ -182,7 +178,7 @@ impl CsvFile {
             return Err(std::io::Error::new(e.kind(), e.to_string()));
         }
         if !self.pending.is_empty() {
-            if let Err(e) = self.file.write_all(&self.pending) {
+            if let Err(e) = self.file.write_all(self.pending.as_bytes()) {
                 return Err(self.go_sick(e));
             }
             self.pending.clear();
@@ -211,12 +207,11 @@ impl DataSink for CsvFile {
         if self.sick.is_some() {
             return; // sticky: the first failure already froze the offset
         }
-        self.line.clear();
-        self.line.row(ds, cells);
-        self.pending.extend_from_slice(self.line.as_bytes());
-        self.bytes += self.line.len() as u64;
+        let before = self.pending.len();
+        self.pending.row(ds, cells);
+        self.bytes += (self.pending.len() - before) as u64;
         if self.pending.len() >= PENDING_FLUSH {
-            if let Err(e) = self.file.write_all(&self.pending) {
+            if let Err(e) = self.file.write_all(self.pending.as_bytes()) {
                 self.go_sick(e);
                 return;
             }

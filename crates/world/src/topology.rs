@@ -69,12 +69,6 @@ impl PublicInternet {
         self.ix.get(&city).copied()
     }
 
-    /// Number of cities with infrastructure.
-    #[must_use]
-    pub fn city_count(&self) -> usize {
-        self.ix.len()
-    }
-
     /// Create a city's infrastructure if missing: IX (meshed with all
     /// existing IXs), SP edges, speedtest servers, CDN edges, and — where
     /// designated — a Google DNS site. Ashburn additionally hosts the CDN

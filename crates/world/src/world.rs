@@ -13,7 +13,7 @@ use roam_ipx::{
     attach, AttachParams, BreakoutConfig, DnsMode, PeeringQuality, PgwProviderId, RoamingArch,
 };
 use roam_measure::{DeviceCampaignSpec, Endpoint};
-use roam_netsim::{Ipv4Net, Network, NodeKind};
+use roam_netsim::{Network, NodeKind};
 
 /// Which breakout arrangement a country's Airalo eSIM uses — resolved to
 /// concrete provider ids once the gateways exist.
@@ -719,12 +719,6 @@ impl World {
     #[must_use]
     pub fn breakout_asn(&self, ep: &Endpoint) -> Option<roam_netsim::Asn> {
         self.net.registry().asn_of(ep.att.public_ip)
-    }
-
-    /// Prefix helper for tests and reports.
-    #[must_use]
-    pub fn prefix_of(&self, s: &str) -> Ipv4Net {
-        Ipv4Net::parse(s).expect("static prefix")
     }
 }
 
