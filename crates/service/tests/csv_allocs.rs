@@ -88,9 +88,9 @@ fn records(n: u32) -> Vec<SessionRecord> {
                     rat: Rat::Lte,
                 },
                 kind,
-                rtt_ms: (kind == SessionKind::Rtt).then_some(metric).flatten(),
-                lookup_ms: (kind == SessionKind::Dns).then_some(metric).flatten(),
-                mb: (kind == SessionKind::Transfer).then_some(metric).flatten(),
+                rtt_ms: metric.filter(|_| kind == SessionKind::Rtt),
+                lookup_ms: metric.filter(|_| kind == SessionKind::Dns),
+                mb: metric.filter(|_| kind == SessionKind::Transfer),
                 status: if metric.is_some() {
                     MeasureStatus::Ok
                 } else {
