@@ -80,11 +80,6 @@ impl DeviceCampaignRun {
     pub fn esims(&self) -> impl Iterator<Item = &Endpoint> {
         self.shards.iter().flat_map(|s| s.esims.iter())
     }
-
-    /// One physical endpoint per country, in Table-4 order.
-    pub fn sims(&self) -> impl Iterator<Item = &Endpoint> {
-        self.shards.iter().map(|s| &s.sim)
-    }
 }
 
 /// One full web-campaign run: per-country records plus the run's
@@ -217,12 +212,13 @@ impl CampaignRunner {
         self
     }
 
-    /// Attach a [`DataSink`]: after a device campaign ([`CampaignRunner::run`])
-    /// merges its shards, every held dataset's rows stream through the sink
-    /// in [`Exporter::datasets`] order — the same walk `export`/`export_all`
-    /// use, so a CSV sink sees the historical bytes and a columnar sink the
-    /// same rows as typed pages. The sink is shared (`Arc<Mutex<…>>`) so the
-    /// caller keeps a handle to drain after the run.
+    /// Attach a [`DataSink`](roam_measure::DataSink): after a device
+    /// campaign ([`CampaignRunner::run`]) merges its shards, every held
+    /// dataset's rows stream through the sink in [`Exporter::datasets`]
+    /// order — the same walk `export`/`export_all` use, so a CSV sink sees
+    /// the historical bytes and a columnar sink the same rows as typed
+    /// pages. The sink is shared (`Arc<Mutex<…>>`) so the caller keeps a
+    /// handle to drain after the run.
     #[must_use]
     pub fn sink(mut self, sink: SharedSink) -> Self {
         self.sink = Some(sink);
@@ -379,7 +375,7 @@ impl CampaignRunner {
 /// endpoint contributes its country, operator identities and the public IP
 /// its session used; repeated attachments of one country merge their IPs.
 #[must_use]
-pub fn observations_for(world: &World, endpoints: &[Endpoint]) -> Vec<EsimObservation> {
+pub(crate) fn observations_for(world: &World, endpoints: &[Endpoint]) -> Vec<EsimObservation> {
     let mut by_country: BTreeMap<Country, EsimObservation> = BTreeMap::new();
     for ep in endpoints {
         let b = world.ops.dir.get(ep.att.b_mno);
@@ -405,7 +401,7 @@ pub fn observations_for(world: &World, endpoints: &[Endpoint]) -> Vec<EsimObserv
 /// Users-per-second throughput for a fleet run, guarded against a zero
 /// wall clock (sub-nanosecond runs report a huge-but-finite rate).
 #[must_use]
-pub fn users_per_sec(users: u64, wall_secs: f64) -> f64 {
+pub(crate) fn users_per_sec(users: u64, wall_secs: f64) -> f64 {
     users as f64 / wall_secs.max(1e-9)
 }
 
@@ -416,14 +412,14 @@ pub fn users_per_sec(users: u64, wall_secs: f64) -> f64 {
 /// byte-stable report, so CI can `cmp` two runs, and scrapers redirect
 /// `2>&1 >/dev/null | sed …`.
 #[must_use]
-pub fn users_per_sec_line(users: u64, wall_secs: f64) -> String {
+pub(crate) fn users_per_sec_line(users: u64, wall_secs: f64) -> String {
     format!(
         "fleet_smoke_users_per_sec: {:.0}",
         users_per_sec(users, wall_secs)
     )
 }
 
-/// Emit [`users_per_sec_line`] on stderr and return the rate. The single
+/// Emit `users_per_sec_line` on stderr and return the rate. The single
 /// emission point for the gate line: binaries must not print it
 /// themselves, so the stream contract lives (and is tested) here.
 pub fn emit_users_per_sec(users: u64, wall_secs: f64) -> f64 {
@@ -440,14 +436,14 @@ pub fn emit_users_per_sec(users: u64, wall_secs: f64) -> f64 {
 /// fleet gate line, it lives on **stderr** — `service_smoke`'s stdout
 /// carries nothing but the byte-stable agent report.
 #[must_use]
-pub fn service_events_per_sec_line(events: u64, wall_secs: f64) -> String {
+pub(crate) fn service_events_per_sec_line(events: u64, wall_secs: f64) -> String {
     format!(
         "service_events_per_sec: {:.0}",
         events as f64 / wall_secs.max(1e-9)
     )
 }
 
-/// Emit [`service_events_per_sec_line`] on stderr and return the rate.
+/// Emit `service_events_per_sec_line` on stderr and return the rate.
 /// The single emission point, mirroring [`emit_users_per_sec`].
 pub fn emit_service_events_per_sec(events: u64, wall_secs: f64) -> f64 {
     eprintln!("{}", service_events_per_sec_line(events, wall_secs));
@@ -474,7 +470,7 @@ mod tests {
     #[test]
     fn small_device_run_covers_all_countries_and_kinds() {
         let run = CampaignRunner::new(5).scale(0.02).run();
-        assert_eq!(run.sims().count(), 10);
+        assert_eq!(run.shards.len(), 10, "one physical endpoint per country");
         assert!(run.esims().count() >= 10);
         assert!(!run.data.speedtests.is_empty());
         assert!(!run.data.traces.is_empty());

@@ -16,18 +16,14 @@
 //! * [`sim`] — physical SIMs and eSIM profiles, with Remote SIM
 //!   Provisioning (RSP) in the role the GSMA architecture gives it:
 //!   profiles are *downloaded* onto an eUICC and enabled/disabled without
-//!   physical swapping;
-//! * [`roaming`] — bilateral roaming agreements between operators, the
-//!   prerequisite for a subscriber of one MNO to attach to another.
+//!   physical swapping.
 
 pub mod ident;
 pub mod mno;
 pub mod radio;
-pub mod roaming;
 pub mod sim;
 
 pub use ident::{Imei, Imsi, ImsiRange, Plmn};
 pub use mno::{BandwidthPolicy, Mno, MnoDirectory, MnoId, SubscriberClass};
 pub use radio::{cqi_efficiency, phy_rate_mbps, radio_latency_ms, ChannelSampler, Cqi, Rat};
-pub use roaming::{RoamingAgreement, RoamingRegistry};
-pub use sim::{Euicc, ProfileState, SimProfile, SimType, Smdp};
+pub use sim::{SimProfile, SimType, Smdp};

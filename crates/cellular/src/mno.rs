@@ -135,19 +135,10 @@ impl MnoDirectory {
     /// campaign ("its b-MNO as the MCC-MNC codes from the Access Point
     /// Name", §3.1).
     #[must_use]
-    pub fn find_by_plmn(&self, plmn: Plmn) -> Option<MnoId> {
+    pub(crate) fn find_by_plmn(&self, plmn: Plmn) -> Option<MnoId> {
         self.mnos
             .iter()
             .position(|m| m.plmn == plmn)
-            .map(|i| MnoId(i as u32))
-    }
-
-    /// Find an operator by name.
-    #[must_use]
-    pub fn find_by_name(&self, name: &str) -> Option<MnoId> {
-        self.mnos
-            .iter()
-            .position(|m| m.name == name)
             .map(|i| MnoId(i as u32))
     }
 
@@ -199,11 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn directory_lookup_by_plmn_and_name() {
+    fn directory_lookup_by_plmn() {
         let mut dir = MnoDirectory::new();
         let id = dir.add(play());
         assert_eq!(dir.find_by_plmn(Plmn::new(260, 6, 2)), Some(id));
-        assert_eq!(dir.find_by_name("Play"), Some(id));
         assert_eq!(dir.find_by_plmn(Plmn::new(260, 1, 2)), None);
         assert_eq!(dir.get(id).country, Country::POL);
         assert_eq!(dir.len(), 1);

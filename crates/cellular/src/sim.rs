@@ -3,19 +3,16 @@
 //! eSIM technology is what makes the thick-MNA model possible (§2): an
 //! embedded UICC can hold several downloadable *profiles*, each tying the
 //! device to a different operator, switched without physical swapping. We
-//! model the three pieces that matter to the campaigns:
+//! model the two pieces that matter to the campaigns:
 //!
 //! * [`SimProfile`] — one subscription (physical card or eSIM profile),
 //!   with its IMSI, issuing operator and data-roaming flag;
-//! * [`Euicc`] — the embedded chip: holds profiles, exactly one of which can
-//!   be enabled at a time (the device-campaign phones "switch between
-//!   physical SIM and eSIM", §3.2);
 //! * [`Smdp`] — the SM-DP+ role from the GSMA RSP architecture: an activation
 //!   code is redeemed for a profile download. The marketplace layer
 //!   (`roam-core`) sits in front of this, the way Airalo's store front sits
 //!   in front of its b-MNOs' provisioning systems.
 
-use crate::ident::{Imsi, ImsiRange, Plmn};
+use crate::ident::{Imsi, ImsiRange};
 use crate::mno::MnoId;
 use std::collections::HashMap;
 
@@ -26,15 +23,6 @@ pub enum SimType {
     Physical,
     /// An eSIM profile delivered via RSP.
     Esim,
-}
-
-/// Lifecycle state of a profile on an eUICC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfileState {
-    /// Downloaded but not active.
-    Disabled,
-    /// The currently active profile.
-    Enabled,
 }
 
 /// One subscription.
@@ -53,69 +41,6 @@ pub struct SimProfile {
     /// the issuer's network ("Data roaming must be enabled for these eSIMs,
     /// hence we refer to them as roaming eSIMs", §4.1).
     pub data_roaming_enabled: bool,
-}
-
-impl SimProfile {
-    /// Home PLMN of the profile.
-    #[must_use]
-    pub fn home_plmn(&self) -> Plmn {
-        self.imsi.plmn()
-    }
-}
-
-/// The embedded UICC in a measurement device.
-#[derive(Debug, Default)]
-pub struct Euicc {
-    profiles: Vec<(SimProfile, ProfileState)>,
-}
-
-impl Euicc {
-    /// An empty eUICC.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Install a downloaded profile (disabled, per RSP semantics).
-    pub fn install(&mut self, profile: SimProfile) {
-        assert!(
-            !self.profiles.iter().any(|(p, _)| p.iccid == profile.iccid),
-            "profile {} already installed",
-            profile.iccid
-        );
-        self.profiles.push((profile, ProfileState::Disabled));
-    }
-
-    /// Enable the profile with `iccid`, disabling whichever was active.
-    /// Returns false when no such profile is installed.
-    pub fn enable(&mut self, iccid: u64) -> bool {
-        if !self.profiles.iter().any(|(p, _)| p.iccid == iccid) {
-            return false;
-        }
-        for (p, state) in &mut self.profiles {
-            *state = if p.iccid == iccid {
-                ProfileState::Enabled
-            } else {
-                ProfileState::Disabled
-            };
-        }
-        true
-    }
-
-    /// The currently enabled profile, if any.
-    #[must_use]
-    pub fn enabled(&self) -> Option<&SimProfile> {
-        self.profiles
-            .iter()
-            .find(|(_, s)| *s == ProfileState::Enabled)
-            .map(|(p, _)| p)
-    }
-
-    /// All installed profiles.
-    #[must_use]
-    pub fn profiles(&self) -> Vec<&SimProfile> {
-        self.profiles.iter().map(|(p, _)| p).collect()
-    }
 }
 
 /// The SM-DP+ (profile preparation/delivery) role: operators deposit IMSI
@@ -183,6 +108,7 @@ impl Smdp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ident::Plmn;
 
     fn range() -> ImsiRange {
         ImsiRange {
@@ -190,50 +116,6 @@ mod tests {
             start: 7_000_000,
             len: 3,
         }
-    }
-
-    fn physical(iccid: u64) -> SimProfile {
-        SimProfile {
-            iccid,
-            sim_type: SimType::Physical,
-            imsi: Imsi::new(Plmn::new(410, 1, 2), 123),
-            issuer: MnoId(0),
-            data_roaming_enabled: false,
-        }
-    }
-
-    #[test]
-    fn euicc_single_enabled_invariant() {
-        let mut e = Euicc::new();
-        e.install(physical(1));
-        e.install(physical(2));
-        assert!(e.enabled().is_none(), "profiles install disabled");
-        assert!(e.enable(1));
-        assert_eq!(e.enabled().unwrap().iccid, 1);
-        assert!(e.enable(2));
-        assert_eq!(e.enabled().unwrap().iccid, 2);
-        let enabled_count = e
-            .profiles()
-            .iter()
-            .filter(|p| e.enabled().map(|q| q.iccid) == Some(p.iccid))
-            .count();
-        assert_eq!(enabled_count, 1);
-    }
-
-    #[test]
-    fn enabling_missing_profile_fails() {
-        let mut e = Euicc::new();
-        e.install(physical(1));
-        assert!(!e.enable(99));
-        assert!(e.enabled().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "already installed")]
-    fn duplicate_install_rejected() {
-        let mut e = Euicc::new();
-        e.install(physical(1));
-        e.install(physical(1));
     }
 
     #[test]
@@ -265,10 +147,5 @@ mod tests {
         while let Some(p) = smdp.redeem(code) {
             assert!(r.contains(p.imsi), "IMSI {} outside leased range", p.imsi);
         }
-    }
-
-    #[test]
-    fn home_plmn_comes_from_imsi() {
-        assert_eq!(physical(1).home_plmn(), Plmn::new(410, 1, 2));
     }
 }

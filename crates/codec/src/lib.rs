@@ -35,10 +35,10 @@ use std::fmt::{self, Write as _};
 
 /// Wire-format version stamped into every [`Frame`]. Bump when the field
 /// encoding itself (not a payload schema) changes shape.
-pub const WIRE_VERSION: u16 = 1;
+pub(crate) const WIRE_VERSION: u16 = 1;
 
 /// Frame magic: `RMCD` (RoaM CoDec).
-pub const MAGIC: [u8; 4] = *b"RMCD";
+pub(crate) const MAGIC: [u8; 4] = *b"RMCD";
 
 /// Everything that can go wrong while decoding. Typed so callers can
 /// distinguish a stale artifact (version) from a torn one (hash,
@@ -47,7 +47,7 @@ pub const MAGIC: [u8; 4] = *b"RMCD";
 pub enum CodecError {
     /// The input ended mid-value.
     Truncated,
-    /// The frame does not start with [`MAGIC`].
+    /// The frame does not start with `MAGIC`.
     BadMagic,
     /// The frame's integrity hash does not match its contents.
     BadHash {
@@ -524,7 +524,7 @@ impl<'a> Decoder<'a> {
 
     /// Have all fields been read?
     #[must_use]
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.pos >= self.buf.len()
     }
 

@@ -20,7 +20,7 @@
 //!   scans touch one column's bytes and skip the rest;
 //! * a **table** is a schema, per-column string dictionaries, and a
 //!   chunk list; [`Table::to_frame`] seals it into one integrity-hashed
-//!   frame (kind [`FRAME_KIND_TABLE`]) that [`TableView::parse_frame`]
+//!   frame (kind `FRAME_KIND_TABLE`) that [`TableView::parse_frame`]
 //!   reopens without copying page bytes.
 //!
 //! The query engine streams chunk-by-chunk: filters bind column
@@ -45,10 +45,10 @@ pub use view::TableView;
 
 /// Frame kind claimed by sealed columnar tables (campaign/fleet frames
 /// from `roam-fleet` use kinds below 0x10).
-pub const FRAME_KIND_TABLE: u16 = 0x0010;
+pub(crate) const FRAME_KIND_TABLE: u16 = 0x0010;
 
 /// Wire version of the table payload layout.
-pub const TABLE_VERSION: u16 = 1;
+pub(crate) const TABLE_VERSION: u16 = 1;
 
 /// Rows per chunk: large enough that per-chunk bookkeeping vanishes,
 /// small enough that a chunk's working set stays cache-resident.
@@ -93,7 +93,7 @@ impl ColKind {
 
     /// Whether rows of this column may be null (carry a bitmap).
     #[must_use]
-    pub fn nullable(&self) -> bool {
+    pub(crate) fn nullable(&self) -> bool {
         !matches!(self, ColKind::Enum(_))
     }
 }
@@ -177,13 +177,13 @@ pub struct PageRef<'a> {
 impl<'a> PageRef<'a> {
     #[inline]
     #[must_use]
-    pub fn is_null(&self, row: usize) -> bool {
+    pub(crate) fn is_null(&self, row: usize) -> bool {
         !self.nulls.is_empty() && self.nulls[row / 8] & (1 << (row % 8)) != 0
     }
 
     #[inline]
     #[must_use]
-    pub fn u32_at(&self, row: usize) -> Option<u32> {
+    pub(crate) fn u32_at(&self, row: usize) -> Option<u32> {
         if self.is_null(row) {
             return None;
         }
@@ -207,7 +207,7 @@ impl<'a> PageRef<'a> {
 
     #[inline]
     #[must_use]
-    pub fn code_at(&self, row: usize) -> u8 {
+    pub(crate) fn code_at(&self, row: usize) -> u8 {
         self.data[row]
     }
 }

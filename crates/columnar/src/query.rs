@@ -29,8 +29,6 @@ enum Filter {
     U32Eq { col: usize, v: u32 },
     /// u32 present and >= min.
     U32Ge { col: usize, min: u32 },
-    /// Cell present (null bit clear).
-    NotNull { col: usize },
 }
 
 impl Filter {
@@ -40,8 +38,7 @@ impl Filter {
             | Filter::DictIn { col, .. }
             | Filter::DictNotIn { col, .. }
             | Filter::U32Eq { col, .. }
-            | Filter::U32Ge { col, .. }
-            | Filter::NotNull { col } => *col,
+            | Filter::U32Ge { col, .. } => *col,
         }
     }
 
@@ -52,7 +49,6 @@ impl Filter {
             Filter::DictNotIn { ids, .. } => page.u32_at(row).is_some_and(|id| !ids.contains(&id)),
             Filter::U32Eq { v, .. } => page.u32_at(row) == Some(*v),
             Filter::U32Ge { min, .. } => page.u32_at(row).is_some_and(|x| x >= *min),
-            Filter::NotNull { .. } => !page.is_null(row),
         }
     }
 }
@@ -188,14 +184,6 @@ impl<'s, S: ColumnarSource> Query<'s, S> {
         self
     }
 
-    /// Keep rows whose column is non-null.
-    #[must_use]
-    pub fn not_null(mut self, name: &str) -> Self {
-        let col = self.col(name);
-        self.filters.push(Filter::NotNull { col });
-        self
-    }
-
     /// Stream matching rows: `f(chunk, row)` in storage order.
     fn scan(&self, mut f: impl FnMut(usize, usize)) {
         for chunk in 0..self.src.chunk_count() {
@@ -239,25 +227,6 @@ impl<'s, S: ColumnarSource> Query<'s, S> {
                 page = Some(self.src.page(chunk, col));
             }
             if let Some(v) = page.as_ref().expect("bound page").f64_at(row) {
-                out.push(v);
-            }
-        });
-        out
-    }
-
-    /// Collect a u32 column over matching rows, nulls skipped.
-    #[must_use]
-    pub fn u32_values(&self, name: &str) -> Vec<u32> {
-        let col = self.col(name);
-        let mut out = Vec::new();
-        let mut cur = usize::MAX;
-        let mut page = None;
-        self.scan(|chunk, row| {
-            if chunk != cur {
-                cur = chunk;
-                page = Some(self.src.page(chunk, col));
-            }
-            if let Some(v) = page.as_ref().expect("bound page").u32_at(row) {
                 out.push(v);
             }
         });
@@ -464,7 +433,6 @@ mod tests {
         );
         assert_eq!(Query::new(&t).none_of("country", &["PAK"]).count(), 3);
         assert_eq!(Query::new(&t).u32_ge("code", 3).count(), 3);
-        assert_eq!(Query::new(&t).not_null("ms").count(), 5);
         assert_eq!(
             Query::new(&t)
                 .eq("country", "ARE")
@@ -482,7 +450,6 @@ mod tests {
             Query::new(&t).values("ms"),
             vec![10.0, 20.0, 40.0, 99.0, 30.0]
         );
-        assert_eq!(Query::new(&t).u32_values("code"), vec![5, 1, 5, 1, 3]);
         assert_eq!(
             Query::new(&t).eq("status", "ok").labels("country"),
             vec![Some("PAK"), Some("ARE"), None, Some("DEU")]

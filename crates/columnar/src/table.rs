@@ -205,16 +205,13 @@ pub struct Table {
 
 impl Table {
     /// Encode into one sealed, integrity-hashed frame
-    /// (kind [`FRAME_KIND_TABLE`], version [`TABLE_VERSION`]).
+    /// (kind `FRAME_KIND_TABLE`, version `TABLE_VERSION`).
     ///
     /// Payload fields: tag 1 row count; tag 2 one section per schema
     /// field (1 name, 2 kind code, 3 f64 precision, 4 repeated enum
     /// label); tag 3 one section per dict column (1 column index,
     /// 2 repeated label); tag 4 one section per chunk (1 row count,
     /// then per column in schema order: 2 page bytes, 3 null bitmap).
-    ///
-    /// [`FRAME_KIND_TABLE`]: crate::FRAME_KIND_TABLE
-    /// [`TABLE_VERSION`]: crate::TABLE_VERSION
     #[must_use]
     pub fn to_frame(&self) -> Vec<u8> {
         let mut enc = Encoder::new();

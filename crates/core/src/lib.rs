@@ -28,9 +28,8 @@ pub mod vmno_visibility;
 
 pub use marketplace::{Aggregator, CountryOffer};
 pub use path_analysis::{analyze_traceroute, PathAnalysis};
-pub use taxonomy::{MnaFlavor, NetworkRole, RoleOwner};
 pub use tomography::{classify_architecture, EsimObservation, TomographyReport, TomographyRow};
 pub use vmno_visibility::{
-    infer_class, recover_imsi_ranges, simulate_core_records, CoreRecord, SignallingProfile,
-    TrafficStats, UserClass, VisibilityExperiment,
+    infer_class, recover_imsi_ranges, simulate_core_records, CoreRecord, TrafficStats, UserClass,
+    VisibilityExperiment,
 };

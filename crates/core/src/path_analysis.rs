@@ -93,7 +93,7 @@ pub fn analyze_traceroute(tr: &Traceroute, registry: &IpRegistry) -> PathAnalysi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roam_netsim::link::{LatencyModel, LinkClass};
+    use roam_netsim::link::LatencyModel;
     use roam_netsim::registry::well_known;
     use roam_netsim::{Ipv4Net, Network, NodeKind, TracerouteOpts};
 
@@ -111,35 +111,11 @@ mod tests {
         let nat = net.add_node("nat", NodeKind::CgNat, City::Amsterdam, ip("147.75.81.9"));
         let t = net.add_node("t", NodeKind::Router, City::Amsterdam, ip("147.75.82.1"));
         let sp = net.add_node("sp", NodeKind::SpEdge, City::Frankfurt, ip("142.250.1.1"));
-        net.link_with(
-            h,
-            r1,
-            LinkClass::RadioAccess,
-            LatencyModel::fixed(15.0, 0.0),
-            0.0,
-        );
-        net.link_with(
-            r1,
-            r2,
-            LinkClass::Tunnel,
-            LatencyModel::fixed(20.0, 0.0),
-            0.0,
-        );
-        net.link_with(
-            r2,
-            nat,
-            LinkClass::Metro,
-            LatencyModel::fixed(0.4, 0.0),
-            0.0,
-        );
-        net.link_with(nat, t, LinkClass::Metro, LatencyModel::fixed(0.4, 0.0), 0.0);
-        net.link_with(
-            t,
-            sp,
-            LinkClass::Peering,
-            LatencyModel::fixed(3.0, 0.0),
-            0.0,
-        );
+        net.link_with(h, r1, LatencyModel::fixed(15.0, 0.0), 0.0);
+        net.link_with(r1, r2, LatencyModel::fixed(20.0, 0.0), 0.0);
+        net.link_with(r2, nat, LatencyModel::fixed(0.4, 0.0), 0.0);
+        net.link_with(nat, t, LatencyModel::fixed(0.4, 0.0), 0.0);
+        net.link_with(t, sp, LatencyModel::fixed(3.0, 0.0), 0.0);
         let reg = net.registry_mut();
         reg.register(
             Ipv4Net::parse("147.75.80.0/22").unwrap(),
@@ -194,8 +170,8 @@ mod tests {
         let a = net.add_node("a", NodeKind::Host, City::Berlin, ip("10.0.0.1"));
         let m = net.add_node("m", NodeKind::Router, City::Berlin, ip("10.0.0.2"));
         let b = net.add_node("b", NodeKind::Host, City::Berlin, ip("10.0.0.3"));
-        net.link_with(a, m, LinkClass::Metro, LatencyModel::fixed(1.0, 0.0), 0.0);
-        net.link_with(m, b, LinkClass::Metro, LatencyModel::fixed(1.0, 0.0), 0.0);
+        net.link_with(a, m, LatencyModel::fixed(1.0, 0.0), 0.0);
+        net.link_with(m, b, LatencyModel::fixed(1.0, 0.0), 0.0);
         let tr = net.traceroute(a, b, TracerouteOpts::default());
         let pa = analyze_traceroute(&tr, net.registry());
         assert_eq!(pa.public_len, 0);
@@ -224,8 +200,8 @@ mod tests {
         let a = net.add_node("a", NodeKind::Host, City::Berlin, ip("10.0.0.1"));
         let n = net.add_node("n", NodeKind::CgNat, City::Berlin, ip("203.0.113.9"));
         let b = net.add_node("b", NodeKind::SpEdge, City::Berlin, ip("203.0.113.77"));
-        net.link_with(a, n, LinkClass::Metro, LatencyModel::fixed(1.0, 0.0), 0.0);
-        net.link_with(n, b, LinkClass::Metro, LatencyModel::fixed(1.0, 0.0), 0.0);
+        net.link_with(a, n, LatencyModel::fixed(1.0, 0.0), 0.0);
+        net.link_with(n, b, LatencyModel::fixed(1.0, 0.0), 0.0);
         let tr = net.traceroute(a, b, TracerouteOpts::default());
         let pa = analyze_traceroute(&tr, net.registry());
         assert_eq!(pa.pgw_ip, Some(ip("203.0.113.9")));

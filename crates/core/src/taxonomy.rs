@@ -9,7 +9,7 @@
 
 /// A row of Fig. 2: a function someone has to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NetworkRole {
+pub(crate) enum NetworkRole {
     /// Customer acquisition, plans, billing.
     Sales,
     /// The mobile core (session management, gateways…).
@@ -39,7 +39,7 @@ impl NetworkRole {
 
 /// Who runs a role for a given operating model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoleOwner {
+pub(crate) enum RoleOwner {
     /// The (single) traditional operator.
     Mno,
     /// The operator that issued the profile.
@@ -70,7 +70,7 @@ impl RoleOwner {
 /// The MNA flavours of the paper (plus the two non-MNA baselines that
 /// complete the figure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MnaFlavor {
+pub(crate) enum MnaFlavor {
     /// A classical operator serving its own customer at home.
     TraditionalMno,
     /// A classical operator's customer roaming abroad.
@@ -125,15 +125,6 @@ impl MnaFlavor {
             (Full, RadioAccess) => RoleOwner::VMno,
         }
     }
-
-    /// Does the aggregator run any core function itself?
-    #[must_use]
-    pub fn runs_core_function(&self) -> bool {
-        matches!(
-            self.owner(NetworkRole::CoreNetwork),
-            RoleOwner::Mna | RoleOwner::MnaAndBMno
-        )
-    }
 }
 
 /// Render the Fig. 2 grid as an aligned text table.
@@ -174,9 +165,6 @@ mod tests {
 
     #[test]
     fn light_runs_no_core_full_runs_all_core() {
-        assert!(!MnaFlavor::Light.runs_core_function());
-        assert!(MnaFlavor::Thick.runs_core_function());
-        assert!(MnaFlavor::Full.runs_core_function());
         assert_eq!(
             MnaFlavor::Full.owner(NetworkRole::CoreNetwork),
             RoleOwner::Mna

@@ -136,7 +136,7 @@ impl VisibilityExperiment {
 ///   roaming registration machinery, which is why the v-MNO sees "slightly
 ///   higher" signalling from them.
 #[derive(Debug, Clone, Copy)]
-pub struct SignallingProfile {
+pub(crate) struct SignallingProfile {
     /// Mean session attaches per day (each costs a GTP-C exchange plus the
     /// associated NAS registration burst).
     pub attaches_per_day: f64,
@@ -152,7 +152,7 @@ pub struct SignallingProfile {
 impl SignallingProfile {
     /// The per-class event rates.
     #[must_use]
-    pub fn for_class(class: UserClass) -> SignallingProfile {
+    pub(crate) fn for_class(class: UserClass) -> SignallingProfile {
         match class {
             UserClass::Native => SignallingProfile {
                 attaches_per_day: 2.0,
@@ -177,7 +177,7 @@ impl SignallingProfile {
 
     /// Draw one day of signalling volume, MB.
     #[must_use]
-    pub fn daily_volume_mb(&self, rng: &mut SmallRng) -> f64 {
+    pub(crate) fn daily_volume_mb(&self, rng: &mut SmallRng) -> f64 {
         // Event counts wobble ±40% day to day.
         let wobble = |rng: &mut SmallRng, mean: f64| mean * (0.6 + 0.8 * rng.gen::<f64>());
         let attaches = wobble(rng, self.attaches_per_day);

@@ -24,14 +24,12 @@
 //! series each figure plots. [`localsim`] carries the volunteer-collected
 //! physical-SIM baseline of Fig. 17.
 
-pub mod advisor;
 pub mod analytics;
 pub mod crawler;
 pub mod localsim;
 pub mod market;
 pub mod offer;
 
-pub use advisor::{leg_options, plan_trip, LegOption, TripLeg, TripPlan};
 pub use analytics::{
     continent_boxplots, decile_thresholds, median_per_gb_by_country, provider_comparison,
     size_price_by_bmno, ProviderSummary,

@@ -144,15 +144,6 @@ impl Market {
         self.providers.len()
     }
 
-    /// Find a provider by name.
-    #[must_use]
-    pub fn find_provider(&self, name: &str) -> Option<ProviderId> {
-        self.providers
-            .iter()
-            .position(|p| p.name == name)
-            .map(|i| ProviderId(i as u32))
-    }
-
     /// The Airalo provider id.
     #[must_use]
     pub fn airalo(&self) -> ProviderId {
@@ -334,7 +325,10 @@ mod tests {
         let m = Market::generate(1);
         for (name, med) in [("Airhub", 2.3), ("Keepgo", 16.2), ("MobiMatter", 3.2)] {
             let id = m
-                .find_provider(name)
+                .providers
+                .iter()
+                .position(|p| p.name == name)
+                .map(|i| ProviderId(i as u32))
                 .unwrap_or_else(|| panic!("{name} missing"));
             assert_eq!(m.provider(id).median_per_gb, med);
         }

@@ -11,8 +11,8 @@
 //! |                 |                   | user id, report, telemetry        |
 //!
 //! The same kind registry also covers the frames that never touch disk:
-//! [`KIND_JOB`] (parent → worker stdin), [`KIND_RESULT`] and
-//! [`KIND_HEARTBEAT`] (worker stdout → parent, see
+//! `KIND_JOB` (parent → worker stdin), `KIND_RESULT` and
+//! `KIND_HEARTBEAT` (worker stdout → parent, see
 //! [`supervisor`](crate::supervisor)), and [`KIND_AGENT`]
 //! (`roam-service`'s `agent.ckpt`).
 //!
@@ -50,9 +50,9 @@ pub const KIND_MANIFEST: u16 = 1;
 /// Frame kind of `shard-NNN.ckpt`.
 pub const KIND_SHARD: u16 = 2;
 /// Frame kind of a worker job (parent → worker stdin).
-pub const KIND_JOB: u16 = 3;
+pub(crate) const KIND_JOB: u16 = 3;
 /// Frame kind of a shard result (worker stdout → parent).
-pub const KIND_RESULT: u16 = 4;
+pub(crate) const KIND_RESULT: u16 = 4;
 /// Frame kind of a service agent's checkpoint (`roam-service`). The kind
 /// lives in this registry so every checkpoint-plane frame kind is
 /// declared in one place.
@@ -61,7 +61,7 @@ pub const KIND_AGENT: u16 = 5;
 /// emitted before each shard so the supervisor can tell a long shard
 /// from a stalled worker and knows which shard an in-flight death
 /// should be charged to.
-pub const KIND_HEARTBEAT: u16 = 6;
+pub(crate) const KIND_HEARTBEAT: u16 = 6;
 
 /// File name of the run manifest inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.ckpt";

@@ -53,11 +53,10 @@ pub use batch::{BatchRun, UserBatch};
 pub use checkpoint::{Manifest, ResumeError, ShardState, CKPT_VERSION};
 pub use config::{FleetConfig, SessionMix};
 pub use exec::{CountrySlot, RunInputs};
-pub use population::{synthesize, user_rng, Leg, TravelerClass, UserId, UserProfile};
+pub use population::{synthesize, Leg, TravelerClass, UserId, UserProfile};
 pub use report::{FleetReport, JourneySample};
-pub use runner::{FleetConfigError, FleetError, FleetRun, FleetRunner, DEFAULT_CHECKPOINT_EVERY};
+pub use runner::{FleetConfigError, FleetError, FleetRun, FleetRunner};
 pub use sink::{SessionKind, SessionRecord, SessionRows};
 pub use supervisor::{
-    InjectedFault, ProtocolViolation, SupervisionStats, SupervisorPolicy, WorkerError,
-    WorkerFaultSpec, DEFAULT_WORKER_DEADLINE_MS, DEFAULT_WORKER_RETRIES,
+    InjectedFault, ProtocolViolation, SupervisionStats, WorkerError, WorkerFaultSpec,
 };

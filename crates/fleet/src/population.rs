@@ -70,7 +70,7 @@ pub struct UserProfile {
 /// The per-user RNG stream: everything about user `id` is drawn from here
 /// and nowhere else.
 #[must_use]
-pub fn user_rng(master: u64, id: UserId) -> SmallRng {
+pub(crate) fn user_rng(master: u64, id: UserId) -> SmallRng {
     // The key is `fleet/user/<id>`; building it on the stack without the
     // `fmt` machinery matters when this runs once per synthesized user.
     const PREFIX: &[u8] = b"fleet/user/";

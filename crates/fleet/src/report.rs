@@ -207,7 +207,7 @@ impl FleetReport {
     }
 
     /// Count one user of `class`.
-    pub fn count_user(&mut self, class: TravelerClass) {
+    pub(crate) fn count_user(&mut self, class: TravelerClass) {
         self.users += 1;
         self.class_counts[match class {
             TravelerClass::Tourist => 0,

@@ -2,8 +2,8 @@
 //! the outcomes.
 //!
 //! The runner is the thin orchestration layer over the split pipeline —
-//! [`crate::plan`] (work orders), [`crate::exec`] (shard execution),
-//! [`crate::merge`] (the fold) — and owns backend selection:
+//! `crate::plan` (work orders), `crate::exec` (shard execution),
+//! `crate::merge` (the fold) — and owns backend selection:
 //!
 //! * **In-process** (default): shards run on threads via
 //!   [`run_shards`], `ROAM_PARALLEL` controlling the thread count.
@@ -55,7 +55,7 @@ use std::path::PathBuf;
 /// Default checkpoint cadence, accumulated sim-days per shard between
 /// writes (`ROAM_CHECKPOINT_EVERY`). At the default 60-day calendar this
 /// checkpoints roughly every 4 000 users per shard.
-pub const DEFAULT_CHECKPOINT_EVERY: u64 = 250_000;
+pub(crate) const DEFAULT_CHECKPOINT_EVERY: u64 = 250_000;
 
 /// Everything a fleet run returns.
 pub struct FleetRun {
@@ -239,11 +239,9 @@ impl std::fmt::Debug for FleetRunner {
 impl FleetRunner {
     /// A sequential, default-sized, telemetry-off runner for `seed`, with
     /// the fault schedule left to `ROAM_FAULTS`. The worker plane takes its
-    /// documented defaults: injection off, [`DEFAULT_WORKER_RETRIES`]
-    /// retries, a [`DEFAULT_WORKER_DEADLINE_MS`] stall deadline.
-    ///
-    /// [`DEFAULT_WORKER_RETRIES`]: crate::supervisor::DEFAULT_WORKER_RETRIES
-    /// [`DEFAULT_WORKER_DEADLINE_MS`]: crate::supervisor::DEFAULT_WORKER_DEADLINE_MS
+    /// documented defaults: injection off, 3 retries
+    /// (`DEFAULT_WORKER_RETRIES`), a 30 s stall deadline
+    /// (`DEFAULT_WORKER_DEADLINE_MS`).
     #[must_use]
     pub fn new(seed: u64) -> Self {
         FleetRunner {

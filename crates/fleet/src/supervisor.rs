@@ -11,9 +11,9 @@
 //! ## Why recovery cannot change the bytes
 //!
 //! A shard is a pure function of `(seed, config, ShardSpec)` — see
-//! [`run_fleet_shard`]. Re-executing a shard on a fresh child (or on the
+//! `run_fleet_shard`. Re-executing a shard on a fresh child (or on the
 //! parent itself) therefore produces a byte-identical
-//! [`ShardOutcome`], and the merge fold orders by shard index, not by
+//! `ShardOutcome`, and the merge fold orders by shard index, not by
 //! arrival. The supervisor exploits exactly this: it never tries to
 //! salvage a dying child's partial work, it re-dispatches the shard and
 //! lets determinism do the rest. Heavy chaos runs end byte-identical to
@@ -25,7 +25,7 @@
 //! that cycles through `spawn → stream → (done | dead)`:
 //!
 //! * **Liveness** is tracked by exit status plus a sim-progress
-//!   heartbeat frame ([`KIND_HEARTBEAT`]) the worker emits before each
+//!   heartbeat frame (`KIND_HEARTBEAT`) the worker emits before each
 //!   shard. The heartbeat names the shard, so an in-flight death is
 //!   charged to the right retry budget.
 //! * **Detection** covers four failure classes: *crash* (killed by a
@@ -70,11 +70,11 @@ use std::time::Duration;
 
 /// Default per-shard retry budget (`ROAM_WORKER_RETRIES`): attempts
 /// beyond the first before the shard is quarantined to the parent.
-pub const DEFAULT_WORKER_RETRIES: u32 = 3;
+pub(crate) const DEFAULT_WORKER_RETRIES: u32 = 3;
 
 /// Default stall deadline (`ROAM_WORKER_DEADLINE_MS`): a worker that
 /// produces no frame for this long is declared stalled and killed.
-pub const DEFAULT_WORKER_DEADLINE_MS: u64 = 30_000;
+pub(crate) const DEFAULT_WORKER_DEADLINE_MS: u64 = 30_000;
 
 /// Consecutive child deaths *before any heartbeat* that quarantine the
 /// slot's whole remaining stripe — the guard against a child that
@@ -268,7 +268,7 @@ pub enum InjectedFault {
 
 /// The supervisor's escalation policy, resolved once per run.
 #[derive(Debug, Clone, Copy)]
-pub struct SupervisorPolicy {
+pub(crate) struct SupervisorPolicy {
     /// Per-shard retry budget: attempts beyond the first before the
     /// shard is quarantined (`ROAM_WORKER_RETRIES`).
     pub retries: u32,

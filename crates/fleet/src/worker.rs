@@ -6,17 +6,17 @@
 //! One round trip, all sealed [`roam_codec`] frames:
 //!
 //! 1. The parent spawns `fleet_worker` processes, writes one
-//!    [`KIND_JOB`] frame to each worker's stdin, and closes it. The job
+//!    `KIND_JOB` frame to each worker's stdin, and closes it. The job
 //!    carries everything the worker needs — seed, sizing, the run's
 //!    resolved [`RunKnobs`] (telemetry mode and faults; workers never
 //!    consult the environment, so parent and workers can't diverge),
 //!    its striped shard list with per-shard resume states, and the
 //!    checkpoint policy.
 //! 2. The worker runs its shards sequentially. Before each shard it
-//!    writes one [`KIND_HEARTBEAT`] frame (shard index + attempt) so
+//!    writes one `KIND_HEARTBEAT` frame (shard index + attempt) so
 //!    the supervising parent can tell a long shard from a stalled
 //!    worker — and knows which shard to charge when the child dies
-//!    mid-flight. Each finished shard becomes one [`KIND_RESULT`]
+//!    mid-flight. Each finished shard becomes one `KIND_RESULT`
 //!    frame; the worker exits 0 when its stripe is done.
 //! 3. The parent's [`crate::supervisor`] reads the stream, classifies
 //!    every deviation (crash, nonzero exit, stall, protocol violation)

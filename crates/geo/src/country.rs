@@ -95,13 +95,6 @@ macro_rules! countries {
             pub fn centroid(&self) -> GeoPoint {
                 match self { $(Country::$a3 => GeoPoint::new($lat, $lon),)+ }
             }
-
-            /// Parse an alpha-3 code (case-insensitive).
-            #[must_use]
-            pub fn from_alpha3(code: &str) -> Option<Country> {
-                let up = code.to_ascii_uppercase();
-                match up.as_str() { $(stringify!($a3) => Some(Country::$a3),)+ _ => None }
-            }
         }
     };
 }
@@ -303,8 +296,6 @@ mod tests {
     fn alpha3_matches_variant_name() {
         assert_eq!(Country::PAK.alpha3(), "PAK");
         assert_eq!(Country::ARE.alpha3(), "ARE");
-        assert_eq!(Country::from_alpha3("sgp"), Some(Country::SGP));
-        assert_eq!(Country::from_alpha3("XXX"), None);
     }
 
     #[test]

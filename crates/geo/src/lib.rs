@@ -40,7 +40,7 @@ pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 /// Light travels at roughly 2/3 of c in silica fiber: ~204 km/ms, i.e. about
 /// 4.9 µs per km one-way. Used by `roam-netsim` to turn geodesic distances
 /// into link delays.
-pub const FIBER_KM_PER_MS: f64 = 204.0;
+pub(crate) const FIBER_KM_PER_MS: f64 = 204.0;
 
 /// One-way propagation delay over fiber for a geodesic distance, in
 /// milliseconds, before any circuitousness factor is applied.

@@ -114,26 +114,11 @@ impl BreakoutConfig {
             dns: DnsMode::GooglePublic { doh: true },
         }
     }
-
-    /// Pick the provider for a new session. When several providers are
-    /// configured the choice alternates pseudo-randomly, reproducing the
-    /// observed Packet-Host/OVH iteration.
-    pub fn select_provider(&self, rng: &mut rand::rngs::SmallRng) -> PgwProviderId {
-        use rand::Rng;
-        assert!(!self.providers.is_empty());
-        if self.providers.len() == 1 {
-            self.providers[0]
-        } else {
-            self.providers[rng.gen_range(0..self.providers.len())]
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn labels_match_paper_table() {
@@ -169,23 +154,5 @@ mod tests {
     #[should_panic(expected = "at least one provider")]
     fn empty_ihbo_rejected() {
         let _ = BreakoutConfig::ihbo(vec![]);
-    }
-
-    #[test]
-    fn single_provider_selection_is_fixed() {
-        let c = BreakoutConfig::home_routed(PgwProviderId(4));
-        let mut rng = SmallRng::seed_from_u64(0);
-        for _ in 0..5 {
-            assert_eq!(c.select_provider(&mut rng), PgwProviderId(4));
-        }
-    }
-
-    #[test]
-    fn multi_provider_selection_alternates() {
-        let c = BreakoutConfig::ihbo(vec![PgwProviderId(1), PgwProviderId(2)]);
-        let mut rng = SmallRng::seed_from_u64(11);
-        let picks: Vec<_> = (0..50).map(|_| c.select_provider(&mut rng)).collect();
-        assert!(picks.contains(&PgwProviderId(1)));
-        assert!(picks.contains(&PgwProviderId(2)));
     }
 }

@@ -29,6 +29,5 @@ pub use provider::{
     IpAssignment, PgwProvider, PgwProviderId, PgwSelection, PgwSite, ProviderDirectory,
 };
 pub use session::{
-    attach, try_attach, AttachError, AttachParams, Attachment, PeeringQuality,
-    SIGNALLING_BYTES_PER_ATTACH,
+    attach, AttachError, AttachParams, Attachment, PeeringQuality, SIGNALLING_BYTES_PER_ATTACH,
 };

@@ -123,7 +123,7 @@ impl PgwProvider {
     }
 
     /// Draw the private-path depth for a new session.
-    pub fn sample_private_hops(&self, rng: &mut SmallRng) -> u8 {
+    pub(crate) fn sample_private_hops(&self, rng: &mut SmallRng) -> u8 {
         let (lo, hi) = self.private_hops;
         assert!(lo >= 1 && hi >= lo, "bad private hop bounds ({lo},{hi})");
         if lo == hi {
@@ -162,15 +162,6 @@ impl ProviderDirectory {
     #[must_use]
     pub fn get(&self, id: PgwProviderId) -> &PgwProvider {
         &self.providers[id.0 as usize]
-    }
-
-    /// Find by ASN (the reverse lookup the tomography performs).
-    #[must_use]
-    pub fn find_by_asn(&self, asn: Asn) -> Option<PgwProviderId> {
-        self.providers
-            .iter()
-            .position(|p| p.asn == asn)
-            .map(|i| PgwProviderId(i as u32))
     }
 
     /// Iterate `(id, provider)`.
@@ -270,11 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn directory_lookup_by_asn() {
+    fn directory_get_by_id() {
         let mut dir = ProviderDirectory::new();
         let id = dir.add(packet_host());
-        assert_eq!(dir.find_by_asn(well_known::PACKET_HOST), Some(id));
-        assert_eq!(dir.find_by_asn(well_known::OVH), None);
         assert_eq!(dir.get(id).name, "Packet Host");
         assert_eq!(dir.len(), 1);
     }

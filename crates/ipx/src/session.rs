@@ -195,7 +195,7 @@ pub struct Attachment {
 /// # Panics
 /// Panics if `session_id` exceeds the private addressing capacity, or the
 /// provider's site pool is malformed. These are scenario-construction bugs;
-/// callers that want to degrade instead use [`try_attach`].
+/// callers that want to degrade instead use `try_attach`.
 pub fn attach(
     net: &mut Network,
     providers: &ProviderDirectory,
@@ -216,7 +216,7 @@ pub fn attach(
 ///
 /// # Errors
 /// Returns an [`AttachError`] when the session cannot be established.
-pub fn try_attach(
+pub(crate) fn try_attach(
     net: &mut Network,
     providers: &ProviderDirectory,
     mnos: &MnoDirectory,
@@ -269,7 +269,7 @@ pub fn try_attach(
     // Rare outage-scale stalls (HARQ storms, cell handovers): the source of
     // the small >150 ms tail even physical SIMs show (§5.1: ~3%).
     .with_spikes(0.03, 280.0);
-    net.link_with(ue, ran, LinkClass::RadioAccess, radio, vmno.access_loss);
+    net.link_with(ue, ran, radio, vmno.access_loss);
     net.link_geo(ran, sgw, LinkClass::Metro);
 
     // --- the tunnel to the breakout site ----------------------------------
@@ -302,7 +302,7 @@ pub fn try_attach(
                     circuitousness,
                 )
             };
-            net.link_with(prev, node, LinkClass::Tunnel, model, 0.0);
+            net.link_with(prev, node, model, 0.0);
         } else {
             net.link_geo(prev, node, LinkClass::Metro);
         }

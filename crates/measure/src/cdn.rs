@@ -16,7 +16,7 @@ use roam_netsim::throughput::TransferSpec;
 use roam_netsim::Network;
 
 /// Compressed transfer size of jquery.min.js v3.6.0 (~30 kB gzipped).
-pub const JQUERY_BYTES: f64 = 30_345.0;
+pub(crate) const JQUERY_BYTES: f64 = 30_345.0;
 
 /// The five CDN providers of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -93,22 +93,9 @@ impl Default for CdnOptions {
 }
 
 /// Fetch jquery.min.js from `provider` as the flow named by `label` (the
-/// DNS lookup runs as its own `{label}/dns` sub-flow). `None` when DNS
-/// fails or no edge is reachable.
-pub fn fetch_jquery(
-    net: &mut Network,
-    endpoint: &Endpoint,
-    targets: &ServiceTargets,
-    provider: CdnProvider,
-    opts: CdnOptions,
-    label: &str,
-) -> Option<CdnResult> {
-    fetch_jquery_checked(net, endpoint, targets, provider, opts, label).ok()
-}
-
-/// [`fetch_jquery`] with typed failure semantics: DNS failures and dead
-/// edges surface as [`MeasureError`]s; a missing edge or resolver in the
-/// scenario is [`MeasureError::NoTarget`].
+/// DNS lookup runs as its own `{label}/dns` sub-flow). DNS failures and
+/// dead edges surface as [`MeasureError`]s; a missing edge or resolver in
+/// the scenario is [`MeasureError::NoTarget`].
 ///
 /// # Errors
 /// Propagates [`resolve_checked`] and
@@ -191,13 +178,7 @@ mod tests {
             City::Singapore,
             "202.166.126.7".parse().unwrap(),
         );
-        net.link_with(
-            ue,
-            nat,
-            LinkClass::Tunnel,
-            LatencyModel::fixed(tunnel_ms, 1.0),
-            0.0,
-        );
+        net.link_with(ue, nat, LatencyModel::fixed(tunnel_ms, 1.0), 0.0);
         let edge = net.add_node(
             "cf-sgp",
             NodeKind::SpEdge,
@@ -216,20 +197,8 @@ mod tests {
             City::Singapore,
             "165.21.83.88".parse().unwrap(),
         );
-        net.link_with(
-            nat,
-            edge,
-            LinkClass::Peering,
-            LatencyModel::fixed(1.0, 0.2),
-            0.0,
-        );
-        net.link_with(
-            nat,
-            dns_node,
-            LinkClass::Metro,
-            LatencyModel::fixed(0.8, 0.1),
-            0.0,
-        );
+        net.link_with(nat, edge, LatencyModel::fixed(1.0, 0.2), 0.0);
+        net.link_with(nat, dns_node, LatencyModel::fixed(0.8, 0.1), 0.0);
         net.link_geo(edge, origin, LinkClass::Backbone);
         let mut targets = ServiceTargets::new();
         targets.add(Service::Cdn(CdnProvider::Cloudflare), edge);
@@ -274,7 +243,7 @@ mod tests {
         let opts = CdnOptions { miss_rate: 0.0 };
         let (mut fast_net, fast_ep, t1) = world(10.0);
         let (mut slow_net, slow_ep, t2) = world(180.0);
-        let fast = fetch_jquery(
+        let fast = fetch_jquery_checked(
             &mut fast_net,
             &fast_ep,
             &t1,
@@ -283,7 +252,7 @@ mod tests {
             "cdn/0",
         )
         .unwrap();
-        let slow = fetch_jquery(
+        let slow = fetch_jquery_checked(
             &mut slow_net,
             &slow_ep,
             &t2,
@@ -307,7 +276,7 @@ mod tests {
         let mut hit_times = vec![];
         let mut miss_times = vec![];
         for i in 0..300 {
-            let r = fetch_jquery(
+            let r = fetch_jquery_checked(
                 &mut net,
                 &ep,
                 &targets,
@@ -335,7 +304,7 @@ mod tests {
     #[test]
     fn dns_time_is_part_of_total() {
         let (mut net, ep, targets) = world(10.0);
-        let r = fetch_jquery(
+        let r = fetch_jquery_checked(
             &mut net,
             &ep,
             &targets,
@@ -359,7 +328,7 @@ mod tests {
     #[test]
     fn unreachable_cdn_returns_none() {
         let (mut net, ep, targets) = world(10.0);
-        assert!(fetch_jquery(
+        assert!(fetch_jquery_checked(
             &mut net,
             &ep,
             &targets,
@@ -367,6 +336,6 @@ mod tests {
             CdnOptions::default(),
             "cdn/0"
         )
-        .is_none());
+        .is_err());
     }
 }

@@ -219,7 +219,7 @@ mod tests {
     use roam_cellular::{ChannelSampler, MnoId, Rat, SimType};
     use roam_geo::Country;
     use roam_ipx::{Attachment, PgwProviderId, RoamingArch};
-    use roam_netsim::link::{LatencyModel, LinkClass};
+    use roam_netsim::link::LatencyModel;
     use roam_netsim::NodeKind;
 
     /// Build: ue —(20ms)— cgnat(AMS) —— resolvers in AMS + SGP.
@@ -237,13 +237,7 @@ mod tests {
             City::Amsterdam,
             "147.75.81.1".parse().unwrap(),
         );
-        net.link_with(
-            ue,
-            nat,
-            LinkClass::Tunnel,
-            LatencyModel::fixed(20.0, 0.0),
-            0.0,
-        );
+        net.link_with(ue, nat, LatencyModel::fixed(20.0, 0.0), 0.0);
         let dns_ams = net.add_node(
             "gdns-ams",
             NodeKind::DnsResolver,
@@ -262,27 +256,9 @@ mod tests {
             City::Amsterdam,
             "165.21.83.88".parse().unwrap(),
         );
-        net.link_with(
-            nat,
-            dns_ams,
-            LinkClass::Metro,
-            LatencyModel::fixed(1.0, 0.0),
-            0.0,
-        );
-        net.link_with(
-            nat,
-            dns_sgp,
-            LinkClass::Backbone,
-            LatencyModel::fixed(80.0, 0.0),
-            0.0,
-        );
-        net.link_with(
-            nat,
-            op_dns,
-            LinkClass::Metro,
-            LatencyModel::fixed(1.0, 0.0),
-            0.0,
-        );
+        net.link_with(nat, dns_ams, LatencyModel::fixed(1.0, 0.0), 0.0);
+        net.link_with(nat, dns_sgp, LatencyModel::fixed(80.0, 0.0), 0.0);
+        net.link_with(nat, op_dns, LatencyModel::fixed(1.0, 0.0), 0.0);
         let mut targets = ServiceTargets::new();
         targets.add_google_dns(dns_ams);
         targets.add_google_dns(dns_sgp);

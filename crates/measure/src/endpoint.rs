@@ -45,14 +45,14 @@ impl Endpoint {
     /// Effective downlink ceiling for a test taken at channel quality
     /// `cqi`: the policy rate capped by what the air interface can carry.
     #[must_use]
-    pub fn effective_down_mbps(&self, cqi: Cqi) -> f64 {
+    pub(crate) fn effective_down_mbps(&self, cqi: Cqi) -> f64 {
         self.policy_down_mbps.min(phy_rate_mbps(self.att.rat, cqi))
     }
 
     /// Effective uplink ceiling (uplink PHY is roughly half of downlink
     /// for the TDD/FDD mixes in play).
     #[must_use]
-    pub fn effective_up_mbps(&self, cqi: Cqi) -> f64 {
+    pub(crate) fn effective_up_mbps(&self, cqi: Cqi) -> f64 {
         self.policy_up_mbps
             .min(phy_rate_mbps(self.att.rat, cqi) * 0.5)
     }
@@ -136,7 +136,7 @@ impl Probe<'_> {
     ///
     /// An unroutable or silent destination fails immediately as
     /// [`MeasureError::Unreachable`]; a fully-lost exchange earns up to
-    /// [`BACKOFF_ROUNDS`] extra rounds, each preceded by a backoff of
+    /// `BACKOFF_ROUNDS` extra rounds, each preceded by a backoff of
     /// `BACKOFF_BASE_MS · 2^round · (1 + jitter)` with the jitter drawn
     /// from the flow's own RNG stream, so retry behaviour is a pure
     /// function of the flow identity. Each retry re-phases against the
@@ -227,7 +227,7 @@ impl Probe<'_> {
     /// The byte count enters [`Counter::TransferBytes`]; the duration is
     /// returned to the client and never reaches the telemetry plane.
     #[must_use]
-    pub fn transfer_ms(&mut self, spec: &TransferSpec) -> f64 {
+    pub(crate) fn transfer_ms(&mut self, spec: &TransferSpec) -> f64 {
         self.net
             .telemetry_mut()
             .add(Counter::TransferBytes, spec.bytes as u64);
@@ -235,7 +235,7 @@ impl Probe<'_> {
     }
 
     /// Goodput of a bulk transfer, Mbps ([`throughput::goodput_mbps`]).
-    /// Same telemetry rule as [`Probe::transfer_ms`]: bytes are counted,
+    /// Same telemetry rule as `Probe::transfer_ms`: bytes are counted,
     /// the rate is not recorded.
     #[must_use]
     pub fn goodput_mbps(&mut self, spec: &TransferSpec) -> f64 {

@@ -35,7 +35,7 @@ pub use roam_columnar::CellValue;
 pub const STATUS_LABELS: [&str; 4] = ["ok", "failover", "timeout", "unreachable"];
 
 /// Boolean column labels (`code = b as u8`).
-pub const BOOL_LABELS: [&str; 2] = ["false", "true"];
+pub(crate) const BOOL_LABELS: [&str; 2] = ["false", "true"];
 
 /// Enum code of a measurement status, in [`STATUS_LABELS`] order.
 #[must_use]

@@ -20,7 +20,6 @@
 //! campaign harness uses to spread per-country shards across worker
 //! threads while keeping seeded output bit-identical to a sequential run.
 
-pub mod amigo;
 pub mod campaign;
 pub mod cdn;
 pub mod dns;
@@ -36,27 +35,23 @@ pub mod video;
 pub mod voip;
 pub mod webtest;
 
-pub use amigo::{
-    ControlServer, DeviceVitals, Instrumentation, MeasurementEndpoint, SimSlot, SkipReason,
-};
 pub use campaign::{
     run_device_campaign, run_measurement, run_web_measurement, CampaignData, CdnRecord,
     DegradationSummary, DeviceCampaignSpec, DnsRecord, PlannedMeasurement, SpeedtestRecord,
     TraceRecord, VideoRecord, WebRecord,
 };
-pub use cdn::{fetch_jquery, fetch_jquery_checked, CdnProvider, CdnResult};
+pub use cdn::{fetch_jquery_checked, CdnProvider, CdnResult};
 pub use dns::{resolve_checked, resolve_timing, DnsResult, DnsTiming, ResolverPlan};
 pub use endpoint::{Endpoint, Probe, ProbeRtt};
 pub use error::{MeasureError, MeasureStatus};
 pub use export::{
     status_code, tag_cells, CellValue, ColumnarSink, DataSink, Dataset, Exporter, MemorySink,
-    SharedSink, VoipRecord, BOOL_LABELS, STATUS_LABELS,
+    SharedSink, VoipRecord, STATUS_LABELS,
 };
 pub use parallel::{run_shards, RunMode, ShardTiming};
-pub use speedtest::{ookla_speedtest, ookla_speedtest_checked, SpeedtestResult};
-pub use suite::{measurement_suite, MeasurementKind};
+pub use speedtest::{ookla_speedtest_checked, SpeedtestResult};
+pub use suite::measurement_suite;
 pub use targets::{Service, ServiceTargets};
-pub use trace::{mtr, mtr_run, mtr_run_checked, TraceOutcome};
-pub use video::{play_youtube, play_youtube_checked, Resolution, VideoResult};
-pub use voip::{e_model, voip_probe, VoipResult};
-pub use webtest::{fastcom_test, fastcom_test_checked, WebTestResult};
+pub use trace::{mtr, TraceOutcome};
+pub use video::{play_youtube_checked, Resolution, VideoResult};
+pub use voip::{voip_probe, VoipResult};

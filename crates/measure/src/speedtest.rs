@@ -41,20 +41,9 @@ pub struct SpeedtestResult {
     pub status: MeasureStatus,
 }
 
-/// Run a speedtest as the flow named by `label`. `None` when no server is
-/// reachable.
-pub fn ookla_speedtest(
-    net: &mut Network,
-    endpoint: &Endpoint,
-    targets: &ServiceTargets,
-    label: &str,
-) -> Option<SpeedtestResult> {
-    ookla_speedtest_checked(net, endpoint, targets, label).ok()
-}
-
-/// [`ookla_speedtest`] with typed failure semantics: a missing server is
+/// Run a speedtest as the flow named by `label`. A missing server is
 /// [`MeasureError::NoTarget`], a dead or fully-lossy path surfaces the
-/// probe's error instead of a silent `None`.
+/// probe's error.
 ///
 /// # Errors
 /// Propagates [`crate::endpoint::Probe::rtt_checked`] failures.
@@ -107,7 +96,7 @@ mod tests {
     use roam_cellular::{ChannelSampler, MnoId, SimType};
     use roam_geo::Country;
     use roam_ipx::{Attachment, DnsMode, PgwProviderId, RoamingArch};
-    use roam_netsim::link::{LatencyModel, LinkClass};
+    use roam_netsim::link::LatencyModel;
     use roam_netsim::{NodeId, NodeKind};
 
     fn world(tunnel_ms: f64, down: f64) -> (Network, Endpoint, ServiceTargets) {
@@ -124,13 +113,7 @@ mod tests {
             City::Singapore,
             "202.166.126.5".parse().unwrap(),
         );
-        net.link_with(
-            ue,
-            nat,
-            LinkClass::Tunnel,
-            LatencyModel::fixed(tunnel_ms, 0.5),
-            0.0,
-        );
+        net.link_with(ue, nat, LatencyModel::fixed(tunnel_ms, 0.5), 0.0);
         let ookla_sgp = net.add_node(
             "ookla-sgp",
             NodeKind::SpEdge,
@@ -143,20 +126,8 @@ mod tests {
             City::Karachi,
             "119.160.1.1".parse().unwrap(),
         );
-        net.link_with(
-            nat,
-            ookla_sgp,
-            LinkClass::Peering,
-            LatencyModel::fixed(1.0, 0.2),
-            0.0,
-        );
-        net.link_with(
-            nat,
-            ookla_khi,
-            LinkClass::Backbone,
-            LatencyModel::fixed(40.0, 1.0),
-            0.0,
-        );
+        net.link_with(nat, ookla_sgp, LatencyModel::fixed(1.0, 0.2), 0.0);
+        net.link_with(nat, ookla_khi, LatencyModel::fixed(40.0, 1.0), 0.0);
         let mut targets = ServiceTargets::new();
         targets.add(Service::Ookla, ookla_sgp);
         targets.add(Service::Ookla, ookla_khi);
@@ -197,7 +168,7 @@ mod tests {
     #[test]
     fn server_selected_near_breakout_not_user() {
         let (mut net, ep, targets) = world(150.0, 10.0);
-        let r = ookla_speedtest(&mut net, &ep, &targets, "t/0").unwrap();
+        let r = ookla_speedtest_checked(&mut net, &ep, &targets, "t/0").unwrap();
         assert_eq!(
             r.server_city,
             City::Singapore,
@@ -211,8 +182,8 @@ mod tests {
     fn long_tunnel_degrades_goodput_at_same_policy() {
         let (mut short_net, short_ep, t1) = world(10.0, 20.0);
         let (mut long_net, long_ep, t2) = world(200.0, 20.0);
-        let fast = ookla_speedtest(&mut short_net, &short_ep, &t1, "t/0").unwrap();
-        let slow = ookla_speedtest(&mut long_net, &long_ep, &t2, "t/0").unwrap();
+        let fast = ookla_speedtest_checked(&mut short_net, &short_ep, &t1, "t/0").unwrap();
+        let slow = ookla_speedtest_checked(&mut long_net, &long_ep, &t2, "t/0").unwrap();
         assert!(
             slow.down_mbps < fast.down_mbps,
             "long RTT must cost goodput: {} vs {}",
@@ -224,7 +195,7 @@ mod tests {
     #[test]
     fn policy_rate_is_approached_on_short_paths() {
         let (mut net, ep, targets) = world(5.0, 15.0);
-        let r = ookla_speedtest(&mut net, &ep, &targets, "t/0").unwrap();
+        let r = ookla_speedtest_checked(&mut net, &ep, &targets, "t/0").unwrap();
         assert!(
             (10.0..15.2).contains(&r.down_mbps),
             "goodput {}",
@@ -236,7 +207,7 @@ mod tests {
     #[test]
     fn no_server_no_result() {
         let (mut net, ep, _) = world(5.0, 15.0);
-        assert!(ookla_speedtest(&mut net, &ep, &ServiceTargets::new(), "t/0").is_none());
+        assert!(ookla_speedtest_checked(&mut net, &ep, &ServiceTargets::new(), "t/0").is_err());
     }
 
     #[test]
@@ -248,7 +219,7 @@ mod tests {
         };
         let mut weak = 0;
         for i in 0..100 {
-            let r = ookla_speedtest(&mut net, &ep, &targets, &format!("t/{i}")).unwrap();
+            let r = ookla_speedtest_checked(&mut net, &ep, &targets, &format!("t/{i}")).unwrap();
             if !r.cqi.passes_quality_filter() {
                 weak += 1;
             }
@@ -262,10 +233,10 @@ mod tests {
     #[test]
     fn same_label_same_result_regardless_of_history() {
         let (mut net, ep, targets) = world(5.0, 15.0);
-        let a = ookla_speedtest(&mut net, &ep, &targets, "t/7").unwrap();
+        let a = ookla_speedtest_checked(&mut net, &ep, &targets, "t/7").unwrap();
         // Interleave other flows; the repeat must be bit-identical.
-        let _ = ookla_speedtest(&mut net, &ep, &targets, "t/8");
-        let b = ookla_speedtest(&mut net, &ep, &targets, "t/7").unwrap();
+        let _ = ookla_speedtest_checked(&mut net, &ep, &targets, "t/8");
+        let b = ookla_speedtest_checked(&mut net, &ep, &targets, "t/7").unwrap();
         assert_eq!(a.latency_ms.to_bits(), b.latency_ms.to_bits());
         assert_eq!(a.down_mbps.to_bits(), b.down_mbps.to_bits());
         assert_eq!(a.cqi, b.cqi);

@@ -2,7 +2,7 @@
 
 /// One kind of network measurement the AmiGo-style endpoint runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MeasurementKind {
+pub(crate) enum MeasurementKind {
     /// Ookla speedtest near the public-IP geolocation.
     Speedtest,
     /// `mtr` traceroutes to Google / Facebook / YouTube.
@@ -27,7 +27,7 @@ impl MeasurementKind {
 
     /// Table 1 "Description" column.
     #[must_use]
-    pub fn description(&self) -> &'static str {
+    pub(crate) fn description(&self) -> &'static str {
         match self {
             MeasurementKind::Speedtest => "Speedtest to an Ookla server near user's IP-geolocation",
             MeasurementKind::Traceroute => "Traceroute to Google/Facebook/YouTube via mtr",

@@ -125,7 +125,7 @@ impl ServiceTargets {
 
     /// The resolver run by `mno`, if registered.
     #[must_use]
-    pub fn operator_dns(&self, mno: roam_cellular::MnoId) -> Option<NodeId> {
+    pub(crate) fn operator_dns(&self, mno: roam_cellular::MnoId) -> Option<NodeId> {
         self.operator_dns.get(&mno.0).copied()
     }
 

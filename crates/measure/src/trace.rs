@@ -22,36 +22,25 @@ pub struct TraceOutcome {
 /// DNS resolves it). `None` when no edge is registered.
 ///
 /// Convenience wrapper for a single run; campaigns that repeat the trace
-/// use [`mtr_run`] so each repetition gets its own flow.
+/// use `mtr_run_checked` so each repetition gets its own flow.
 pub fn mtr(
     net: &mut Network,
     endpoint: &Endpoint,
     targets: &ServiceTargets,
     service: Service,
 ) -> Option<TraceOutcome> {
-    mtr_run(net, endpoint, targets, service, 0)
+    mtr_run_checked(net, endpoint, targets, service, 0).ok()
 }
 
 /// Run the `run`-th `mtr` repetition toward `service` on its own flow
-/// (`"mtr/{service}/{run}"`).
-pub fn mtr_run(
-    net: &mut Network,
-    endpoint: &Endpoint,
-    targets: &ServiceTargets,
-    service: Service,
-    run: u32,
-) -> Option<TraceOutcome> {
-    mtr_run_checked(net, endpoint, targets, service, run).ok()
-}
-
-/// [`mtr_run`] with typed failure semantics: a service with no registered
-/// edge is [`MeasureError::NoTarget`]. A traceroute that does not reach
-/// its target is still a valid outcome (the paper's unreached traces are
+/// (`"mtr/{service}/{run}"`). A service with no registered edge is
+/// [`MeasureError::NoTarget`]. A traceroute that does not reach its
+/// target is still a valid outcome (the paper's unreached traces are
 /// data, not errors) — `analysis.reached` carries that distinction.
 ///
 /// # Errors
 /// [`MeasureError::NoTarget`] when no edge is registered for `service`.
-pub fn mtr_run_checked(
+pub(crate) fn mtr_run_checked(
     net: &mut Network,
     endpoint: &Endpoint,
     targets: &ServiceTargets,
@@ -109,20 +98,8 @@ mod tests {
             City::Paris,
             "142.250.3.3".parse().unwrap(),
         );
-        net.link_with(
-            ue,
-            core,
-            LinkClass::Tunnel,
-            LatencyModel::fixed(45.0, 2.0),
-            0.0,
-        );
-        net.link_with(
-            core,
-            nat,
-            LinkClass::Metro,
-            LatencyModel::fixed(0.4, 0.1),
-            0.0,
-        );
+        net.link_with(ue, core, LatencyModel::fixed(45.0, 2.0), 0.0);
+        net.link_with(core, nat, LatencyModel::fixed(0.4, 0.1), 0.0);
         net.link_geo(nat, g, LinkClass::Peering);
         net.registry_mut().register(
             Ipv4Net::parse("141.95.0.0/16").unwrap(),

@@ -42,7 +42,7 @@ impl Resolution {
 
     /// Nominal bitrate of the rung, Mbps.
     #[must_use]
-    pub fn bitrate_mbps(&self) -> f64 {
+    pub(crate) fn bitrate_mbps(&self) -> f64 {
         match self {
             Resolution::P480 => 1.2,
             Resolution::P720 => 2.8,
@@ -89,18 +89,8 @@ pub struct VideoResult {
 const HEADROOM: f64 = 1.25;
 
 /// Play the 4K test video from the endpoint as the flow named by `label`.
-/// `None` when no YouTube edge is reachable.
-pub fn play_youtube(
-    net: &mut Network,
-    endpoint: &Endpoint,
-    targets: &ServiceTargets,
-    label: &str,
-) -> Option<VideoResult> {
-    play_youtube_checked(net, endpoint, targets, label).ok()
-}
-
-/// [`play_youtube`] with typed failure semantics: a missing YouTube edge
-/// is [`MeasureError::NoTarget`]; a dead path surfaces the probe's error.
+/// A missing YouTube edge is [`MeasureError::NoTarget`]; a dead path
+/// surfaces the probe's error.
 ///
 /// # Errors
 /// Propagates [`crate::endpoint::Probe::rtt_checked`] failures.
@@ -151,7 +141,7 @@ mod tests {
     use roam_cellular::{ChannelSampler, MnoId, Rat, SimType};
     use roam_geo::{City, Country};
     use roam_ipx::{Attachment, DnsMode, PgwProviderId, RoamingArch};
-    use roam_netsim::link::{LatencyModel, LinkClass};
+    use roam_netsim::link::LatencyModel;
     use roam_netsim::NodeKind;
 
     fn world(down: f64, cap: Option<f64>) -> (Network, Endpoint, ServiceTargets) {
@@ -168,26 +158,14 @@ mod tests {
             City::Amsterdam,
             "147.75.81.2".parse().unwrap(),
         );
-        net.link_with(
-            ue,
-            nat,
-            LinkClass::Tunnel,
-            LatencyModel::fixed(25.0, 1.0),
-            0.0,
-        );
+        net.link_with(ue, nat, LatencyModel::fixed(25.0, 1.0), 0.0);
         let yt = net.add_node(
             "yt-ams",
             NodeKind::SpEdge,
             City::Amsterdam,
             "142.250.9.1".parse().unwrap(),
         );
-        net.link_with(
-            nat,
-            yt,
-            LinkClass::Peering,
-            LatencyModel::fixed(1.0, 0.2),
-            0.0,
-        );
+        net.link_with(nat, yt, LatencyModel::fixed(1.0, 0.2), 0.0);
         let mut targets = ServiceTargets::new();
         targets.add(Service::YouTube, yt);
         let ep = Endpoint {
@@ -228,7 +206,8 @@ mod tests {
         let (mut net, ep, targets) = world(down, cap);
         let mut counts = std::collections::HashMap::new();
         for i in 0..60 {
-            let r = play_youtube(&mut net, &ep, &targets, &format!("v/{seed}/{i}")).unwrap();
+            let r =
+                play_youtube_checked(&mut net, &ep, &targets, &format!("v/{seed}/{i}")).unwrap();
             *counts.entry(r.resolution).or_insert(0) += 1;
         }
         counts.into_iter().max_by_key(|(_, c)| *c).unwrap().0
@@ -261,7 +240,7 @@ mod tests {
     fn starved_session_rebuffers_at_bottom_rung() {
         let (mut net, mut ep, targets) = world(1.0, None);
         ep.policy_down_mbps = 1.0;
-        let r = play_youtube(&mut net, &ep, &targets, "v/starved").unwrap();
+        let r = play_youtube_checked(&mut net, &ep, &targets, "v/starved").unwrap();
         assert_eq!(r.resolution, Resolution::P480);
         assert!(r.rebuffered, "1 Mbps cannot sustain 480p at 1.2 Mbps");
     }
@@ -278,6 +257,6 @@ mod tests {
     #[test]
     fn no_edge_returns_none() {
         let (mut net, ep, _) = world(10.0, None);
-        assert!(play_youtube(&mut net, &ep, &ServiceTargets::new(), "v/0").is_none());
+        assert!(play_youtube_checked(&mut net, &ep, &ServiceTargets::new(), "v/0").is_err());
     }
 }

@@ -51,7 +51,7 @@ impl VoipResult {
 /// concealment on). Jitter consumed by the de-jitter buffer is charged as
 /// extra delay (buffer ≈ 2× jitter).
 #[must_use]
-pub fn e_model(rtt_ms: f64, jitter_ms: f64, loss: f64) -> (f64, f64) {
+pub(crate) fn e_model(rtt_ms: f64, jitter_ms: f64, loss: f64) -> (f64, f64) {
     let one_way = rtt_ms / 2.0 + 2.0 * jitter_ms + 25.0; // + codec/packetisation
     let idd = if one_way <= 100.0 {
         0.0

@@ -8,9 +8,8 @@
 //! tomography classification.
 
 use crate::endpoint::Endpoint;
-use crate::error::{MeasureError, MeasureStatus};
+use crate::error::MeasureError;
 use crate::targets::{Service, ServiceTargets};
-use roam_geo::City;
 use roam_netsim::throughput::TransferSpec;
 use roam_netsim::Network;
 use std::net::Ipv4Addr;
@@ -20,22 +19,18 @@ const TEST_BYTES: f64 = 25e6;
 
 /// One fast.com-style measurement.
 #[derive(Debug, Clone, Copy)]
-pub struct WebTestResult {
+pub(crate) struct WebTestResult {
     /// Downlink goodput, Mbps.
     pub down_mbps: f64,
     /// Latency shown by the widget, ms.
     pub latency_ms: f64,
-    /// Server location.
-    pub server_city: City,
     /// Public IP the server observed (classification input).
     pub public_ip: Ipv4Addr,
-    /// How the test ended (ok, or ok-via-failover).
-    pub status: MeasureStatus,
 }
 
 /// Run the browser speedtest as the flow named by `label`. `None` when no
 /// server is reachable.
-pub fn fastcom_test(
+pub(crate) fn fastcom_test(
     net: &mut Network,
     endpoint: &Endpoint,
     targets: &ServiceTargets,
@@ -49,7 +44,7 @@ pub fn fastcom_test(
 ///
 /// # Errors
 /// Propagates [`crate::endpoint::Probe::rtt_checked`] failures.
-pub fn fastcom_test_checked(
+pub(crate) fn fastcom_test_checked(
     net: &mut Network,
     endpoint: &Endpoint,
     targets: &ServiceTargets,
@@ -72,9 +67,7 @@ pub fn fastcom_test_checked(
     Ok(WebTestResult {
         down_mbps: down,
         latency_ms: latency.rtt_ms,
-        server_city: net.node(server).city,
         public_ip: endpoint.att.public_ip,
-        status: latency.status(),
     })
 }
 
@@ -82,9 +75,9 @@ pub fn fastcom_test_checked(
 mod tests {
     use super::*;
     use roam_cellular::{ChannelSampler, MnoId, Rat, SimType};
-    use roam_geo::Country;
+    use roam_geo::{City, Country};
     use roam_ipx::{Attachment, DnsMode, PgwProviderId, RoamingArch};
-    use roam_netsim::link::{LatencyModel, LinkClass};
+    use roam_netsim::link::LatencyModel;
     use roam_netsim::NodeKind;
 
     fn world() -> (Network, Endpoint, ServiceTargets) {
@@ -101,26 +94,14 @@ mod tests {
             City::Ashburn,
             "147.28.128.9".parse().unwrap(),
         );
-        net.link_with(
-            ue,
-            nat,
-            LinkClass::Tunnel,
-            LatencyModel::fixed(55.0, 1.0),
-            0.0,
-        );
+        net.link_with(ue, nat, LatencyModel::fixed(55.0, 1.0), 0.0);
         let nfx = net.add_node(
             "nflx-iad",
             NodeKind::SpEdge,
             City::Ashburn,
             "45.57.1.1".parse().unwrap(),
         );
-        net.link_with(
-            nat,
-            nfx,
-            LinkClass::Peering,
-            LatencyModel::fixed(1.0, 0.2),
-            0.0,
-        );
+        net.link_with(nat, nfx, LatencyModel::fixed(1.0, 0.2), 0.0);
         let mut targets = ServiceTargets::new();
         targets.add(Service::FastCom, nfx);
         let ep = Endpoint {
@@ -158,14 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn records_public_ip_and_breakout_server() {
+    fn records_public_ip_and_tunnel_latency() {
         let (mut net, ep, targets) = world();
         let r = fastcom_test(&mut net, &ep, &targets, "web/0").unwrap();
-        assert_eq!(
-            r.server_city,
-            City::Ashburn,
-            "France eSIM broke out in Virginia"
-        );
         assert_eq!(r.public_ip, "147.28.128.9".parse::<Ipv4Addr>().unwrap());
         assert!(
             r.latency_ms > 100.0,

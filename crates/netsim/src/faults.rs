@@ -422,7 +422,7 @@ impl FaultPlane {
 
     /// Swap in a new spec. Calendars are rebuilt lazily; counters and
     /// registered failovers survive (they are topology facts).
-    pub fn set_spec(&mut self, spec: FaultSpec) {
+    pub(crate) fn set_spec(&mut self, spec: FaultSpec) {
         self.spec = spec;
         self.enabled = spec.enabled();
         self.link_cal.clear();
@@ -446,7 +446,7 @@ impl FaultPlane {
 
     /// Total failover detours taken so far.
     #[must_use]
-    pub fn failovers(&self) -> u64 {
+    pub(crate) fn failovers(&self) -> u64 {
         self.failovers
     }
 

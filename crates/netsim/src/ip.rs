@@ -2,7 +2,7 @@
 //!
 //! The paper's path analysis hinges on one address property: whether a hop's
 //! IP is *private* (inside the PGW provider's core, before internet breakout)
-//! or *public* (after the CG-NAT). [`is_private`] encodes the ranges that
+//! or *public* (after the CG-NAT). `is_private` encodes the ranges that
 //! matter: RFC 1918, the CGN shared space (RFC 6598, what real CG-NATs use),
 //! loopback and link-local.
 
@@ -95,7 +95,7 @@ impl std::fmt::Display for Ipv4Net {
 /// RFC 6598 carrier-grade NAT shared range (`100.64.0.0/10`), loopback, or
 /// link-local. These are the hops the paper labels the *private path*.
 #[must_use]
-pub fn is_private(ip: Ipv4Addr) -> bool {
+pub(crate) fn is_private(ip: Ipv4Addr) -> bool {
     let o = ip.octets();
     o[0] == 10
         || (o[0] == 172 && (16..=31).contains(&o[1]))

@@ -38,8 +38,8 @@ pub mod time;
 
 pub use engine::{flow_seed, Flow, FlowId};
 pub use faults::{FaultCalendar, FaultPlane, FaultSpec, GilbertElliott, NodeFaultState};
-pub use ip::{is_private, Ipv4Net};
-pub use link::{LatencyModel, Link, LinkClass};
+pub use ip::Ipv4Net;
+pub use link::{LatencyModel, LinkClass};
 pub use net::{
     Network, NodeId, NodeKind, PacketEvent, PacketEventKind, PingResult, ProbeError, RttSample,
     RunKnobs, TraceHop, Traceroute, TracerouteOpts,

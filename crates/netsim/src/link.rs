@@ -173,13 +173,11 @@ impl LatencyModel {
 /// in both directions with the same model (delay symmetry is a reasonable
 /// approximation at this scale and keeps forward/return paths consistent).
 #[derive(Debug, Clone)]
-pub struct Link {
+pub(crate) struct Link {
     /// One endpoint (node index).
     pub a: u32,
     /// The other endpoint (node index).
     pub b: u32,
-    /// The link class it was built as.
-    pub class: LinkClass,
     /// Delay model per traversal.
     pub latency: LatencyModel,
     /// Probability a packet is dropped on traversal (fault injection).
@@ -267,7 +265,6 @@ mod tests {
         let l = Link {
             a: 3,
             b: 9,
-            class: LinkClass::Backbone,
             latency: LatencyModel::fixed(1.0, 0.0),
             loss: 0.0,
         };

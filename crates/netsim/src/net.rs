@@ -1,7 +1,7 @@
 //! The network graph and its packet-walking engine.
 //!
 //! A [`Network`] is a set of nodes (hosts, routers, CG-NATs, service-provider
-//! edges, DNS servers) joined by [`Link`]s. A probe is walked hop by hop:
+//! edges, DNS servers) joined by `Link`s. A probe is walked hop by hop:
 //! every router on the way decrements the packet's TTL, exactly as `mtr`
 //! would experience it. When the TTL expires the router answers with an
 //! ICMP time-exceeded that retraces the path, and the probe's RTT is the
@@ -154,12 +154,6 @@ pub struct Traceroute {
 }
 
 impl Traceroute {
-    /// The responding IPs in order (unresponsive hops skipped).
-    #[must_use]
-    pub fn hop_ips(&self) -> Vec<Ipv4Addr> {
-        self.hops.iter().filter_map(|h| h.ip).collect()
-    }
-
     /// Index (into `hops`) of the first hop that answered with a public IP —
     /// the paper's private/public demarcation point (§4.3).
     #[must_use]
@@ -619,19 +613,12 @@ impl Network {
         self.telemetry.enable_packet_trace();
     }
 
-    /// Stop recording packet events. The captured story remains readable
-    /// through [`Network::take_trace`].
-    pub fn disable_tracing(&mut self) {
-        self.telemetry.disable_packet_trace();
-    }
-
     /// The packet story captured since [`Network::enable_tracing`].
     ///
     /// Historically this consumed the trace buffer — a second call was
     /// silently empty. The records now live in the telemetry sink, so the
     /// call is repeatable: it returns everything captured so far, and
-    /// recording continues until [`Network::disable_tracing`]. The name is
-    /// kept for API continuity.
+    /// recording continues. The name is kept for API continuity.
     pub fn take_trace(&mut self) -> Vec<PacketEvent> {
         self.telemetry
             .packet_records()
@@ -713,18 +700,11 @@ impl Network {
             self.node(b).city.location(),
             class,
         );
-        self.link_with(a, b, class, model, 0.0)
+        self.link_with(a, b, model, 0.0)
     }
 
     /// Connect two nodes with an explicit latency model and loss rate.
-    pub fn link_with(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        class: LinkClass,
-        latency: LatencyModel,
-        loss: f64,
-    ) -> usize {
+    pub fn link_with(&mut self, a: NodeId, b: NodeId, latency: LatencyModel, loss: f64) -> usize {
         assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
         assert_ne!(a, b, "self-links are not allowed");
         let topo = self.topo_mut();
@@ -732,7 +712,6 @@ impl Network {
         topo.links.push(Link {
             a: a.0,
             b: b.0,
-            class,
             latency,
             loss,
         });
@@ -1275,21 +1254,9 @@ mod tests {
             City::Frankfurt,
             ip("142.250.1.1"),
         );
-        net.link_with(
-            ue,
-            r1,
-            LinkClass::RadioAccess,
-            LatencyModel::fixed(12.0, 0.0),
-            0.0,
-        );
+        net.link_with(ue, r1, LatencyModel::fixed(12.0, 0.0), 0.0);
         net.link_geo(r1, nat, LinkClass::Backbone);
-        net.link_with(
-            nat,
-            r2,
-            LinkClass::Metro,
-            LatencyModel::fixed(0.4, 0.0),
-            0.0,
-        );
+        net.link_with(nat, r2, LatencyModel::fixed(0.4, 0.0), 0.0);
         net.link_geo(r2, sp, LinkClass::Peering);
         (net, ue, sp, nat)
     }
@@ -1335,7 +1302,7 @@ mod tests {
         let tr = net.traceroute(ue, sp, TracerouteOpts::default());
         assert!(tr.reached);
         assert_eq!(tr.hops.len(), 4, "four hops beyond the source");
-        let ips = tr.hop_ips();
+        let ips: Vec<Ipv4Addr> = tr.hops.iter().filter_map(|h| h.ip).collect();
         assert_eq!(ips[0], ip("10.55.0.1"));
         assert_eq!(ips[1], ip("131.188.1.1"));
         assert_eq!(ips[2], ip("80.1.2.3"));
@@ -1407,34 +1374,10 @@ mod tests {
         let m2 = net.add_node("m2", NodeKind::Router, City::Tokyo, ip("80.0.0.2"));
         let b = net.add_node("b", NodeKind::SpEdge, City::Amsterdam, ip("90.0.0.1"));
         // Fast two-hop path via Frankfurt vs slow detour via Tokyo.
-        net.link_with(
-            a,
-            m1,
-            LinkClass::Backbone,
-            LatencyModel::fixed(5.0, 0.0),
-            0.0,
-        );
-        net.link_with(
-            m1,
-            b,
-            LinkClass::Backbone,
-            LatencyModel::fixed(5.0, 0.0),
-            0.0,
-        );
-        net.link_with(
-            a,
-            m2,
-            LinkClass::Backbone,
-            LatencyModel::fixed(100.0, 0.0),
-            0.0,
-        );
-        net.link_with(
-            m2,
-            b,
-            LinkClass::Backbone,
-            LatencyModel::fixed(100.0, 0.0),
-            0.0,
-        );
+        net.link_with(a, m1, LatencyModel::fixed(5.0, 0.0), 0.0);
+        net.link_with(m1, b, LatencyModel::fixed(5.0, 0.0), 0.0);
+        net.link_with(a, m2, LatencyModel::fixed(100.0, 0.0), 0.0);
+        net.link_with(m2, b, LatencyModel::fixed(100.0, 0.0), 0.0);
         let path = net.route(a, b).unwrap();
         assert_eq!(path, vec![a, m1, b]);
     }
@@ -1445,29 +1388,11 @@ mod tests {
         let a = net.add_node("a", NodeKind::Host, City::Paris, ip("10.0.0.1"));
         let m = net.add_node("m", NodeKind::Router, City::Tokyo, ip("80.0.0.2"));
         let b = net.add_node("b", NodeKind::SpEdge, City::Amsterdam, ip("90.0.0.1"));
-        net.link_with(
-            a,
-            m,
-            LinkClass::Backbone,
-            LatencyModel::fixed(100.0, 0.0),
-            0.0,
-        );
-        net.link_with(
-            m,
-            b,
-            LinkClass::Backbone,
-            LatencyModel::fixed(100.0, 0.0),
-            0.0,
-        );
+        net.link_with(a, m, LatencyModel::fixed(100.0, 0.0), 0.0);
+        net.link_with(m, b, LatencyModel::fixed(100.0, 0.0), 0.0);
         assert_eq!(net.route(a, b).unwrap().len(), 3);
         // Add a direct cheap link; the cached 3-hop route must be dropped.
-        net.link_with(
-            a,
-            b,
-            LinkClass::Backbone,
-            LatencyModel::fixed(1.0, 0.0),
-            0.0,
-        );
+        net.link_with(a, b, LatencyModel::fixed(1.0, 0.0), 0.0);
         assert_eq!(net.route(a, b).unwrap(), vec![a, b]);
     }
 
@@ -1507,13 +1432,7 @@ mod tests {
         assert!(!same_entry(&rederived, &before), "the stale plan survived");
         assert_eq!(rederived.entry.plan.loss[0], 1.0);
         assert!(lossy.ping(ue, sp).is_none());
-        linked.link_with(
-            ue,
-            sp,
-            LinkClass::Backbone,
-            LatencyModel::fixed(0.1, 0.0),
-            0.0,
-        );
+        linked.link_with(ue, sp, LatencyModel::fixed(0.1, 0.0), 0.0);
         let extra = linked.add_node("extra", NodeKind::Router, City::Paris, ip("80.9.9.9"));
         assert_eq!(linked.route(ue, sp).unwrap(), vec![ue, sp]);
         assert_eq!(linked.route(ue, extra), None);
@@ -1616,11 +1535,6 @@ mod tests {
         // Further traffic extends it while tracing stays on.
         net.ping(ue, sp);
         assert!(net.take_trace().len() > events.len());
-        // disable_tracing freezes the story: still readable, no longer fed.
-        net.disable_tracing();
-        let frozen = net.take_trace();
-        net.ping(ue, sp);
-        assert_eq!(net.take_trace(), frozen, "no recording after disable");
         // Display is human-readable.
         assert!(events[0].to_string().contains("sent"));
     }
@@ -1701,7 +1615,6 @@ mod tests {
         let li = net.link_with(
             ue,
             sp,
-            LinkClass::IpxBackbone,
             LatencyModel::fixed(200.0, 6.0).with_spikes(0.2, 40.0),
             0.05,
         );
@@ -1828,13 +1741,7 @@ mod tests {
                 City::Berlin,
                 Ipv4Addr::new(80, 0, 0, i),
             );
-            net.link_with(
-                prev,
-                node,
-                LinkClass::Metro,
-                LatencyModel::fixed(1.0, 0.0),
-                0.0,
-            );
+            net.link_with(prev, node, LatencyModel::fixed(1.0, 0.0), 0.0);
             prev = node;
         }
         let path = net.route(src, prev).unwrap();

@@ -45,12 +45,6 @@ impl TokenBucket {
         }
     }
 
-    /// Configured rate in Mbps.
-    #[must_use]
-    pub fn rate_mbps(&self) -> f64 {
-        self.rate_bytes_per_sec * 8.0 / 1e6
-    }
-
     fn refill(&mut self, now: SimTime) {
         // Never rewind: a stale timestamp must not re-credit an interval
         // that a later call already accounted for.
@@ -248,7 +242,7 @@ mod tests {
     #[test]
     fn bucket_never_exceeds_burst() {
         let mut tb = TokenBucket::new(1.0, 500.0);
-        tb.consume(0.0, SimTime::from_secs(3600));
+        tb.consume(0.0, SimTime::from_nanos(3_600_000_000_000));
         assert!(tb.available() <= 500.0);
     }
 

@@ -36,12 +36,6 @@ impl SimTime {
         SimTime(whole.saturating_add(u64::from(ns - whole as f64 >= 0.5)))
     }
 
-    /// Construct from whole seconds.
-    #[must_use]
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
     /// Raw nanoseconds.
     #[must_use]
     pub const fn as_nanos(self) -> u64 {
@@ -99,7 +93,6 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_ms(1.5).as_nanos(), 1_500_000);
-        assert_eq!(SimTime::from_secs(2).as_ms(), 2000.0);
         assert!((SimTime::from_ms(0.123456).as_ms() - 0.123456).abs() < 1e-9);
     }
 
@@ -112,8 +105,8 @@ mod tests {
     #[test]
     fn arithmetic_saturates() {
         let t = SimTime::from_nanos(u64::MAX - 1);
-        assert_eq!(t.after(SimTime::from_secs(10)).as_nanos(), u64::MAX);
-        assert_eq!(SimTime::ZERO.since(SimTime::from_secs(1)), SimTime::ZERO);
+        assert_eq!(t.after(SimTime::from_ms(10_000.0)).as_nanos(), u64::MAX);
+        assert_eq!(SimTime::ZERO.since(SimTime::from_ms(1000.0)), SimTime::ZERO);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use roam_netsim::engine::flow_seed;
-use roam_netsim::link::{LatencyModel, LinkClass};
+use roam_netsim::link::LatencyModel;
 use roam_netsim::{
     FaultCalendar, FaultPlane, FaultSpec, Flow, GilbertElliott, Network, NodeKind, ProbeError,
     SimTime,
@@ -147,20 +147,8 @@ fn probe_trace(seed: u64) -> (Vec<String>, u64, u64) {
         roam_geo::City::Paris,
         "142.250.3.3".parse().unwrap(),
     );
-    net.link_with(
-        ue,
-        nat,
-        LinkClass::Tunnel,
-        LatencyModel::fixed(45.0, 2.0),
-        0.02,
-    );
-    net.link_with(
-        nat,
-        dst,
-        LinkClass::Peering,
-        LatencyModel::fixed(4.0, 0.5),
-        0.01,
-    );
+    net.link_with(ue, nat, LatencyModel::fixed(45.0, 2.0), 0.02);
+    net.link_with(nat, dst, LatencyModel::fixed(4.0, 0.5), 0.01);
     net.set_failover(nat, SimTime::from_ms(11.0));
     let mut flow = Flow::open(flow_seed(seed, "prop/faults/windows"));
     let outcomes: Vec<String> = (0..96)

@@ -21,7 +21,7 @@
 //!   agent's week counter and drains the export queue.
 //!
 //! Determinism: every fire's randomness is a pure function of
-//! `(seed, job id, fire index)` ([`Scheduler::fire_rng`]), batches are
+//! `(seed, job id, fire index)` (`Scheduler::fire_rng`), batches are
 //! sub-shard- and thread-invariant ([`UserBatch`]), probes run on
 //! label-keyed flow streams, and same-instant fires order by
 //! registration. Nothing observable depends on wall time, thread

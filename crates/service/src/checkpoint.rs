@@ -10,7 +10,7 @@
 //! deterministically from the seed, which is the same split the fleet
 //! shard checkpoint makes.
 //!
-//! The frame embeds a [`service_fingerprint`] and the decoder recomputes
+//! The frame embeds a `service_fingerprint` and the decoder recomputes
 //! it: a checkpoint written under different knob semantics, a different
 //! world build, or a different config is *refused*
 //! ([`ResumeError::FingerprintMismatch`]), never silently restarted. The
@@ -113,7 +113,7 @@ mod soak_tag {
 ///
 /// [`FleetConfig`]: roam_fleet::FleetConfig
 #[must_use]
-pub fn service_fingerprint(
+pub(crate) fn service_fingerprint(
     seed: u64,
     config: &ServiceConfig,
     telemetry: TelemetryMode,
@@ -207,7 +207,7 @@ fn intern_country(s: &str) -> Result<&'static str, CodecError> {
 /// One scheduler job's resumable cursor, as stored in the frame —
 /// exactly the [`Scheduler::job_states`](crate::Scheduler::job_states)
 /// tuple.
-pub type JobState = (String, Option<SimTime>, u64, Option<SimTime>);
+pub(crate) type JobState = (String, Option<SimTime>, u64, Option<SimTime>);
 
 /// Everything a killed agent needs to continue as if uninterrupted.
 #[derive(Debug, Clone, PartialEq)]

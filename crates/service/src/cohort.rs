@@ -52,7 +52,7 @@ impl Cohort {
 
     /// The live uid window `[lo, hi)`.
     #[must_use]
-    pub fn live_range(&self) -> (u64, u64) {
+    pub(crate) fn live_range(&self) -> (u64, u64) {
         (self.base() + self.retired, self.base() + self.grown)
     }
 
@@ -87,7 +87,7 @@ impl Cohort {
     /// the same arithmetic the fleet uses for shard ranges, so sizes
     /// differ by at most one.
     #[must_use]
-    pub fn initial_sizes(users: u64, cohorts: usize) -> Vec<u64> {
+    pub(crate) fn initial_sizes(users: u64, cohorts: usize) -> Vec<u64> {
         let n = cohorts as u64;
         (0..n)
             .map(|k| users * (k + 1) / n - users * k / n)

@@ -85,12 +85,6 @@ impl BoundedSink {
     pub fn flushes(&self) -> u64 {
         self.flushes
     }
-
-    /// Records currently queued (always `< cap` between calls).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 /// A single-dataset CSV file sink that counts accepted bytes.
@@ -161,13 +155,6 @@ impl CsvFile {
     #[must_use]
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// The first write failure, if the sink has gone sick. Sticky:
-    /// stays set until the sink is dropped.
-    #[must_use]
-    pub fn sick_error(&self) -> Option<&std::io::Error> {
-        self.sick.as_ref()
     }
 
     /// Write the buffer through and fsync; returns the durable offset.
@@ -253,12 +240,12 @@ mod tests {
         let mut q = BoundedSink::new(mem.clone(), 4);
         let records: Vec<SessionRecord> = (0..10).map(|i| rec(f64::from(i))).collect();
         q.extend(&records[..3]);
-        assert_eq!(q.queued(), 3, "under capacity: nothing drained yet");
+        assert_eq!(q.buf.len(), 3, "under capacity: nothing drained yet");
         assert_eq!(q.flushes(), 0);
         q.extend(&records[3..]);
         // 10 records through a cap of 4: flushed at 4 and 8, 2 left.
         assert_eq!(q.flushes(), 2);
-        assert_eq!(q.queued(), 2);
+        assert_eq!(q.buf.len(), 2);
         q.flush();
         assert_eq!(q.records(), 10);
         let tables = mem.lock().unwrap().clone().into_tables();
@@ -335,7 +322,7 @@ mod tests {
         // flush hits ENOSPC and must go sick, not panic.
         let records: Vec<SessionRecord> = (0..20_000).map(|i| rec(f64::from(i))).collect();
         SessionRows(&records).export_rows(Dataset::Sessions, &mut sink);
-        assert!(sink.sick_error().is_some(), "ENOSPC must stick");
+        assert!(sink.sick.is_some(), "ENOSPC must stick");
         assert_eq!(sink.bytes(), 0, "no byte was ever durable");
         let before = sink.bytes();
         SessionRows(&[rec(1.0)]).export_rows(Dataset::Sessions, &mut sink);

@@ -17,7 +17,7 @@
 //!    would have.
 //! 2. **Per-job keyed RNG streams.** A job's randomness derives from
 //!    `flow_seed(master, "service/job/<id>")` and each fire's from that
-//!    stream plus the fire index ([`Scheduler::fire_rng`]) — a pure
+//!    stream plus the fire index (`Scheduler::fire_rng`) — a pure
 //!    function of `(master, id, index)`. Registering, cancelling or
 //!    reordering *other* jobs cannot perturb it, and nothing about a
 //!    fire's randomness needs checkpointing beyond the fire count.
@@ -133,7 +133,7 @@ impl Scheduler {
     ///
     /// # Panics
     /// Same conditions as [`Scheduler::register`].
-    pub fn resume_job(
+    pub(crate) fn resume_job(
         &mut self,
         id: &str,
         period: Option<SimTime>,
@@ -166,18 +166,6 @@ impl Scheduler {
         self.slots[job.0].next = None;
     }
 
-    /// Whether `job` still has a pending fire.
-    #[must_use]
-    pub fn is_live(&self, job: JobHandle) -> bool {
-        self.slots[job.0].next.is_some()
-    }
-
-    /// Jobs with a pending fire.
-    #[must_use]
-    pub fn live_jobs(&self) -> usize {
-        self.slots.iter().filter(|s| s.next.is_some()).count()
-    }
-
     /// The job's stable string id.
     #[must_use]
     pub fn job_id(&self, job: JobHandle) -> &str {
@@ -188,7 +176,7 @@ impl Scheduler {
     /// `(id, period, fires, next)` — exactly what a checkpoint stores
     /// and [`Scheduler::resume_job`] replays.
     #[must_use]
-    pub fn job_states(&self) -> Vec<(String, Option<SimTime>, u64, Option<SimTime>)> {
+    pub(crate) fn job_states(&self) -> Vec<(String, Option<SimTime>, u64, Option<SimTime>)> {
         self.slots
             .iter()
             .map(|s| (s.id.clone(), s.period, s.fires, s.next))
@@ -232,11 +220,11 @@ impl Scheduler {
     /// `(master, job id, index)` — schedule-order-free, other-job-free,
     /// and resumable by fire count.
     #[must_use]
-    pub fn fire_rng(&self, fire: &Fire) -> SmallRng {
+    pub(crate) fn fire_rng(&self, fire: &Fire) -> SmallRng {
         SmallRng::seed_from_u64(self.fire_seed(fire))
     }
 
-    /// The raw seed behind [`Scheduler::fire_rng`].
+    /// The raw seed behind `Scheduler::fire_rng`.
     #[must_use]
     pub fn fire_seed(&self, fire: &Fire) -> u64 {
         flow_seed(self.slots[fire.job.0].stream, &format!("f{}", fire.index))
@@ -287,13 +275,13 @@ mod tests {
         let a = s.register("a", days(1), Some(days(1)));
         let doomed = s.register("doomed", days(1), Some(days(1)));
         s.cancel(doomed);
-        assert!(!s.is_live(doomed));
+        assert!(s.slots[doomed.0].next.is_none());
         let mut fires = Vec::new();
         for day in 1..=3u64 {
             assert_eq!(s.pop_batch(&mut fires), Some(days(day)));
             assert_eq!(fires.iter().map(|f| f.job).collect::<Vec<_>>(), vec![a]);
         }
-        assert_eq!(s.live_jobs(), 1);
+        assert_eq!(s.slots.iter().filter(|j| j.next.is_some()).count(), 1);
     }
 
     #[test]
@@ -313,7 +301,7 @@ mod tests {
         let mut fires = Vec::new();
         assert_eq!(s.pop_batch(&mut fires), Some(days(5)));
         assert_eq!(fires[0].job, one);
-        assert!(!s.is_live(one));
+        assert!(s.slots[one.0].next.is_none());
         assert_eq!(s.pop_batch(&mut fires), None);
     }
 

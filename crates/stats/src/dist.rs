@@ -10,7 +10,7 @@
 /// Accurate to ~15 significant digits for positive arguments, which covers
 /// every degrees-of-freedom value the tests can produce.
 #[must_use]
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Coefficients for g=7, n=9 from the standard Lanczos tables.
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [

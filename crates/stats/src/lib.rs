@@ -29,7 +29,7 @@ pub mod test;
 pub use cdf::Ecdf;
 pub use corr::{pearson, Correlation};
 pub use stream::{KeyedReservoir, QuantileSketch};
-pub use summary::{mean, mean_ci95, median, quantile, stddev, variance, BoxplotSummary, Summary};
+pub use summary::{mean, mean_ci95, median, quantile, variance, BoxplotSummary, Summary};
 pub use test::{levene_test, welch_t_test, TestResult};
 
 /// Errors produced by the statistics routines.

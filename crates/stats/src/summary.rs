@@ -31,7 +31,7 @@ pub fn variance(xs: &[f64]) -> Result<f64, StatsError> {
 }
 
 /// Sample standard deviation.
-pub fn stddev(xs: &[f64]) -> Result<f64, StatsError> {
+pub(crate) fn stddev(xs: &[f64]) -> Result<f64, StatsError> {
     variance(xs).map(f64::sqrt)
 }
 
@@ -131,19 +131,6 @@ impl BoxplotSummary {
             whisker_hi,
             n: sorted.len(),
         })
-    }
-
-    /// Interquartile range.
-    #[must_use]
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
-    /// True when the box "collapses to a single line", which the paper calls
-    /// out as the signature of perfectly stable path lengths (Fig. 7).
-    #[must_use]
-    pub fn is_degenerate(&self) -> bool {
-        self.whisker_lo == self.whisker_hi
     }
 }
 
@@ -271,7 +258,6 @@ mod tests {
         assert_eq!(b.q3, 76.0);
         assert_eq!(b.whisker_lo, 1.0);
         assert_eq!(b.whisker_hi, 101.0);
-        assert!(!b.is_degenerate());
     }
 
     #[test]
@@ -288,9 +274,9 @@ mod tests {
     #[test]
     fn boxplot_of_constant_sample_is_degenerate() {
         let b = BoxplotSummary::from(&[4.0; 12]).unwrap();
-        assert!(b.is_degenerate());
+        assert_eq!(b.whisker_lo, b.whisker_hi);
         assert_eq!(b.median, 4.0);
-        assert_eq!(b.iqr(), 0.0);
+        assert_eq!(b.q3 - b.q1, 0.0);
     }
 
     #[test]

@@ -286,7 +286,7 @@ pub struct Event {
 
 impl Event {
     /// Render the event as one JSON object, stable field order.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         use std::fmt::Write as _;
         out.push_str("{\"ev\":\"");
         out.push_str(self.kind);
@@ -430,11 +430,6 @@ impl Recorder {
     pub fn enable_packet_trace(&mut self) {
         self.trace_packets = true;
         self.packets.clear();
-    }
-
-    /// Stop recording packet records (the captured story is kept).
-    pub fn disable_packet_trace(&mut self) {
-        self.trace_packets = false;
     }
 
     /// The packet story captured so far. Unlike the pre-telemetry

@@ -64,7 +64,7 @@ impl Gateways {
     /// Transit organisations between a provider's CG-NAT and the public
     /// peering fabric (usually empty).
     #[must_use]
-    pub fn transit_of(&self, provider: PgwProviderId) -> &[(String, Asn)] {
+    pub(crate) fn transit_of(&self, provider: PgwProviderId) -> &[(String, Asn)] {
         self.transit
             .get(&provider.0)
             .map(Vec::as_slice)

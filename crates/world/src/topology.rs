@@ -5,7 +5,7 @@
 //! peering arrangements with global SPs" and "popular providers like Google
 //! and Facebook place edge nodes close to PGWs". So every city that can
 //! host a breakout gets a full set of SP edges, and
-//! [`PublicInternet::connect_breakout`] peers a session's CG-NAT straight
+//! `PublicInternet::connect_breakout` peers a session's CG-NAT straight
 //! into them (via a national transit chain for the operators whose
 //! traceroutes show extra ASes). An IX mesh carries everything else —
 //! distant DNS resolvers, CDN origin fetches, cross-city paths.
@@ -65,7 +65,7 @@ impl PublicInternet {
 
     /// The IX node of a city, if built.
     #[must_use]
-    pub fn ix(&self, city: City) -> Option<NodeId> {
+    pub(crate) fn ix(&self, city: City) -> Option<NodeId> {
         self.ix.get(&city).copied()
     }
 
@@ -73,7 +73,7 @@ impl PublicInternet {
     /// existing IXs), SP edges, speedtest servers, CDN edges, and — where
     /// designated — a Google DNS site. Ashburn additionally hosts the CDN
     /// origins.
-    pub fn ensure_city(&mut self, net: &mut Network, city: City, rng: &mut SmallRng) {
+    pub(crate) fn ensure_city(&mut self, net: &mut Network, city: City, rng: &mut SmallRng) {
         if self.ix.contains_key(&city) {
             return;
         }
@@ -105,7 +105,7 @@ impl PublicInternet {
                 LinkClass::Backbone,
             )
             .with_spikes(0.05, 50.0);
-            net.link_with(ix, peer, LinkClass::Backbone, model, 0.0005);
+            net.link_with(ix, peer, model, 0.0005);
         }
         self.ix.insert(city, ix);
 
@@ -137,7 +137,6 @@ impl PublicInternet {
             net.link_with(
                 border,
                 ix,
-                LinkClass::Metro,
                 LatencyModel::fixed(0.5, 0.2).with_spikes(0.015, 180.0),
                 0.0,
             );
@@ -155,7 +154,6 @@ impl PublicInternet {
                 net.link_with(
                     prev,
                     r,
-                    LinkClass::Metro,
                     LatencyModel::fixed(0.4, 0.2).with_spikes(0.01, 120.0),
                     0.0,
                 );
@@ -170,7 +168,6 @@ impl PublicInternet {
             net.link_with(
                 prev,
                 front,
-                LinkClass::Metro,
                 LatencyModel::fixed(0.4, 0.2).with_spikes(0.01, 120.0),
                 0.0,
             );
@@ -224,7 +221,6 @@ impl PublicInternet {
             net.link_with(
                 node,
                 ix,
-                LinkClass::Metro,
                 LatencyModel::fixed(0.6, 0.3).with_spikes(0.015, 180.0),
                 0.0,
             );
@@ -242,13 +238,7 @@ impl PublicInternet {
                 city,
                 Ipv4Addr::new(74, 125, i, 10),
             );
-            net.link_with(
-                dns,
-                ix,
-                LinkClass::Metro,
-                LatencyModel::fixed(0.5, 0.2),
-                0.0,
-            );
+            net.link_with(dns, ix, LatencyModel::fixed(0.5, 0.2), 0.0);
             self.targets.add_google_dns(dns);
         }
 
@@ -261,13 +251,7 @@ impl PublicInternet {
                     city,
                     Ipv4Addr::new(198, 41, 200, 10 + k as u8),
                 );
-                net.link_with(
-                    origin,
-                    ix,
-                    LinkClass::Metro,
-                    LatencyModel::fixed(0.8, 0.3),
-                    0.0,
-                );
+                net.link_with(origin, ix, LatencyModel::fixed(0.8, 0.3), 0.0);
                 self.targets.set_origin(*provider, origin);
             }
             net.registry_mut().register(
@@ -284,7 +268,7 @@ impl PublicInternet {
     /// operator's national transit chain, when it has one) plus an IX
     /// uplink for everything else. Also registers the session's operator
     /// DNS resolver location if one is supplied.
-    pub fn connect_breakout(
+    pub(crate) fn connect_breakout(
         &mut self,
         net: &mut Network,
         att: &Attachment,
@@ -308,13 +292,7 @@ impl PublicInternet {
                 city,
                 ip,
             );
-            net.link_with(
-                exit,
-                node,
-                LinkClass::Metro,
-                LatencyModel::fixed(0.7, 0.4),
-                0.0,
-            );
+            net.link_with(exit, node, LatencyModel::fixed(0.7, 0.4), 0.0);
             exit = node;
         }
 
@@ -325,7 +303,6 @@ impl PublicInternet {
             net.link_with(
                 exit,
                 border,
-                LinkClass::Peering,
                 LatencyModel::fixed(0.9, 0.4).with_spikes(0.02, 220.0),
                 0.0,
             );
@@ -334,7 +311,6 @@ impl PublicInternet {
         net.link_with(
             exit,
             ix,
-            LinkClass::Metro,
             LatencyModel::fixed(0.8, 0.4).with_spikes(0.02, 180.0),
             0.0,
         );

@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use roamsim::econ::{Crawler, Market, Vantage};
 use roamsim::geo::Country;
-use roamsim::measure::{mtr, ookla_speedtest, Service};
+use roamsim::measure::{mtr, ookla_speedtest_checked, Service};
 use roamsim::world::World;
 
 /// Fingerprint a short measurement session.
@@ -28,7 +28,8 @@ fn fingerprint(seed: u64) -> Vec<u64> {
             out.push(o.analysis.final_rtt_ms.unwrap_or(0.0).to_bits());
         }
         let label = format!("fp/{}", country.alpha3());
-        if let Some(s) = ookla_speedtest(&mut world.net, &ep, &world.internet.targets, &label) {
+        if let Ok(s) = ookla_speedtest_checked(&mut world.net, &ep, &world.internet.targets, &label)
+        {
             out.push(s.down_mbps.to_bits());
             out.push(s.latency_ms.to_bits());
         }

@@ -6,8 +6,8 @@ use roamsim::core::TomographyReport;
 use roamsim::geo::{City, Country};
 use roamsim::ipx::RoamingArch;
 use roamsim::measure::{
-    fetch_jquery, mtr, ookla_speedtest, play_youtube, resolve_checked, run_device_campaign,
-    CdnProvider, DeviceCampaignSpec, Service,
+    fetch_jquery_checked, mtr, ookla_speedtest_checked, play_youtube_checked, resolve_checked,
+    run_device_campaign, CdnProvider, DeviceCampaignSpec, Service,
 };
 use roamsim::stats::median;
 use roamsim::world::World;
@@ -112,11 +112,11 @@ fn measurement_clients_work_on_every_archetype() {
     for country in [Country::PAK, Country::DEU, Country::KOR] {
         let ep = world.attach_esim(country);
         assert!(
-            ookla_speedtest(&mut world.net, &ep, &world.internet.targets, "e2e/st").is_some(),
+            ookla_speedtest_checked(&mut world.net, &ep, &world.internet.targets, "e2e/st").is_ok(),
             "{country} speedtest"
         );
         assert!(
-            fetch_jquery(
+            fetch_jquery_checked(
                 &mut world.net,
                 &ep,
                 &world.internet.targets,
@@ -124,7 +124,7 @@ fn measurement_clients_work_on_every_archetype() {
                 Default::default(),
                 "e2e/cdn"
             )
-            .is_some(),
+            .is_ok(),
             "{country} cdn"
         );
         assert!(
@@ -132,7 +132,7 @@ fn measurement_clients_work_on_every_archetype() {
             "{country} dns"
         );
         assert!(
-            play_youtube(&mut world.net, &ep, &world.internet.targets, "e2e/video").is_some(),
+            play_youtube_checked(&mut world.net, &ep, &world.internet.targets, "e2e/video").is_ok(),
             "{country} video"
         );
     }
@@ -176,7 +176,7 @@ fn hr_video_is_pinned_at_720p_despite_bandwidth() {
     let ep = world.attach_esim(Country::ARE);
     assert!(ep.youtube_cap_mbps.is_some(), "Singtel throttles video");
     for i in 0..20 {
-        let v = play_youtube(
+        let v = play_youtube_checked(
             &mut world.net,
             &ep,
             &world.internet.targets,

@@ -5,8 +5,8 @@
 
 use roamsim::core::analyze_traceroute;
 use roamsim::geo::{City, Country};
-use roamsim::measure::{mtr, ookla_speedtest, Service};
-use roamsim::netsim::link::{LatencyModel, LinkClass};
+use roamsim::measure::{mtr, ookla_speedtest_checked, Service};
+use roamsim::netsim::link::LatencyModel;
 use roamsim::netsim::{Network, NodeKind, TracerouteOpts};
 use roamsim::world::World;
 
@@ -37,27 +37,9 @@ fn demarcation_survives_heavy_probe_loss() {
         City::Amsterdam,
         "142.250.0.1".parse().unwrap(),
     );
-    let lossy = net.link_with(
-        h,
-        r,
-        LinkClass::RadioAccess,
-        LatencyModel::fixed(12.0, 3.0),
-        0.0,
-    );
-    net.link_with(
-        r,
-        nat,
-        LinkClass::Tunnel,
-        LatencyModel::fixed(8.0, 2.0),
-        0.0,
-    );
-    net.link_with(
-        nat,
-        sp,
-        LinkClass::Peering,
-        LatencyModel::fixed(1.0, 0.5),
-        0.0,
-    );
+    let lossy = net.link_with(h, r, LatencyModel::fixed(12.0, 3.0), 0.0);
+    net.link_with(r, nat, LatencyModel::fixed(8.0, 2.0), 0.0);
+    net.link_with(nat, sp, LatencyModel::fixed(1.0, 0.5), 0.0);
     net.set_link_loss(lossy, 0.3);
 
     let tr = net.traceroute(
@@ -104,7 +86,7 @@ fn lossy_access_reduces_goodput_not_correctness() {
     let ep = world.attach_esim(Country::PAK); // Jazz: loss-prone access
     let mut got = 0;
     for i in 0..10 {
-        if let Some(r) = ookla_speedtest(
+        if let Ok(r) = ookla_speedtest_checked(
             &mut world.net,
             &ep,
             &world.internet.targets,
@@ -125,7 +107,7 @@ fn unreachable_service_returns_none_not_panic() {
     // A service with no nodes registered anywhere.
     let empty = roamsim::measure::ServiceTargets::new();
     assert!(mtr(&mut world.net, &ep, &empty, Service::Google).is_none());
-    assert!(ookla_speedtest(&mut world.net, &ep, &empty, "ft/0").is_none());
+    assert!(ookla_speedtest_checked(&mut world.net, &ep, &empty, "ft/0").is_err());
 }
 
 #[test]
@@ -143,13 +125,7 @@ fn total_blackout_on_radio_link_fails_cleanly() {
         City::Paris,
         "1.1.1.1".parse().unwrap(),
     );
-    let l = net.link_with(
-        a,
-        b,
-        LinkClass::RadioAccess,
-        LatencyModel::fixed(10.0, 1.0),
-        0.0,
-    );
+    let l = net.link_with(a, b, LatencyModel::fixed(10.0, 1.0), 0.0);
     net.set_link_loss(l, 1.0);
     assert!(net.ping(a, b).is_none());
     assert!(
