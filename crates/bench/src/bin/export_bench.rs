@@ -2,7 +2,8 @@
 //! end to end, on one fleet's streamed session table.
 //!
 //! One in-process fleet run streams its sessions into a columnar sink
-//! (`ROAM_FLEET_USERS` sizes it; the CI gate runs 100k users). Both
+//! (`ROAM_FLEET_USERS` sizes it; the CI gate runs 100k users; every
+//! fleet knob is read by [`Env::fleet_runner`]). Both
 //! pipelines then start from that same table:
 //!
 //! - **export** — produce the artifact bytes: the rendered CSV table vs
@@ -31,8 +32,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use roam_columnar::{csv_header, render_csv, Query, TableView};
-use roam_fleet::FleetRunner;
 use roam_measure::{ColumnarSink, Dataset, SharedSink};
+use roam_service::config::Env;
 
 /// `MeasureStatus::is_ok` as status labels.
 const DELIVERED: [&str; 2] = ["ok", "failover"];
@@ -52,7 +53,8 @@ fn best_of_three<T>(mut f: impl FnMut() -> T) -> (f64, T) {
 
 fn main() {
     let sink = Arc::new(Mutex::new(ColumnarSink::new()));
-    let runner = FleetRunner::from_env(42).sink(sink.clone() as SharedSink);
+    let runner = Env::process().fleet_runner(42).unwrap_or_else(|e| e.exit());
+    let runner = runner.sink(sink.clone() as SharedSink);
     let users = runner.population();
     let run = runner.run();
     drop(runner);

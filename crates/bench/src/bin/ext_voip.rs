@@ -5,11 +5,12 @@
 //! sustain usable calls; HR paths (one-way delay past the E-model's
 //! 177.3 ms knee) cannot.
 
-use roam_bench::CampaignRunner;
+use roam_bench::{CampaignRunner, Env};
 use roam_measure::voip_probe;
 
 fn main() {
-    let mut run = CampaignRunner::from_env(2024).scale(0.05).run();
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let mut run = CampaignRunner::new(2024).knobs(env).scale(0.05).run();
 
     println!("extension — VoIP quality (E-model MOS) per country/configuration\n");
     println!(

@@ -2,12 +2,13 @@
 //! paper's map becomes a row: user location, PGW location, the great-circle
 //! tunnel length, and the line style (solid = HR, dashed = IHBO).
 
-use roam_bench::CampaignRunner;
+use roam_bench::{CampaignRunner, Env};
 use roam_core::TomographyReport;
 use roam_ipx::RoamingArch;
 
 fn main() {
-    let run = CampaignRunner::from_env(2024).run_survey(6);
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let run = CampaignRunner::new(2024).knobs(env).run_survey(6);
     let (world, obs) = (run.world, run.observations);
     let report = TomographyReport::build(&obs, world.net.registry());
 

@@ -5,13 +5,14 @@
 //! SP); Spanish and Pakistani physical SIMs cross national transit ASes
 //! (3–4); some Qatari traces see only the SP's AS (silent CG-NAT).
 
-use roam_bench::CampaignRunner;
+use roam_bench::{CampaignRunner, Env};
 use roam_cellular::SimType;
 use roam_measure::Service;
 use roam_stats::median;
 
 fn main() {
-    let run = CampaignRunner::from_env(2024).scale(0.3).run();
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.3).run();
 
     for service in [Service::Google, Service::Facebook] {
         println!("--- traceroutes to {service:?} ---");

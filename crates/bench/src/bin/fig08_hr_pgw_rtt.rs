@@ -5,13 +5,14 @@
 //! despite being geographically *farther* from Singapore — peering quality,
 //! not distance (§4.3.2); both exceed the 150 ms "less desirable" bar.
 
-use roam_bench::CampaignRunner;
+use roam_bench::{CampaignRunner, Env};
 use roam_cellular::SimType;
 use roam_geo::Country;
 use roam_stats::Ecdf;
 
 fn main() {
-    let run = CampaignRunner::from_env(2024).scale(0.4).run();
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.4).run();
 
     println!("Figure 8 — CDF of RTT at the Singtel PGW hop (HR eSIMs)\n");
     for country in [Country::PAK, Country::ARE] {

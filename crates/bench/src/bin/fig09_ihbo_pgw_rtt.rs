@@ -6,14 +6,15 @@
 //! Packet Host suffering a heavy fourth quartile — peering agreements, not
 //! hop counts or distance, set the breakout latency.
 
-use roam_bench::CampaignRunner;
+use roam_bench::{CampaignRunner, Env};
 use roam_cellular::SimType;
 use roam_geo::Country;
 use roam_netsim::registry::well_known;
 use roam_stats::{quantile, Summary};
 
 fn main() {
-    let run = CampaignRunner::from_env(2024).scale(0.5).run();
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.5).run();
 
     println!("Figure 9 — PGW RTT by provider for Play IHBO eSIMs\n");
     println!(

@@ -5,12 +5,13 @@
 //! longer with larger variance; the variability comes from SP-internal
 //! routing rather than inter-domain paths.
 
-use roam_bench::{boxplot_row, CampaignRunner};
+use roam_bench::{boxplot_row, CampaignRunner, Env};
 use roam_cellular::SimType;
 use roam_measure::Service;
 
 fn main() {
-    let run = CampaignRunner::from_env(2024).scale(0.3).run();
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.3).run();
 
     for service in [Service::Google, Service::Facebook] {
         println!("--- public path length, traceroutes to {service:?} ---");

@@ -3,7 +3,7 @@
 //! §5.1 statistics: HR +~620% / IHBO +~64% over native, the >150 ms
 //! shares, the Welch t-tests and Levene's variance test.
 
-use roam_bench::{boxplot_row, CampaignRunner};
+use roam_bench::{boxplot_row, CampaignRunner, Env};
 use roam_cellular::SimType;
 use roam_geo::Country;
 use roam_ipx::RoamingArch;
@@ -12,7 +12,8 @@ use roam_stats::test::LeveneCenter;
 use roam_stats::{levene_test, median, welch_t_test, Ecdf};
 
 fn main() {
-    let run = CampaignRunner::from_env(2024).scale(0.4).run();
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.4).run();
     let native = [Country::KOR, Country::THA];
 
     for service in [Service::Facebook, Service::Google] {

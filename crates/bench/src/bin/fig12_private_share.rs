@@ -6,7 +6,7 @@
 //! (vs <10% of SIM traces); IHBO's private share drops below the public
 //! share for ~15% of measurements (vs ~1% for HR).
 
-use roam_bench::CampaignRunner;
+use roam_bench::{CampaignRunner, Env};
 use roam_cellular::SimType;
 use roam_geo::Country;
 use roam_ipx::RoamingArch;
@@ -49,7 +49,8 @@ fn print_panel(name: &str, run: &roam_bench::DeviceCampaignRun, countries: &[Cou
 }
 
 fn main() {
-    let run = CampaignRunner::from_env(2024).scale(0.4).run();
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.4).run();
     println!("Figure 12 — % of latency incurred before internet breakout\n");
     print_panel(
         "(a) native eSIM countries (KOR, THA)",

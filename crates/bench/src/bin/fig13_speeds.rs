@@ -12,7 +12,7 @@
 //! figure panel is a filter (`country`/`sim`/CQI) + `values` scan over the
 //! chunks — no per-panel record re-walks.
 
-use roam_bench::{boxplot_row, CampaignRunner};
+use roam_bench::{boxplot_row, CampaignRunner, Env};
 use roam_cellular::Cqi;
 use roam_columnar::{Query, Table};
 use roam_geo::Country;
@@ -20,8 +20,9 @@ use roam_measure::{ColumnarSink, Dataset, Exporter};
 use roam_stats::{mean_ci95, median};
 
 fn main() {
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
     // ---- (a) web campaign ------------------------------------------------
-    let web_run = CampaignRunner::from_env(2024).run_web();
+    let web_run = CampaignRunner::new(2024).knobs(env).run_web();
     let (web_world, web) = (web_run.world, web_run.results);
     println!("Figure 13a — fast.com downlink per web-campaign country (Mbps)\n");
     println!(
@@ -79,7 +80,7 @@ fn main() {
     }
 
     // ---- (b)+(c) device campaign ------------------------------------------
-    let run = CampaignRunner::from_env(2024).scale(0.4).run();
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.4).run();
     let mut sink = ColumnarSink::new();
     run.data.export_rows(Dataset::Speedtests, &mut sink);
     let speed = sink

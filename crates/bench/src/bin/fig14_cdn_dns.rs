@@ -12,7 +12,7 @@
 //! Delivered records are `status ∈ {ok, failover}` — the columnar spelling
 //! of `MeasureStatus::is_ok`.
 
-use roam_bench::{boxplot_row, CampaignRunner};
+use roam_bench::{boxplot_row, CampaignRunner, Env};
 use roam_cellular::SimType;
 use roam_columnar::{Query, Table};
 use roam_geo::Country;
@@ -24,7 +24,8 @@ use roam_stats::{median, Summary};
 const DELIVERED: [&str; 2] = ["ok", "failover"];
 
 fn main() {
-    let run = CampaignRunner::from_env(2024).scale(0.4).run();
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.4).run();
     let mut sink = ColumnarSink::new();
     run.data.export_rows(Dataset::Cdn, &mut sink);
     run.data.export_rows(Dataset::Dns, &mut sink);

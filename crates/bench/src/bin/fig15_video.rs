@@ -6,12 +6,13 @@
 //! SIMs; PAK/ARE pinned at 720p on *both* SIMs (b-MNO YouTube throttling);
 //! Georgia's eSIM matches its physical SIM.
 
-use roam_bench::CampaignRunner;
+use roam_bench::{CampaignRunner, Env};
 use roam_cellular::SimType;
 use roam_measure::Resolution;
 
 fn main() {
-    let run = CampaignRunner::from_env(2024).scale(0.6).run();
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.6).run();
 
     println!("Figure 15 — YouTube resolution share per country (%)\n");
     println!(

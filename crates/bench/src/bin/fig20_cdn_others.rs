@@ -5,14 +5,15 @@
 //! Paper shape: the same pattern on every provider — native eSIMs ≈
 //! physical SIMs, HR eSIMs far slower, IHBO in between.
 
-use roam_bench::{boxplot_row, CampaignRunner};
+use roam_bench::{boxplot_row, CampaignRunner, Env};
 use roam_cellular::SimType;
 use roam_ipx::RoamingArch;
 use roam_measure::CdnProvider;
 use roam_stats::Summary;
 
 fn main() {
-    let run = CampaignRunner::from_env(2024).scale(0.35).run();
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.35).run();
 
     for provider in [
         CdnProvider::GoogleCdn,

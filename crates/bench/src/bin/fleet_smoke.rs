@@ -32,84 +32,50 @@
 //! resumed runs. Stdout bytes are unaffected either way.
 //!
 //! Knobs: `ROAM_FLEET_USERS/SHARDS/DAYS/SAMPLE/MIX`, `ROAM_PARALLEL`,
-//! `ROAM_FLEET_WORKERS`, `ROAM_CHECKPOINT_DIR`, `ROAM_CHECKPOINT_EVERY`,
-//! `ROAM_RESUME`, `ROAM_TELEMETRY`,
+//! `ROAM_FLEET_WORKERS`, `ROAM_FLEET_WORKER_BIN`, `ROAM_CHECKPOINT_DIR`,
+//! `ROAM_CHECKPOINT_EVERY`, `ROAM_RESUME`, `ROAM_TELEMETRY`,
 //! `ROAM_FAULTS`, `ROAM_SEED`, `ROAM_FLEET_EXPORT`, and the worker
 //! chaos/supervision plane: `ROAM_WORKER_FAULTS`, `ROAM_WORKER_RETRIES`,
 //! `ROAM_WORKER_DEADLINE_MS` (recovery work is reported on stderr as
 //! `fleet_smoke_worker_restarts: N (...)`; stdout bytes never change).
+//! [`Env`] parses them all and hands them to the runner as values; a
+//! resumed run takes the execution knobs (threads, worker processes and
+//! their supervision) and the manifest supplies the rest. A malformed
+//! value exits 2 with a message naming the variable.
 //!
 //! [`FleetReport`]: roam_fleet::FleetReport
 
 use roam_fleet::FleetRunner;
 use roam_measure::{ColumnarSink, Dataset, MemorySink, SharedSink};
+use roam_service::config::{Env, SessionExport};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The parsed `ROAM_FLEET_EXPORT` knob: which rendering, and where.
-enum ExportSpec {
-    Csv(String),
-    Columnar(String),
-}
-
-fn export_spec() -> Result<Option<ExportSpec>, String> {
-    let Some(raw) = std::env::var("ROAM_FLEET_EXPORT")
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-    else {
-        return Ok(None);
-    };
-    match raw.split_once(':') {
-        Some(("csv", path)) if !path.is_empty() => Ok(Some(ExportSpec::Csv(path.to_string()))),
-        Some(("columnar", path)) if !path.is_empty() => {
-            Ok(Some(ExportSpec::Columnar(path.to_string())))
-        }
-        _ => Err(format!(
-            "ROAM_FLEET_EXPORT={raw:?} — expected csv:<path> or columnar:<path>"
-        )),
-    }
-}
-
-fn resume_requested() -> bool {
-    std::env::var("ROAM_RESUME")
-        .map(|v| !matches!(v.trim(), "" | "0" | "false"))
-        .unwrap_or(false)
-}
-
 fn main() -> ExitCode {
-    let seed = std::env::var("ROAM_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(42);
-    let runner = if resume_requested() {
-        let Some(dir) = std::env::var("ROAM_CHECKPOINT_DIR")
-            .ok()
-            .filter(|s| !s.trim().is_empty())
-        else {
+    let env = Env::process();
+    let resume = env.resume().unwrap_or_else(|e| e.exit());
+    let runner = if resume {
+        let Some(dir) = env.checkpoint_dir().unwrap_or_else(|e| e.exit()) else {
             eprintln!("fleet_smoke: ROAM_RESUME is set but ROAM_CHECKPOINT_DIR is not");
             return ExitCode::from(2);
         };
         match FleetRunner::resume(&dir) {
-            Ok(runner) => runner,
+            Ok(runner) => env.fleet_execution(runner),
             Err(err) => {
-                eprintln!("fleet_smoke: refusing to resume {dir}: {err}");
+                eprintln!("fleet_smoke: refusing to resume {}: {err}", dir.display());
                 return ExitCode::from(2);
             }
         }
     } else {
-        FleetRunner::from_env(seed)
-    };
+        let seed = env.seed().unwrap_or_else(|e| e.exit());
+        env.fleet_runner(seed)
+    }
+    .unwrap_or_else(|e| e.exit());
     let users = runner.population();
 
-    let spec = match export_spec() {
-        Ok(spec) => spec,
-        Err(msg) => {
-            eprintln!("fleet_smoke: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    if spec.is_some() && resume_requested() {
+    let spec = env.export().unwrap_or_else(|e| e.exit());
+    if spec.is_some() && resume {
         eprintln!("fleet_smoke: ROAM_FLEET_EXPORT cannot ride a resumed run (sink contract)");
         return ExitCode::from(2);
     }
@@ -117,41 +83,33 @@ fn main() -> ExitCode {
     let col_sink = Arc::new(Mutex::new(ColumnarSink::new()));
     let runner = match &spec {
         None => runner,
-        Some(ExportSpec::Csv(_)) => runner.sink(csv_sink.clone() as SharedSink),
-        Some(ExportSpec::Columnar(_)) => runner.sink(col_sink.clone() as SharedSink),
+        Some(SessionExport::Csv(_)) => runner.sink(csv_sink.clone() as SharedSink),
+        Some(SessionExport::Columnar(_)) => runner.sink(col_sink.clone() as SharedSink),
     };
 
     let started = Instant::now();
     let run = runner.run();
     let wall = started.elapsed().as_secs_f64();
 
-    match &spec {
-        None => {}
-        Some(ExportSpec::Csv(path)) => {
-            let sink = csv_sink.lock().expect("export sink poisoned");
-            let table = sink
-                .table(Dataset::Sessions)
-                .map(str::to_owned)
-                .unwrap_or_else(|| Dataset::Sessions.header_csv());
-            drop(sink);
-            if let Err(err) = std::fs::write(path, table) {
-                eprintln!("fleet_smoke: writing {path}: {err}");
-                return ExitCode::from(2);
+    if let Some(spec) = &spec {
+        let (path, bytes, what) = match spec {
+            SessionExport::Csv(path) => {
+                let sink = csv_sink.lock().expect("export sink poisoned");
+                let table = sink.table(Dataset::Sessions).map(str::to_owned);
+                let table = table.unwrap_or_else(|| Dataset::Sessions.header_csv());
+                (path, table.into_bytes(), "CSV")
             }
-            eprintln!("fleet_smoke: wrote sessions CSV to {path}");
-        }
-        Some(ExportSpec::Columnar(path)) => {
-            let sink = std::mem::take(&mut *col_sink.lock().expect("export sink poisoned"));
-            let frame = sink
-                .into_table(Dataset::Sessions)
-                .map(|t| t.to_frame())
-                .unwrap_or_default();
-            if let Err(err) = std::fs::write(path, frame) {
-                eprintln!("fleet_smoke: writing {path}: {err}");
-                return ExitCode::from(2);
+            SessionExport::Columnar(path) => {
+                let sink = std::mem::take(&mut *col_sink.lock().expect("export sink poisoned"));
+                let frame = sink.into_table(Dataset::Sessions).map(|t| t.to_frame());
+                (path, frame.unwrap_or_default(), "frame")
             }
-            eprintln!("fleet_smoke: wrote sessions frame to {path}");
+        };
+        if let Err(err) = std::fs::write(path, bytes) {
+            eprintln!("fleet_smoke: writing {}: {err}", path.display());
+            return ExitCode::from(2);
         }
+        eprintln!("fleet_smoke: wrote sessions {what} to {}", path.display());
     }
 
     print!("{}", run.report.render());

@@ -17,13 +17,18 @@
 //! both the virtual-clock loop and the streaming path.
 //!
 //! The horizon is fixed at [`DAYS`] simulated days. Knobs:
-//! `ROAM_SERVICE_*` (sizing), `ROAM_SEED`, plus the repo-wide
-//! `ROAM_PARALLEL`, `ROAM_FAULTS`, `ROAM_TELEMETRY`.
+//! `ROAM_SERVICE_*` (sizing), `ROAM_SEED` and `ROAM_PARALLEL`, parsed by
+//! [`roam_service::config::Env`] (a malformed value exits 2 naming the
+//! variable), plus `ROAM_FAULTS` and `ROAM_TELEMETRY`, which
+//! [`Agent::new`] reads.
+//!
+//! [`Agent::new`]: roam_service::Agent::new
 //!
 //! [`AgentRun::render`]: roam_service::AgentRun::render
 
 use roam_measure::{MemorySink, RunMode};
-use roam_service::{Agent, Horizon, ServiceConfig};
+use roam_service::config::Env;
+use roam_service::{Agent, Horizon};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -32,12 +37,10 @@ use std::time::Instant;
 const DAYS: u64 = 30;
 
 fn main() -> ExitCode {
-    let seed = std::env::var("ROAM_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(42);
-
-    let config = ServiceConfig::from_env();
+    let env = Env::process();
+    let seed = env.seed().unwrap_or_else(|e| e.exit());
+    let threads = env.threads().unwrap_or_else(|e| e.exit());
+    let config = env.service().unwrap_or_else(|e| e.exit());
     let agent = match Agent::new(seed, config) {
         Ok(agent) => agent,
         Err(err) => {
@@ -48,7 +51,7 @@ fn main() -> ExitCode {
     // Stream sessions into a memory sink so the run exercises the
     // bounded-queue path, not just the scheduler loop.
     let mut agent = agent
-        .mode(RunMode::from_env())
+        .mode(RunMode::threads(threads))
         .sink(Arc::new(Mutex::new(MemorySink::new())));
 
     let started = Instant::now();

@@ -9,16 +9,17 @@
 //! farther-than-home)` pair of enum columns, and every count below is a
 //! filtered scan over the chunks.
 
-use roam_bench::CampaignRunner;
+use roam_bench::{CampaignRunner, Env};
 use roam_columnar::{field, CellValue, ColKind, Query, Schema, TableBuilder};
 use roam_core::TomographyReport;
 use roam_ipx::RoamingArch;
 
 fn main() {
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
     // Several attachments per country so provider alternation is observed.
     // All knobs (ROAM_PARALLEL / ROAM_TELEMETRY) come from
     // the environment; none of them may change a byte of this output.
-    let run = CampaignRunner::from_env(2024).run_survey(6);
+    let run = CampaignRunner::new(2024).knobs(env).run_survey(6);
     let (world, obs) = (&run.world, &run.observations);
     let report = TomographyReport::build(obs, world.net.registry());
 

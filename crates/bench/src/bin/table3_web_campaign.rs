@@ -1,12 +1,13 @@
 //! Table 3: the web-based campaign overview (14 countries, completed
 //! measurements = successful DNS + fast.com uploads per country).
 
-use roam_bench::CampaignRunner;
+use roam_bench::{CampaignRunner, Env};
 use roam_world::World;
 
 fn main() {
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
     let specs = World::web_campaign_specs();
-    let run = CampaignRunner::from_env(2024).run_web();
+    let run = CampaignRunner::new(2024).knobs(env).run_web();
     let results = &run.results;
 
     println!("Table 3 — web-based campaign overview\n");

@@ -1,14 +1,15 @@
 //! Table 4: the device-based campaign overview — successful test counts per
 //! country, formatted `<physical SIM> // <Airalo eSIM>` like the paper.
 
-use roam_bench::CampaignRunner;
+use roam_bench::{CampaignRunner, Env};
 use roam_cellular::SimType;
 use roam_measure::Service;
 
 fn main() {
+    let env = Env::process().run().unwrap_or_else(|e| e.exit());
     // Scale 0.25 keeps the run quick while preserving the per-country
     // ratios; pass-through of the real counts is in the spec table itself.
-    let run = CampaignRunner::from_env(2024).scale(0.25).run();
+    let run = CampaignRunner::new(2024).knobs(env).scale(0.25).run();
 
     println!("Table 4 — device-based campaign overview (scaled ×0.25)\n");
     println!(

@@ -5,8 +5,10 @@
 //! [`CampaignRunner`]: the device campaign ([`CampaignRunner::run`],
 //! Table 4), the web campaign ([`CampaignRunner::run_web`], Table 3) and
 //! the eSIM survey ([`CampaignRunner::run_survey`], Table 2 / Figs. 3–4).
-//! The binaries build it with [`CampaignRunner::from_env`]; none of its
-//! knobs can change the bytes, only the wall clock and what gets reported.
+//! The binaries read their knobs with
+//! [`Env::run`](roam_service::config::Env::run) and hand them over with
+//! [`CampaignRunner::knobs`]; the thread count cannot change the bytes,
+//! only the wall clock.
 //!
 //! Each campaign is one **per-country shard** loop over
 //! [`roam_measure::parallel`]: every shard builds its own world from the
@@ -22,6 +24,7 @@ use roam_measure::{
     Endpoint, Exporter, RunMode, ShardTiming, SharedSink, WebRecord,
 };
 use roam_netsim::{FaultSpec, RunKnobs};
+pub use roam_service::config::{Env, RunEnv};
 use roam_telemetry::{merge_shards, TelemetryMode, TelemetryReport};
 use roam_world::{DeviceCountrySpec, World};
 use std::collections::BTreeMap;
@@ -133,7 +136,7 @@ pub struct CampaignRunner {
     seed: u64,
     scale: f64,
     mode: RunMode,
-    faults: Option<FaultSpec>,
+    faults: FaultSpec,
     telemetry: TelemetryMode,
     sink: Option<SharedSink>,
 }
@@ -152,30 +155,28 @@ impl std::fmt::Debug for CampaignRunner {
 }
 
 impl CampaignRunner {
-    /// A sequential, full-scale, telemetry-off runner for `seed`, with the
-    /// fault schedule left to `ROAM_FAULTS`.
+    /// A sequential, full-scale, fault-free, telemetry-off runner for
+    /// `seed`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         CampaignRunner {
             seed,
             scale: 1.0,
             mode: RunMode::Sequential,
-            faults: None,
+            faults: FaultSpec::off(),
             telemetry: TelemetryMode::Off,
             sink: None,
         }
     }
 
-    /// A runner configured from the environment: worker count from
-    /// `ROAM_PARALLEL`, telemetry from `ROAM_TELEMETRY`; the fault schedule
-    /// resolves once per run from `ROAM_FAULTS`.
+    /// The thread count, fault schedule and telemetry mode an entry point
+    /// parsed, as [`CampaignRunner::parallel`], [`CampaignRunner::faults`]
+    /// and [`CampaignRunner::telemetry`] would set them.
     #[must_use]
-    pub fn from_env(seed: u64) -> Self {
-        CampaignRunner {
-            mode: RunMode::from_env(),
-            telemetry: TelemetryMode::from_env(),
-            ..CampaignRunner::new(seed)
-        }
+    pub fn knobs(self, env: RunEnv) -> Self {
+        self.parallel(env.threads)
+            .faults(env.faults)
+            .telemetry(env.telemetry)
     }
 
     /// Scale factor on the Table-4 sample counts (1.0 = paper scale).
@@ -188,20 +189,15 @@ impl CampaignRunner {
     /// Spread shards over `workers` threads (`<= 1` means sequential).
     #[must_use]
     pub fn parallel(mut self, workers: usize) -> Self {
-        self.mode = if workers <= 1 {
-            RunMode::Sequential
-        } else {
-            RunMode::Parallel(workers)
-        };
+        self.mode = RunMode::threads(workers);
         self
     }
 
-    /// Pin the fault schedule for the run, overriding `ROAM_FAULTS`. Every
-    /// shard's world runs the same spec, so all shards see identical fault
-    /// windows.
+    /// The fault schedule for the run (default off). Every shard's world
+    /// runs the same spec, so all shards see identical fault windows.
     #[must_use]
     pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.faults = Some(spec);
+        self.faults = spec;
         self
     }
 
@@ -225,14 +221,6 @@ impl CampaignRunner {
         self
     }
 
-    /// The knobs every shard world of one run gets, resolved once.
-    fn knobs(&self) -> RunKnobs {
-        RunKnobs {
-            telemetry: self.telemetry,
-            faults: self.faults.unwrap_or_else(FaultSpec::current),
-        }
-    }
-
     /// The per-country shard loop every campaign runs on. Each shard builds
     /// the seeded world under the run's knobs, runs `body` for its country,
     /// then takes the world's telemetry and the shard's wall time. Shards
@@ -244,7 +232,10 @@ impl CampaignRunner {
         countries: &[Country],
         body: impl Fn(&mut World, Country) -> T + Sync,
     ) -> (Vec<(World, T)>, TelemetryReport, Vec<ShardTiming>) {
-        let knobs = self.knobs();
+        let knobs = RunKnobs {
+            telemetry: self.telemetry,
+            faults: self.faults,
+        };
         let out = run_shards(self.mode, countries.len(), |i| {
             let started = Instant::now();
             let mut world = World::build(self.seed);

@@ -458,6 +458,16 @@ impl<'a> Value<'a> {
         }
     }
 
+    /// The value as `u32`, or `BadValue(what)` when it does not fit.
+    pub fn as_u32(&self, tag: u32, what: &'static str) -> Result<u32, CodecError> {
+        u32::try_from(self.as_u64(tag)?).map_err(|_| CodecError::BadValue(what))
+    }
+
+    /// The value as `usize`, or `BadValue(what)` when it does not fit.
+    pub fn as_usize(&self, tag: u32, what: &'static str) -> Result<usize, CodecError> {
+        usize::try_from(self.as_u64(tag)?).map_err(|_| CodecError::BadValue(what))
+    }
+
     /// The value as `i128`, or [`CodecError::WrongType`].
     pub fn as_i128(&self, tag: u32) -> Result<i128, CodecError> {
         match self {
@@ -801,6 +811,28 @@ mod tests {
                 "[222, 173]".to_string(),
             ]
         );
+    }
+
+    #[test]
+    fn narrowing_refuses_out_of_range_values_by_name() {
+        let (fits, wide, text) = (
+            Value::U64(7),
+            Value::U64(u64::from(u32::MAX) + 1),
+            Value::Bytes(b"7"),
+        );
+        assert_eq!(fits.as_u32(1, "shards").unwrap(), 7);
+        assert_eq!(fits.as_usize(1, "shards").unwrap(), 7);
+        assert!(matches!(
+            wide.as_u32(1, "shards"),
+            Err(CodecError::BadValue("shards"))
+        ));
+        assert!(matches!(
+            text.as_usize(2, "rows"),
+            Err(CodecError::WrongType {
+                tag: 2,
+                expected: "u64"
+            })
+        ));
     }
 
     #[test]

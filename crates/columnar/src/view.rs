@@ -67,10 +67,7 @@ impl<'a> TableView<'a> {
                     while let Some((t, v)) = s.next_field()? {
                         match t {
                             1 => {
-                                col = Some(
-                                    usize::try_from(v.as_u64(1)?)
-                                        .map_err(|_| CodecError::BadValue("dict column"))?,
-                                );
+                                col = Some(v.as_usize(1, "dict column")?);
                             }
                             2 => labels.push(v.as_str(2)?),
                             _ => {}
@@ -181,8 +178,7 @@ fn parse_chunk(mut s: Decoder<'_>) -> Result<ChunkView<'_>, CodecError> {
     while let Some((t, v)) = s.next_field()? {
         match t {
             1 => {
-                rows = usize::try_from(v.as_u64(1)?)
-                    .map_err(|_| CodecError::BadValue("chunk rows"))?;
+                rows = v.as_usize(1, "chunk rows")?;
             }
             2 => data.push(v.as_bytes(2)?),
             3 => nulls.push(v.as_bytes(3)?),

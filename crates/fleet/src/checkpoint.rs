@@ -208,28 +208,22 @@ pub(crate) fn decode_config(d: &mut Decoder<'_>) -> Result<FleetConfig, CodecErr
         match tag {
             config_tag::USERS => c.users = v.as_u64(tag)?.max(1),
             config_tag::SHARDS => {
-                c.shards = usize::try_from(v.as_u64(tag)?)
-                    .map_err(|_| CodecError::BadValue("shards"))?
-                    .max(1);
+                c.shards = v.as_usize(tag, "shards")?.max(1);
             }
             config_tag::DAYS => {
-                c.days = u32::try_from(v.as_u64(tag)?)
-                    .map_err(|_| CodecError::BadValue("days"))?
-                    .max(1);
+                c.days = v.as_u32(tag, "days")?.max(1);
             }
             config_tag::SAMPLE => {
-                c.sample =
-                    usize::try_from(v.as_u64(tag)?).map_err(|_| CodecError::BadValue("sample"))?;
+                c.sample = v.as_usize(tag, "sample")?;
             }
             config_tag::MIX_RTT => {
-                rtt = u32::try_from(v.as_u64(tag)?).map_err(|_| CodecError::BadValue("mix"))?;
+                rtt = v.as_u32(tag, "mix")?;
             }
             config_tag::MIX_DNS => {
-                dns = u32::try_from(v.as_u64(tag)?).map_err(|_| CodecError::BadValue("mix"))?;
+                dns = v.as_u32(tag, "mix")?;
             }
             config_tag::MIX_TRANSFER => {
-                transfer =
-                    u32::try_from(v.as_u64(tag)?).map_err(|_| CodecError::BadValue("mix"))?;
+                transfer = v.as_u32(tag, "mix")?;
             }
             _ => {}
         }
@@ -346,10 +340,7 @@ impl Manifest {
                 manifest_tag::SEED => seed = Some(v.as_u64(tag)?),
                 manifest_tag::FINGERPRINT => fingerprint = Some(v.as_u64(tag)?),
                 manifest_tag::SHARDS => {
-                    shards = Some(
-                        usize::try_from(v.as_u64(tag)?)
-                            .map_err(|_| CodecError::BadValue("shards"))?,
-                    );
+                    shards = Some(v.as_usize(tag, "shards")?);
                 }
                 manifest_tag::EVERY => every = Some(v.as_u64(tag)?),
                 manifest_tag::CONFIG => config = Some(decode_config(&mut v.as_section(tag)?)?),
@@ -413,10 +404,7 @@ impl ShardState {
         while let Some((tag, v)) = d.next_field()? {
             match tag {
                 shard_tag::INDEX => {
-                    index = Some(
-                        usize::try_from(v.as_u64(tag)?)
-                            .map_err(|_| CodecError::BadValue("shard index"))?,
-                    );
+                    index = Some(v.as_usize(tag, "shard index")?);
                 }
                 shard_tag::NEXT_UID => next_uid = Some(v.as_u64(tag)?),
                 shard_tag::REPORT => {

@@ -1,8 +1,8 @@
-//! Fleet sizing and workload-mix knobs.
+//! Fleet sizing and workload-mix knobs, as values.
 
 /// Relative weights of the three measurement kinds a fleet session can
-/// run: RTT probes, DNS lookups and bulk transfers. Parsed from
-/// `ROAM_FLEET_MIX` as `rtt:dns:transfer` (e.g. `2:1:1`).
+/// run: RTT probes, DNS lookups and bulk transfers, written
+/// `rtt:dns:transfer` (e.g. `2:1:1`).
 ///
 /// Only the *ratio* matters; a zero weight disables that kind. All-zero
 /// mixes are rejected at parse time and by [`SessionMix::new`].
@@ -57,10 +57,11 @@ impl SessionMix {
     }
 }
 
-/// Everything that sizes a fleet run. All fields have environment
-/// counterparts (`ROAM_FLEET_*`) read by [`FleetConfig::from_env`]; none
-/// of them can change the per-user byte stream, only how many users run,
-/// how they are partitioned, and what the report samples.
+/// Everything that sizes a fleet run. Every field has an environment
+/// counterpart (`ROAM_FLEET_*`), which the binaries parse in
+/// `roam_service::config`; none of them can change the per-user byte
+/// stream, only how many users run, how they are partitioned, and what
+/// the report samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Synthetic subscribers to simulate (`ROAM_FLEET_USERS`).
@@ -86,33 +87,6 @@ impl Default for FleetConfig {
             days: 60,
             sample: 16,
             mix: SessionMix::default(),
-        }
-    }
-}
-
-/// Parse an environment variable, treating absent/malformed as `None`
-/// (shared by the `ROAM_FLEET_*`, checkpoint/worker and `ROAM_SERVICE_*`
-/// knobs).
-pub fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok()?.trim().parse().ok()
-}
-
-impl FleetConfig {
-    /// Defaults overridden by whichever `ROAM_FLEET_*` variables are set:
-    /// `USERS`, `SHARDS`, `DAYS`, `SAMPLE` (integers) and `MIX`
-    /// (`rtt:dns:transfer`). Malformed values fall back to the default.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let d = FleetConfig::default();
-        FleetConfig {
-            users: env_parse("ROAM_FLEET_USERS").unwrap_or(d.users).max(1),
-            shards: env_parse("ROAM_FLEET_SHARDS").unwrap_or(d.shards).max(1),
-            days: env_parse("ROAM_FLEET_DAYS").unwrap_or(d.days).max(1),
-            sample: env_parse("ROAM_FLEET_SAMPLE").unwrap_or(d.sample),
-            mix: std::env::var("ROAM_FLEET_MIX")
-                .ok()
-                .and_then(|s| SessionMix::parse(&s))
-                .unwrap_or(d.mix),
         }
     }
 }

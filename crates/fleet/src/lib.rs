@@ -15,7 +15,7 @@
 //! | module         | role                                                |
 //! |----------------|-----------------------------------------------------|
 //! | [`batch`]      | cohort batches: arbitrary uid ranges for roam-service |
-//! | [`config`]     | sizing knobs + `ROAM_FLEET_*` environment parsing   |
+//! | [`config`]     | sizing knobs and the session mix, as values         |
 //! | [`population`] | per-user deterministic synthesis (class, itinerary) |
 //! | `plan`         | shard work orders + worker striping                 |
 //! | `exec`         | shard execution, checkpoint cadence, resume; the per-run inputs ([`RunInputs`]), the vantage pool and session kernel ([`CountrySlot`]) |
@@ -55,8 +55,9 @@ pub use config::{FleetConfig, SessionMix};
 pub use exec::{CountrySlot, RunInputs};
 pub use population::{synthesize, Leg, TravelerClass, UserId, UserProfile};
 pub use report::{FleetReport, JourneySample};
-pub use runner::{FleetConfigError, FleetError, FleetRun, FleetRunner};
+pub use runner::{FleetConfigError, FleetError, FleetRun, FleetRunner, DEFAULT_CHECKPOINT_EVERY};
 pub use sink::{SessionKind, SessionRecord, SessionRows};
 pub use supervisor::{
     InjectedFault, ProtocolViolation, SupervisionStats, WorkerError, WorkerFaultSpec,
+    DEFAULT_WORKER_DEADLINE_MS, DEFAULT_WORKER_RETRIES,
 };

@@ -124,10 +124,7 @@ impl JourneySample {
             match tag {
                 journey_tag::UID => uid = Some(v.as_u64(tag)?),
                 journey_tag::CLASS => class = Some(intern_class(v.as_str(tag)?)?),
-                journey_tag::LEGS => {
-                    let raw = v.as_u64(tag)?;
-                    legs = Some(u32::try_from(raw).map_err(|_| CodecError::BadValue("legs"))?);
-                }
+                journey_tag::LEGS => legs = Some(v.as_u32(tag, "legs")?),
                 journey_tag::FIRST => first = Some(intern_country(v.as_str(tag)?)?),
                 journey_tag::SPEND => spend = Some(decode_u128(v.as_bytes(tag)?)?),
                 _ => {}

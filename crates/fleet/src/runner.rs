@@ -6,9 +6,9 @@
 //! `crate::merge` (the fold) — and owns backend selection:
 //!
 //! * **In-process** (default): shards run on threads via
-//!   [`run_shards`], `ROAM_PARALLEL` controlling the thread count.
-//! * **Worker processes** (`ROAM_FLEET_WORKERS=N` /
-//!   [`FleetRunner::workers`]): shards stripe across `N` child
+//!   [`run_shards`], [`FleetRunner::parallel`] setting the thread count.
+//! * **Worker processes** ([`FleetRunner::workers`]`(N)`): shards
+//!   stripe across `N` child
 //!   processes that stream partial state back over pipes
 //!   ([`crate::worker`]).
 //!
@@ -30,14 +30,13 @@
 //!    ([`FleetReport::merge`]), so the fold is associative.
 //!
 //! Together these make [`FleetReport::render`] byte-identical across
-//! `ROAM_PARALLEL` (threads), `ROAM_FLEET_WORKERS` (processes) and
-//! `ROAM_FLEET_SHARDS` (partitioning) — and, with checkpointing on,
+//! threads, worker processes and shard counts — and, with checkpointing on,
 //! across a kill and resume: the per-user streams mean a shard's
 //! `next_uid` cursor plus its mergeable aggregates are its *complete*
 //! state.
 
 use crate::checkpoint::{self, CheckpointPolicy, Manifest, ResumeError, ShardState};
-use crate::config::{env_parse, FleetConfig};
+use crate::config::{FleetConfig, SessionMix};
 use crate::exec::{run_fleet_shard, RunInputs};
 use crate::merge::merge_outcomes;
 use crate::plan;
@@ -55,7 +54,7 @@ use std::path::PathBuf;
 /// Default checkpoint cadence, accumulated sim-days per shard between
 /// writes (`ROAM_CHECKPOINT_EVERY`). At the default 60-day calendar this
 /// checkpoints roughly every 4 000 users per shard.
-pub(crate) const DEFAULT_CHECKPOINT_EVERY: u64 = 250_000;
+pub const DEFAULT_CHECKPOINT_EVERY: u64 = 250_000;
 
 /// Everything a fleet run returns.
 pub struct FleetRun {
@@ -195,13 +194,12 @@ pub struct FleetRunner {
     seed: u64,
     config: FleetConfig,
     mode: RunMode,
-    faults: Option<FaultSpec>,
+    faults: FaultSpec,
     telemetry: TelemetryMode,
     /// `> 0` → shards run in this many `fleet_worker` processes.
     workers: usize,
     worker_bin: Option<PathBuf>,
-    /// Worker-fault injection spec (off unless `from_env`/`resume`
-    /// read `ROAM_WORKER_FAULTS` or the builder sets it).
+    /// Worker-fault injection spec (off unless the builder sets it).
     worker_faults: WorkerFaultSpec,
     /// Retry budget and stall deadline for the worker supervisor.
     supervisor: SupervisorPolicy,
@@ -237,9 +235,8 @@ impl std::fmt::Debug for FleetRunner {
 }
 
 impl FleetRunner {
-    /// A sequential, default-sized, telemetry-off runner for `seed`, with
-    /// the fault schedule left to `ROAM_FAULTS`. The worker plane takes its
-    /// documented defaults: injection off, 3 retries
+    /// A sequential, default-sized, fault-free, telemetry-off runner for
+    /// `seed`. The worker plane takes its documented defaults: injection off, 3 retries
     /// (`DEFAULT_WORKER_RETRIES`), a 30 s stall deadline
     /// (`DEFAULT_WORKER_DEADLINE_MS`).
     #[must_use]
@@ -248,7 +245,7 @@ impl FleetRunner {
             seed,
             config: FleetConfig::default(),
             mode: RunMode::Sequential,
-            faults: None,
+            faults: FaultSpec::off(),
             telemetry: TelemetryMode::Off,
             workers: 0,
             worker_bin: None,
@@ -262,34 +259,6 @@ impl FleetRunner {
         }
     }
 
-    /// A runner configured from the environment: population knobs from
-    /// `ROAM_FLEET_*`, threads from `ROAM_PARALLEL`, worker processes
-    /// from `ROAM_FLEET_WORKERS`, their supervision from
-    /// `ROAM_WORKER_FAULTS` / `ROAM_WORKER_RETRIES` /
-    /// `ROAM_WORKER_DEADLINE_MS`, checkpointing from
-    /// `ROAM_CHECKPOINT_DIR` / `ROAM_CHECKPOINT_EVERY`, telemetry from
-    /// `ROAM_TELEMETRY`; the fault schedule resolves once per run, when
-    /// it starts (see [`FleetRunner::try_run`]).
-    #[must_use]
-    pub fn from_env(seed: u64) -> Self {
-        FleetRunner {
-            config: FleetConfig::from_env(),
-            mode: RunMode::from_env(),
-            telemetry: TelemetryMode::from_env(),
-            workers: env_parse("ROAM_FLEET_WORKERS").unwrap_or(0),
-            worker_faults: WorkerFaultSpec::from_env(),
-            supervisor: SupervisorPolicy::from_env(),
-            checkpoint_dir: std::env::var("ROAM_CHECKPOINT_DIR")
-                .ok()
-                .filter(|s| !s.trim().is_empty())
-                .map(PathBuf::from),
-            checkpoint_every: env_parse("ROAM_CHECKPOINT_EVERY")
-                .unwrap_or(DEFAULT_CHECKPOINT_EVERY),
-            halt_after: env_parse("ROAM_CHECKPOINT_HALT_AFTER"),
-            ..FleetRunner::new(seed)
-        }
-    }
-
     /// Rebuild a runner from a checkpoint directory, validating before
     /// anything runs: the manifest must decode, speak this binary's
     /// checkpoint version, and carry a world/campaign fingerprint that
@@ -298,11 +267,11 @@ impl FleetRunner {
     /// fail, it just finishes the remaining user ranges.
     ///
     /// Execution-shape knobs (threads, worker processes and their
-    /// supervision) are re-read from the environment — they cannot
-    /// change the bytes. The fault schedule is *not*: the
-    /// resolved spec stored in the manifest is pinned, so the resumed
-    /// half replays the original schedule even if `ROAM_FAULTS` changed
-    /// in between.
+    /// supervision) start at [`FleetRunner::new`]'s defaults; the caller
+    /// sets them with the builder, as for a fresh run — they cannot
+    /// change the bytes. The fault schedule, telemetry mode, population
+    /// and cadence come from the manifest, so the resumed half replays
+    /// the original run whatever the caller's knobs say now.
     ///
     /// # Errors
     /// See [`ResumeError`] — every variant is a refusal, never a silent
@@ -345,12 +314,8 @@ impl FleetRunner {
         }
         Ok(FleetRunner {
             config: manifest.config,
-            mode: RunMode::from_env(),
-            faults: Some(manifest.faults),
+            faults: manifest.faults,
             telemetry: manifest.telemetry,
-            workers: env_parse("ROAM_FLEET_WORKERS").unwrap_or(0),
-            worker_faults: WorkerFaultSpec::from_env(),
-            supervisor: SupervisorPolicy::from_env(),
             checkpoint_dir: Some(dir),
             checkpoint_every: manifest.every.max(1),
             resume: Some(states),
@@ -386,16 +351,19 @@ impl FleetRunner {
         self
     }
 
+    /// Measurement mix per session.
+    #[must_use]
+    pub fn mix(mut self, mix: SessionMix) -> Self {
+        self.config.mix = mix;
+        self
+    }
+
     /// Spread shards over `workers` threads (`<= 1` means sequential).
     /// Orthogonal to [`FleetRunner::workers`]; with worker processes
     /// active each process runs its stripe sequentially.
     #[must_use]
     pub fn parallel(mut self, workers: usize) -> Self {
-        self.mode = if workers <= 1 {
-            RunMode::Sequential
-        } else {
-            RunMode::Parallel(workers)
-        };
+        self.mode = RunMode::threads(workers);
         self
     }
 
@@ -411,17 +379,16 @@ impl FleetRunner {
     }
 
     /// Explicit path to the `fleet_worker` binary, for harnesses that
-    /// know exactly which build to run (otherwise discovery tries
-    /// `ROAM_FLEET_WORKER_BIN`, then siblings of the current
-    /// executable).
+    /// know exactly which build to run (otherwise discovery looks beside
+    /// the current executable).
     #[must_use]
     pub fn worker_bin(mut self, path: impl Into<PathBuf>) -> Self {
         self.worker_bin = Some(path.into());
         self
     }
 
-    /// Pin the worker-fault injection spec for the run, overriding
-    /// `ROAM_WORKER_FAULTS`. Injection sabotages worker *executions*
+    /// The worker-fault injection spec for the run (default off).
+    /// Injection sabotages worker *executions*
     /// (crash, stall, torn frame, nonzero exit); the supervisor
     /// recovers every one, so the report bytes cannot change — that
     /// invariant is exactly what the chaos harness exists to pin.
@@ -432,7 +399,9 @@ impl FleetRunner {
     }
 
     /// Per-shard retry budget before a shard is quarantined to
-    /// in-process execution (`ROAM_WORKER_RETRIES`).
+    /// in-process execution (default [`DEFAULT_WORKER_RETRIES`]).
+    ///
+    /// [`DEFAULT_WORKER_RETRIES`]: crate::DEFAULT_WORKER_RETRIES
     #[must_use]
     pub fn worker_retries(mut self, retries: u32) -> Self {
         self.supervisor.retries = retries;
@@ -441,8 +410,10 @@ impl FleetRunner {
 
     /// Worker stall deadline, wall milliseconds with no frame from the
     /// child before the supervisor declares it stalled and respawns it
-    /// (`ROAM_WORKER_DEADLINE_MS`). Must exceed the longest single
-    /// shard, since the worker only heartbeats *between* shards.
+    /// (default [`DEFAULT_WORKER_DEADLINE_MS`]). Must exceed the longest
+    /// single shard, since the worker only heartbeats *between* shards.
+    ///
+    /// [`DEFAULT_WORKER_DEADLINE_MS`]: crate::DEFAULT_WORKER_DEADLINE_MS
     #[must_use]
     pub fn worker_deadline_ms(mut self, ms: u64) -> Self {
         self.supervisor.deadline_ms = ms.max(1);
@@ -481,12 +452,12 @@ impl FleetRunner {
         self
     }
 
-    /// Pin the fault schedule for the run, overriding `ROAM_FAULTS`.
-    /// Every shard's world runs the same spec, so fault windows are
-    /// identical across shard counts.
+    /// The fault schedule for the run (default off). Every shard's world
+    /// runs the same spec, so fault windows are identical across shard
+    /// counts.
     #[must_use]
     pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.faults = Some(spec);
+        self.faults = spec;
         self
     }
 
@@ -511,8 +482,8 @@ impl FleetRunner {
         self
     }
 
-    /// The configured population size (used by smoke tooling to report
-    /// users/sec without re-reading the environment).
+    /// The configured population size (smoke tooling reports users/sec
+    /// with it, for fresh and resumed runs alike).
     #[must_use]
     pub fn population(&self) -> u64 {
         self.config.users
@@ -571,13 +542,12 @@ impl FleetRunner {
         self.validate()?;
         let users = self.config.users.max(1);
         let shards = plan::effective_shards(users, self.config.shards);
-        // Resolve every knob once, up front: the resolved values go to
-        // every shard's world, into worker jobs and into the checkpoint
-        // manifest, so no shard, worker or resumed run can see different
-        // ones — and no other run in this process can change them.
+        // One set of knobs goes to every shard's world, into worker jobs
+        // and into the checkpoint manifest, so no shard, worker or
+        // resumed run can see different ones.
         let knobs = RunKnobs {
             telemetry: self.telemetry,
-            faults: self.faults.unwrap_or_else(FaultSpec::current),
+            faults: self.faults,
         };
         let policy = self.checkpoint_dir.as_ref().map(|dir| CheckpointPolicy {
             dir: dir.clone(),

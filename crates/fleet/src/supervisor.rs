@@ -70,11 +70,11 @@ use std::time::Duration;
 
 /// Default per-shard retry budget (`ROAM_WORKER_RETRIES`): attempts
 /// beyond the first before the shard is quarantined to the parent.
-pub(crate) const DEFAULT_WORKER_RETRIES: u32 = 3;
+pub const DEFAULT_WORKER_RETRIES: u32 = 3;
 
 /// Default stall deadline (`ROAM_WORKER_DEADLINE_MS`): a worker that
 /// produces no frame for this long is declared stalled and killed.
-pub(crate) const DEFAULT_WORKER_DEADLINE_MS: u64 = 30_000;
+pub const DEFAULT_WORKER_DEADLINE_MS: u64 = 30_000;
 
 /// Consecutive child deaths *before any heartbeat* that quarantine the
 /// slot's whole remaining stripe — the guard against a child that
@@ -191,20 +191,6 @@ impl WorkerFaultSpec {
         Some(spec)
     }
 
-    /// Read the spec from `ROAM_WORKER_FAULTS` (see
-    /// [`WorkerFaultSpec::parse`]; unset disables injection).
-    ///
-    /// # Panics
-    /// On an unparseable spec — a misspelt knob should fail loudly at
-    /// startup, not silently run the happy path.
-    #[must_use]
-    pub fn from_env() -> Self {
-        std::env::var("ROAM_WORKER_FAULTS").map_or(WorkerFaultSpec::off(), |v| {
-            WorkerFaultSpec::parse(&v)
-                .unwrap_or_else(|| panic!("ROAM_WORKER_FAULTS: unparseable spec {:?}", v.trim()))
-        })
-    }
-
     /// The injected fate of one `(shard, attempt)` execution: one keyed
     /// uniform draw against the cumulative class probabilities. Pure in
     /// `(seed, shard, attempt)`, so parent and worker — and any two
@@ -281,21 +267,6 @@ impl Default for SupervisorPolicy {
         SupervisorPolicy {
             retries: DEFAULT_WORKER_RETRIES,
             deadline_ms: DEFAULT_WORKER_DEADLINE_MS,
-        }
-    }
-}
-
-impl SupervisorPolicy {
-    /// Resolve the policy from `ROAM_WORKER_RETRIES` /
-    /// `ROAM_WORKER_DEADLINE_MS`, with the documented defaults.
-    #[must_use]
-    pub fn from_env() -> Self {
-        SupervisorPolicy {
-            retries: crate::config::env_parse("ROAM_WORKER_RETRIES")
-                .unwrap_or(DEFAULT_WORKER_RETRIES),
-            deadline_ms: crate::config::env_parse("ROAM_WORKER_DEADLINE_MS")
-                .unwrap_or(DEFAULT_WORKER_DEADLINE_MS)
-                .max(1),
         }
     }
 }

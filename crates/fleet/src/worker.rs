@@ -191,10 +191,7 @@ impl WorkerJob {
                     while let Some((stag, sv)) = sd.next_field()? {
                         match stag {
                             job_shard_tag::INDEX => {
-                                index = Some(
-                                    usize::try_from(sv.as_u64(stag)?)
-                                        .map_err(|_| CodecError::BadValue("shard index"))?,
-                                );
+                                index = Some(sv.as_usize(stag, "shard index")?);
                             }
                             job_shard_tag::LO => lo = Some(sv.as_u64(stag)?),
                             job_shard_tag::HI => hi = Some(sv.as_u64(stag)?),
@@ -203,8 +200,7 @@ impl WorkerJob {
                                     Some(ShardState::decode_fields(&mut sv.as_section(stag)?)?);
                             }
                             job_shard_tag::ATTEMPT => {
-                                attempt = u32::try_from(sv.as_u64(stag)?)
-                                    .map_err(|_| CodecError::BadValue("shard attempt"))?;
+                                attempt = sv.as_u32(stag, "shard attempt")?;
                             }
                             _ => {}
                         }
@@ -220,10 +216,7 @@ impl WorkerJob {
                 job_tag::CKPT_DIR => dir = Some(PathBuf::from(v.as_str(tag)?)),
                 job_tag::CKPT_EVERY => every = Some(v.as_u64(tag)?),
                 job_tag::CKPT_HALT => {
-                    halt = Some(
-                        u32::try_from(v.as_u64(tag)?)
-                            .map_err(|_| CodecError::BadValue("halt_after"))?,
-                    );
+                    halt = Some(v.as_u32(tag, "halt_after")?);
                 }
                 _ => {}
             }
@@ -269,14 +262,10 @@ fn decode_heartbeat(payload: &[u8]) -> Result<(usize, u32), CodecError> {
     while let Some((tag, v)) = d.next_field()? {
         match tag {
             heartbeat_tag::SHARD => {
-                shard = Some(
-                    usize::try_from(v.as_u64(tag)?)
-                        .map_err(|_| CodecError::BadValue("heartbeat shard"))?,
-                );
+                shard = Some(v.as_usize(tag, "heartbeat shard")?);
             }
             heartbeat_tag::ATTEMPT => {
-                attempt = u32::try_from(v.as_u64(tag)?)
-                    .map_err(|_| CodecError::BadValue("heartbeat attempt"))?;
+                attempt = v.as_u32(tag, "heartbeat attempt")?;
             }
             _ => {}
         }
@@ -305,10 +294,7 @@ fn decode_result(payload: &[u8]) -> Result<ShardOutcome, CodecError> {
     while let Some((tag, v)) = d.next_field()? {
         match tag {
             result_tag::INDEX => {
-                index = Some(
-                    usize::try_from(v.as_u64(tag)?)
-                        .map_err(|_| CodecError::BadValue("shard index"))?,
-                );
+                index = Some(v.as_usize(tag, "shard index")?);
             }
             result_tag::REPORT => {
                 report = Some(FleetReport::decode_fields(&mut v.as_section(tag)?)?)
@@ -333,15 +319,12 @@ fn decode_result(payload: &[u8]) -> Result<ShardOutcome, CodecError> {
     })
 }
 
-/// Locate the worker binary: `ROAM_FLEET_WORKER_BIN`, an explicit
-/// builder override, or `fleet_worker` next to the current executable
-/// (where cargo places sibling bin targets).
+/// Locate the worker binary: the builder's explicit path, or
+/// `fleet_worker` next to the current executable (where cargo places
+/// sibling bin targets).
 pub(crate) fn find_worker_bin(explicit: Option<&PathBuf>) -> PathBuf {
     if let Some(path) = explicit {
         return path.clone();
-    }
-    if let Ok(path) = std::env::var("ROAM_FLEET_WORKER_BIN") {
-        return PathBuf::from(path);
     }
     let name = format!("fleet_worker{}", std::env::consts::EXE_SUFFIX);
     if let Ok(exe) = std::env::current_exe() {

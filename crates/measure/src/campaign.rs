@@ -14,7 +14,7 @@ use crate::speedtest::ookla_speedtest_checked;
 use crate::targets::{Service, ServiceTargets};
 use crate::trace::mtr_run_checked;
 use crate::video::{play_youtube_checked, Resolution};
-use crate::webtest::fastcom_test;
+use crate::webtest::fastcom_test_checked;
 use roam_cellular::{Cqi, Rat, SimType};
 use roam_core::PathAnalysis;
 use roam_geo::{City, Country};
@@ -571,7 +571,7 @@ pub fn run_web_measurement(
     label: &str,
 ) -> Option<WebRecord> {
     let dns = resolve_checked(net, ep, targets, &format!("{label}/dns")).ok()?;
-    let fast = fastcom_test(net, ep, targets, label)?;
+    let fast = fastcom_test_checked(net, ep, targets, label).ok()?;
     Some(WebRecord {
         country: ep.country,
         down_mbps: fast.down_mbps,

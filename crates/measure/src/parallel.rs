@@ -42,23 +42,13 @@ impl RunMode {
         }
     }
 
-    /// Read the mode from the `ROAM_PARALLEL` environment variable:
-    /// unset, empty, `0` or `1` mean sequential; `auto` means one worker
-    /// per available core; any other integer is the worker count.
+    /// The mode for `n` worker threads: `0` or `1` run sequentially.
     #[must_use]
-    pub fn from_env() -> RunMode {
-        match std::env::var("ROAM_PARALLEL") {
-            Err(_) => RunMode::Sequential,
-            Ok(v) => match v.trim() {
-                "" | "0" | "1" => RunMode::Sequential,
-                "auto" => RunMode::Parallel(
-                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-                ),
-                other => match other.parse::<usize>() {
-                    Ok(n) if n > 1 => RunMode::Parallel(n),
-                    _ => RunMode::Sequential,
-                },
-            },
+    pub fn threads(n: usize) -> RunMode {
+        if n <= 1 {
+            RunMode::Sequential
+        } else {
+            RunMode::Parallel(n)
         }
     }
 }

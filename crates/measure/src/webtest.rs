@@ -28,19 +28,9 @@ pub(crate) struct WebTestResult {
     pub public_ip: Ipv4Addr,
 }
 
-/// Run the browser speedtest as the flow named by `label`. `None` when no
-/// server is reachable.
-pub(crate) fn fastcom_test(
-    net: &mut Network,
-    endpoint: &Endpoint,
-    targets: &ServiceTargets,
-    label: &str,
-) -> Option<WebTestResult> {
-    fastcom_test_checked(net, endpoint, targets, label).ok()
-}
-
-/// [`fastcom_test`] with typed failure semantics: a missing Netflix edge
-/// is [`MeasureError::NoTarget`]; a dead path surfaces the probe's error.
+/// Run the browser speedtest as the flow named by `label`: a missing
+/// Netflix edge is [`MeasureError::NoTarget`]; a dead path surfaces the
+/// probe's error.
 ///
 /// # Errors
 /// Propagates [`crate::endpoint::Probe::rtt_checked`] failures.
@@ -141,7 +131,7 @@ mod tests {
     #[test]
     fn records_public_ip_and_tunnel_latency() {
         let (mut net, ep, targets) = world();
-        let r = fastcom_test(&mut net, &ep, &targets, "web/0").unwrap();
+        let r = fastcom_test_checked(&mut net, &ep, &targets, "web/0").unwrap();
         assert_eq!(r.public_ip, "147.28.128.9".parse::<Ipv4Addr>().unwrap());
         assert!(
             r.latency_ms > 100.0,
@@ -158,6 +148,6 @@ mod tests {
     #[test]
     fn no_server_gives_none() {
         let (mut net, ep, _) = world();
-        assert!(fastcom_test(&mut net, &ep, &ServiceTargets::new(), "web/0").is_none());
+        assert!(fastcom_test_checked(&mut net, &ep, &ServiceTargets::new(), "web/0").is_err());
     }
 }

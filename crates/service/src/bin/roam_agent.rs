@@ -5,11 +5,11 @@
 //! roam_agent run --until-idle  [--seed 42] [--out agent-out]
 //! ```
 //!
-//! Service knobs come from `ROAM_SERVICE_*` (see `ServiceConfig`);
-//! execution knobs from the repo-wide `ROAM_PARALLEL`, `ROAM_FAULTS`,
-//! `ROAM_TELEMETRY`, each resolved once when the agent
-//! is built (a resumed agent keeps its checkpoint's faults and
-//! telemetry). When
+//! Service knobs come from `ROAM_SERVICE_*` (see `ServiceConfig`) and
+//! the thread count from `ROAM_PARALLEL`, all parsed by
+//! `roam_service::config::Env`; a malformed value exits 2 naming the
+//! variable. `Agent::new` reads `ROAM_FAULTS` and `ROAM_TELEMETRY` once
+//! (a resumed agent keeps its checkpoint's faults and telemetry). When
 //! `ROAM_CHECKPOINT_DIR` is set the agent writes `agent.ckpt` there
 //! every `ROAM_SERVICE_CKPT` sim-days — and on SIGTERM/SIGINT, after
 //! draining the export queue. Restarting with the same checkpoint dir
@@ -23,10 +23,11 @@
 //! stdout). Exit status: 0 completed, 75 drained-on-signal (resume to
 //! continue), 74 the export sink went sick mid-run (the report and
 //! checkpoint are complete; `sessions.csv` stops at the durable
-//! offset), 1 error.
+//! offset), 2 a malformed knob or usage, 1 any other error.
 
 use roam_measure::{Dataset, RunMode, SharedSink};
-use roam_service::{Agent, AgentState, CsvFile, Horizon, Outcome, ServiceConfig};
+use roam_service::config::Env;
+use roam_service::{Agent, AgentState, CsvFile, Horizon, Outcome};
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,13 +96,15 @@ fn main() {
     }
     let Some(horizon) = horizon else { usage() };
 
-    let config = ServiceConfig::from_env();
+    let env = Env::process();
+    let config = env.service().unwrap_or_else(|e| e.exit());
+    let threads = env.threads().unwrap_or_else(|e| e.exit());
+    let ckpt_dir = env.checkpoint_dir().unwrap_or_else(|e| e.exit());
     if let Err(e) = config.validate() {
         die(&e.to_string());
     }
     std::fs::create_dir_all(&out).unwrap_or_else(|e| die(&format!("{}: {e}", out.display())));
     let sessions_path = out.join("sessions.csv");
-    let ckpt_dir = std::env::var("ROAM_CHECKPOINT_DIR").ok().map(PathBuf::from);
 
     // Resume when a checkpoint plane is configured and holds a frame;
     // refuse drifted knobs rather than silently diverging from it.
@@ -146,7 +149,7 @@ fn main() {
     let sink: SharedSink = shared.clone();
     let hook_target = Arc::clone(&shared);
     let mut agent = agent
-        .mode(RunMode::from_env())
+        .mode(RunMode::threads(threads))
         .sink(sink)
         .sync_hook(move || hook_target.lock().expect("csv sink poisoned").sync());
     if let Some(dir) = ckpt_dir {

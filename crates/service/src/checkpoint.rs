@@ -148,31 +148,23 @@ fn encode_config(e: &mut Encoder, c: &ServiceConfig) {
     e.u64(config_tag::MIX_TRANSFER, u64::from(c.mix.transfer));
 }
 
-fn as_u32(v: u64, what: &'static str) -> Result<u32, CodecError> {
-    u32::try_from(v).map_err(|_| CodecError::BadValue(what))
-}
-
-fn as_usize(v: u64, what: &'static str) -> Result<usize, CodecError> {
-    usize::try_from(v).map_err(|_| CodecError::BadValue(what))
-}
-
 fn decode_config(d: &mut Decoder<'_>) -> Result<ServiceConfig, CodecError> {
     let mut c = ServiceConfig::default();
     let (mut rtt, mut dns, mut transfer) = (c.mix.rtt, c.mix.dns, c.mix.transfer);
     while let Some((tag, v)) = d.next_field()? {
         match tag {
             config_tag::USERS => c.users = v.as_u64(tag)?,
-            config_tag::COHORTS => c.cohorts = as_usize(v.as_u64(tag)?, "cohorts")?,
-            config_tag::TICK_DAYS => c.tick_days = as_u32(v.as_u64(tag)?, "tick_days")?,
-            config_tag::PROBES => c.probes = as_u32(v.as_u64(tag)?, "probes")?,
+            config_tag::COHORTS => c.cohorts = v.as_usize(tag, "cohorts")?,
+            config_tag::TICK_DAYS => c.tick_days = v.as_u32(tag, "tick_days")?,
+            config_tag::PROBES => c.probes = v.as_u32(tag, "probes")?,
             config_tag::TTL => c.ttl_ticks = v.as_u64(tag)?,
-            config_tag::CHURN => c.churn_pct = as_u32(v.as_u64(tag)?, "churn")?,
-            config_tag::QUEUE => c.queue_cap = as_usize(v.as_u64(tag)?, "queue")?,
+            config_tag::CHURN => c.churn_pct = v.as_u32(tag, "churn")?,
+            config_tag::QUEUE => c.queue_cap = v.as_usize(tag, "queue")?,
             config_tag::CKPT => c.ckpt_days = v.as_u64(tag)?,
-            config_tag::SAMPLE => c.sample = as_usize(v.as_u64(tag)?, "sample")?,
-            config_tag::MIX_RTT => rtt = as_u32(v.as_u64(tag)?, "mix")?,
-            config_tag::MIX_DNS => dns = as_u32(v.as_u64(tag)?, "mix")?,
-            config_tag::MIX_TRANSFER => transfer = as_u32(v.as_u64(tag)?, "mix")?,
+            config_tag::SAMPLE => c.sample = v.as_usize(tag, "sample")?,
+            config_tag::MIX_RTT => rtt = v.as_u32(tag, "mix")?,
+            config_tag::MIX_DNS => dns = v.as_u32(tag, "mix")?,
+            config_tag::MIX_TRANSFER => transfer = v.as_u32(tag, "mix")?,
             _ => {}
         }
     }
@@ -367,8 +359,7 @@ impl AgentState {
                     while let Some((ct, cv)) = sd.next_field().map_err(corrupt)? {
                         match ct {
                             cohort_tag::INDEX => {
-                                c.index = as_usize(cv.as_u64(ct).map_err(corrupt)?, "cohort index")
-                                    .map_err(corrupt)?;
+                                c.index = cv.as_usize(ct, "cohort index").map_err(corrupt)?;
                             }
                             cohort_tag::RETIRED => c.retired = cv.as_u64(ct).map_err(corrupt)?,
                             cohort_tag::GROWN => c.grown = cv.as_u64(ct).map_err(corrupt)?,

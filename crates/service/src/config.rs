@@ -1,16 +1,27 @@
-//! Service sizing knobs: how many users the agent tends, how they are
-//! grouped into cohorts, and the cadences its recurring jobs run at.
+//! Service sizing knobs, and the one module that reads `ROAM_*`.
 //!
-//! Every field has a `ROAM_SERVICE_*` environment counterpart read by
-//! [`ServiceConfig::from_env`]. Like the fleet knobs, none of them can
-//! change a *user's* byte stream — they size the population, the tick
-//! calendar and the export queue. The measurement mix and journey-sample
-//! capacity are shared with the fleet plane (`ROAM_FLEET_MIX`,
-//! `ROAM_FLEET_SAMPLE`) because cohort ticks run through the same
-//! plan/exec/merge pipeline.
+//! [`ServiceConfig`] sizes the agent: how many users it tends, how they
+//! are grouped into cohorts, and the cadences its recurring jobs run at.
+//! Like the fleet knobs, none of them can change a *user's* byte stream —
+//! they size the population, the tick calendar and the export queue. The
+//! measurement mix and journey-sample capacity are shared with the fleet
+//! plane (`ROAM_FLEET_MIX`, `ROAM_FLEET_SAMPLE`) because cohort ticks run
+//! through the same plan/exec/merge pipeline.
+//!
+//! Runners take every knob as a value; the binaries parse the environment
+//! with [`Env`], one function per variable, and exit 2 on a [`KnobError`].
+//! `ROAM_FAULTS` and `ROAM_TELEMETRY` are still parsed by
+//! [`FaultSpec::from_env`] and [`TelemetryMode::from_env`], which
+//! `Network::new` and [`Agent::new`](crate::Agent::new) call too.
 
-use roam_fleet::config::env_parse;
-use roam_fleet::{FleetConfig, SessionMix};
+use roam_fleet::{
+    FleetConfig, FleetRunner, SessionMix, WorkerFaultSpec, DEFAULT_CHECKPOINT_EVERY,
+    DEFAULT_WORKER_DEADLINE_MS, DEFAULT_WORKER_RETRIES,
+};
+use roam_netsim::FaultSpec;
+use roam_telemetry::TelemetryMode;
+use std::num::NonZeroUsize;
+use std::path::PathBuf;
 
 /// Everything that sizes the long-running agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,32 +114,6 @@ impl std::fmt::Display for ServiceConfigError {
 impl std::error::Error for ServiceConfigError {}
 
 impl ServiceConfig {
-    /// Defaults overridden by whichever `ROAM_SERVICE_*` variables are
-    /// set; the shared `ROAM_FLEET_MIX` / `ROAM_FLEET_SAMPLE` go through
-    /// [`FleetConfig::from_env`]. Malformed values fall back to the
-    /// default.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let d = ServiceConfig::default();
-        let fleet = FleetConfig::from_env();
-        ServiceConfig {
-            users: env_parse("ROAM_SERVICE_USERS").unwrap_or(d.users),
-            cohorts: env_parse("ROAM_SERVICE_COHORTS").unwrap_or(d.cohorts),
-            tick_days: env_parse("ROAM_SERVICE_TICK_DAYS")
-                .unwrap_or(d.tick_days)
-                .max(1),
-            probes: env_parse("ROAM_SERVICE_PROBES").unwrap_or(d.probes).max(1),
-            ttl_ticks: env_parse("ROAM_SERVICE_TTL").unwrap_or(d.ttl_ticks),
-            churn_pct: env_parse("ROAM_SERVICE_CHURN").unwrap_or(d.churn_pct),
-            queue_cap: env_parse("ROAM_SERVICE_QUEUE")
-                .unwrap_or(d.queue_cap)
-                .max(1),
-            ckpt_days: env_parse("ROAM_SERVICE_CKPT").unwrap_or(d.ckpt_days).max(1),
-            sample: fleet.sample,
-            mix: fleet.mix,
-        }
-    }
-
     /// Structural validation shared by the agent constructor and the
     /// checkpoint decoder.
     pub fn validate(&self) -> Result<(), ServiceConfigError> {
@@ -164,9 +149,241 @@ impl ServiceConfig {
     }
 }
 
+/// A `ROAM_*` variable that is set but malformed: its name, its value
+/// as set, and what the value should look like.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KnobError {
+    pub var: &'static str,
+    pub value: String,
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for KnobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}={:?}: expected {}",
+            self.var, self.value, self.expected
+        )
+    }
+}
+
+impl KnobError {
+    /// Refuse to run: print the error on stderr and exit 2.
+    pub fn exit(self) -> ! {
+        eprintln!("refusing to run: {self}");
+        std::process::exit(2)
+    }
+}
+
+/// The knobs a campaign or fleet run shares: `ROAM_PARALLEL`,
+/// `ROAM_FAULTS` and `ROAM_TELEMETRY`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunEnv {
+    pub threads: usize,
+    pub faults: FaultSpec,
+    pub telemetry: TelemetryMode,
+}
+
+/// Where `fleet_smoke` writes the streamed sessions table:
+/// `csv:<path>` or `columnar:<path>`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SessionExport {
+    Csv(PathBuf),
+    Columnar(PathBuf),
+}
+
+/// The `ROAM_*` values a binary runs under, taken from the process
+/// environment by [`Env::process`]. Unset or blank means the default;
+/// anything else must parse.
+#[derive(Debug)]
+pub struct Env(Vec<(String, String)>);
+
+impl Env {
+    /// The process environment.
+    #[must_use]
+    pub fn process() -> Env {
+        let lossy = |s: std::ffi::OsString| s.to_string_lossy().into_owned();
+        Env(std::env::vars_os()
+            .map(|(k, v)| (lossy(k), lossy(v)))
+            .collect())
+    }
+
+    /// `var` through `parse`; `None` when unset or blank.
+    fn get<T>(
+        &self,
+        var: &'static str,
+        expected: &'static str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, KnobError> {
+        let raw = self.0.iter().find(|(k, _)| k == var).map_or("", |(_, v)| v);
+        let value = raw.to_string();
+        match raw.trim() {
+            "" => Ok(None),
+            s => parse(s).map(Some).ok_or(KnobError {
+                var,
+                value,
+                expected,
+            }),
+        }
+    }
+
+    fn int_or<T: std::str::FromStr>(&self, var: &'static str, default: T) -> Result<T, KnobError> {
+        let value = self.get(var, "an unsigned integer", |s| s.parse().ok())?;
+        Ok(value.unwrap_or(default))
+    }
+
+    /// The run seed, `ROAM_SEED` (default 42).
+    pub fn seed(&self) -> Result<u64, KnobError> {
+        self.int_or("ROAM_SEED", 42)
+    }
+
+    /// Worker threads, `ROAM_PARALLEL`: `auto` is one per core; unset,
+    /// `0` and `1` run sequentially.
+    pub fn threads(&self) -> Result<usize, KnobError> {
+        let cores = || std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let threads = self.get("ROAM_PARALLEL", "auto or a thread count", |s| match s {
+            "auto" => Some(cores()),
+            n => n.parse().ok(),
+        })?;
+        Ok(threads.unwrap_or(1))
+    }
+
+    /// The checkpoint directory, `ROAM_CHECKPOINT_DIR`.
+    pub fn checkpoint_dir(&self) -> Result<Option<PathBuf>, KnobError> {
+        self.get("ROAM_CHECKPOINT_DIR", "a path", |s| Some(PathBuf::from(s)))
+    }
+
+    /// Threads, faults and telemetry. `ROAM_FAULTS` and `ROAM_TELEMETRY`
+    /// go through [`FaultSpec::from_env`] and [`TelemetryMode::from_env`],
+    /// which panic on a malformed value.
+    pub fn run(&self) -> Result<RunEnv, KnobError> {
+        let (faults, telemetry) = (FaultSpec::from_env(), TelemetryMode::from_env());
+        Ok(RunEnv {
+            threads: self.threads()?,
+            faults,
+            telemetry,
+        })
+    }
+
+    /// `ROAM_FLEET_SAMPLE` and `ROAM_FLEET_MIX`, which the fleet and the
+    /// agent share.
+    fn sample_and_mix(&self) -> Result<(usize, SessionMix), KnobError> {
+        let d = FleetConfig::default();
+        let mix = self.get(
+            "ROAM_FLEET_MIX",
+            "rtt:dns:transfer weights",
+            SessionMix::parse,
+        )?;
+        Ok((
+            self.int_or("ROAM_FLEET_SAMPLE", d.sample)?,
+            mix.unwrap_or(d.mix),
+        ))
+    }
+
+    /// The agent's sizing: `ROAM_SERVICE_*` and the shared sample and mix.
+    pub fn service(&self) -> Result<ServiceConfig, KnobError> {
+        let d = ServiceConfig::default();
+        let (sample, mix) = self.sample_and_mix()?;
+        Ok(ServiceConfig {
+            users: self.int_or("ROAM_SERVICE_USERS", d.users)?,
+            cohorts: self.int_or("ROAM_SERVICE_COHORTS", d.cohorts)?,
+            tick_days: self.int_or("ROAM_SERVICE_TICK_DAYS", d.tick_days)?.max(1),
+            probes: self.int_or("ROAM_SERVICE_PROBES", d.probes)?.max(1),
+            ttl_ticks: self.int_or("ROAM_SERVICE_TTL", d.ttl_ticks)?,
+            churn_pct: self.int_or("ROAM_SERVICE_CHURN", d.churn_pct)?,
+            queue_cap: self.int_or("ROAM_SERVICE_QUEUE", d.queue_cap)?.max(1),
+            ckpt_days: self.int_or("ROAM_SERVICE_CKPT", d.ckpt_days)?.max(1),
+            sample,
+            mix,
+        })
+    }
+
+    /// A fresh fleet runner for `seed` under every fleet knob:
+    /// `ROAM_FLEET_*`, the checkpoint plane, faults, telemetry and
+    /// [`Env::fleet_execution`].
+    pub fn fleet_runner(&self, seed: u64) -> Result<FleetRunner, KnobError> {
+        let (d, run) = (FleetConfig::default(), self.run()?);
+        let (sample, mix) = self.sample_and_mix()?;
+        let every = self.int_or("ROAM_CHECKPOINT_EVERY", DEFAULT_CHECKPOINT_EVERY)?;
+        let runner = self
+            .fleet_execution(FleetRunner::new(seed))?
+            .users(self.int_or("ROAM_FLEET_USERS", d.users)?)
+            .shards(self.int_or("ROAM_FLEET_SHARDS", d.shards)?)
+            .days(self.int_or("ROAM_FLEET_DAYS", d.days)?)
+            .sample(sample)
+            .mix(mix)
+            .faults(run.faults)
+            .telemetry(run.telemetry)
+            .checkpoint_every(every);
+        Ok(match self.checkpoint_dir()? {
+            Some(dir) => runner.checkpoint_dir(dir),
+            None => runner,
+        })
+    }
+
+    /// `runner` under the knobs that shape a fleet run's execution but
+    /// never its bytes: `ROAM_PARALLEL`, `ROAM_FLEET_WORKERS`,
+    /// `ROAM_FLEET_WORKER_BIN` and `ROAM_WORKER_*`. A resumed runner takes
+    /// these and nothing else; its manifest holds the rest.
+    pub fn fleet_execution(&self, runner: FleetRunner) -> Result<FleetRunner, KnobError> {
+        let spec = "off, light, heavy or key=probability pairs";
+        let faults = self.get("ROAM_WORKER_FAULTS", spec, WorkerFaultSpec::parse)?;
+        let deadline_ms = self.int_or("ROAM_WORKER_DEADLINE_MS", DEFAULT_WORKER_DEADLINE_MS)?;
+        let runner = runner
+            .parallel(self.threads()?)
+            .workers(self.int_or("ROAM_FLEET_WORKERS", 0)?)
+            .worker_faults(faults.unwrap_or_else(WorkerFaultSpec::off))
+            .worker_retries(self.int_or("ROAM_WORKER_RETRIES", DEFAULT_WORKER_RETRIES)?)
+            .worker_deadline_ms(deadline_ms);
+        let bin = self.get("ROAM_FLEET_WORKER_BIN", "a path", |s| {
+            Some(PathBuf::from(s))
+        })?;
+        Ok(match bin {
+            Some(bin) => runner.worker_bin(bin),
+            None => runner,
+        })
+    }
+
+    /// `ROAM_RESUME`: resume the checkpoint directory instead of starting
+    /// fresh.
+    pub fn resume(&self) -> Result<bool, KnobError> {
+        let flag = |s: &str| match s {
+            "1" | "true" => Some(true),
+            "0" | "false" => Some(false),
+            _ => None,
+        };
+        let resume = self.get("ROAM_RESUME", "1, true, 0 or false", flag)?;
+        Ok(resume.unwrap_or(false))
+    }
+
+    /// `ROAM_FLEET_EXPORT`.
+    pub fn export(&self) -> Result<Option<SessionExport>, KnobError> {
+        self.get(
+            "ROAM_FLEET_EXPORT",
+            "csv:<path> or columnar:<path>",
+            |s| match s.split_once(':')? {
+                ("csv", path) if !path.is_empty() => Some(SessionExport::Csv(path.into())),
+                ("columnar", path) if !path.is_empty() => {
+                    Some(SessionExport::Columnar(path.into()))
+                }
+                _ => None,
+            },
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exactly these variables.
+    fn vars<const N: usize>(vars: [(&str, &str); N]) -> Env {
+        Env(vars
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect())
+    }
 
     #[test]
     fn defaults_validate() {
@@ -198,5 +415,133 @@ mod tests {
         );
         let msg = ServiceConfigError::ChurnOverFull { pct: 101 }.to_string();
         assert!(msg.contains("101"), "{msg}");
+    }
+
+    #[test]
+    fn malformed_knobs_are_refused_by_name_and_value() {
+        let err = vars([("ROAM_FLEET_USERS", "100k")])
+            .fleet_runner(1)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            KnobError {
+                var: "ROAM_FLEET_USERS",
+                value: "100k".to_string(),
+                expected: "an unsigned integer",
+            }
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains("ROAM_FLEET_USERS") && msg.contains("100k"),
+            "{msg}"
+        );
+        let err = vars([("ROAM_PARALLEL", "four")]).threads().unwrap_err();
+        assert_eq!((err.var, err.value.as_str()), ("ROAM_PARALLEL", "four"));
+        for (var, value) in [
+            ("ROAM_SERVICE_QUEUE", "-1"),
+            ("ROAM_FLEET_MIX", "0:0:0"),
+            ("ROAM_WORKER_FAULTS", "crash=2"),
+            ("ROAM_RESUME", "yes"),
+            ("ROAM_FLEET_EXPORT", "parquet:s.pq"),
+        ] {
+            let env = vars([(var, value)]);
+            let refused = [
+                env.service().err(),
+                env.fleet_execution(FleetRunner::new(1)).err(),
+                env.resume().err(),
+                env.export().err(),
+            ];
+            let err = refused.into_iter().flatten().next();
+            assert_eq!(err.map(|e| e.var), Some(var), "{var}={value} is refused");
+        }
+    }
+
+    #[test]
+    fn values_take_their_documented_forms() {
+        let env = vars([
+            ("ROAM_PARALLEL", " 4 "),
+            ("ROAM_SEED", ""),
+            ("ROAM_RESUME", "true"),
+            ("ROAM_FLEET_EXPORT", "columnar:s.frame"),
+            ("ROAM_SERVICE_QUEUE", "16"),
+            ("ROAM_FLEET_MIX", "1:0:1"),
+        ]);
+        assert_eq!(env.threads(), Ok(4));
+        assert_eq!(env.seed(), Ok(42), "blank is unset");
+        assert_eq!(env.resume(), Ok(true));
+        let frame = SessionExport::Columnar("s.frame".into());
+        assert_eq!(env.export(), Ok(Some(frame)));
+        let service = env.service().unwrap();
+        assert_eq!(
+            (service.queue_cap, service.mix),
+            (16, SessionMix::new(1, 0, 1))
+        );
+        let auto = vars([("ROAM_PARALLEL", "auto")]).threads().unwrap();
+        assert!(auto >= 1);
+        assert_eq!(vars([]).threads(), Ok(1));
+        assert_eq!(vars([]).service(), Ok(ServiceConfig::default()));
+    }
+
+    #[test]
+    fn execution_knobs_reach_fresh_and_resumed_runners() {
+        let dir = std::env::temp_dir().join(format!("roam-config-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let finished = FleetRunner::new(9)
+            .users(6)
+            .shards(2)
+            .days(2)
+            .checkpoint_dir(&dir)
+            .run();
+        assert!(!finished.halted);
+        let env = vars([
+            ("ROAM_PARALLEL", "3"),
+            ("ROAM_FLEET_WORKERS", "2"),
+            ("ROAM_FLEET_WORKER_BIN", "bin/fleet_worker"),
+            ("ROAM_WORKER_FAULTS", "heavy"),
+            ("ROAM_WORKER_RETRIES", "7"),
+            ("ROAM_WORKER_DEADLINE_MS", "1234"),
+            ("ROAM_FLEET_USERS", "7"),
+            ("ROAM_FLEET_MIX", "1:0:1"),
+            ("ROAM_CHECKPOINT_DIR", "ckpt"),
+            ("ROAM_CHECKPOINT_EVERY", "99"),
+        ]);
+        let execution = [
+            format!("mode: {:?}", roam_measure::RunMode::Parallel(3)),
+            "workers: 2,".to_string(),
+            "worker_bin: Some(\"bin/fleet_worker\")".to_string(),
+            format!("worker_faults: {:?}", WorkerFaultSpec::heavy()),
+            "supervisor: SupervisorPolicy { retries: 7, deadline_ms: 1234 }".to_string(),
+        ];
+        let scenario = [
+            "users: 7,",
+            "mix: SessionMix { rtt: 1, dns: 0, transfer: 1 }",
+            "checkpoint_dir: Some(\"ckpt\")",
+            "checkpoint_every: 99,",
+        ];
+        let default = format!("{:?}", FleetRunner::new(9));
+        let fresh = format!("{:?}", env.fleet_runner(9).unwrap());
+        let resumed = FleetRunner::resume(&dir).expect("a finished run resumes");
+        let resumed = format!("{:?}", env.fleet_execution(resumed).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+        let all = execution.iter().map(String::as_str).chain(scenario);
+        for field in all {
+            assert!(!default.contains(field), "`{field}` is a default");
+            assert!(
+                fresh.contains(field),
+                "fresh runner lacks `{field}`: {fresh}"
+            );
+        }
+        for field in &execution {
+            assert!(
+                resumed.contains(field.as_str()),
+                "resumed runner lacks `{field}`: {resumed}"
+            );
+        }
+        for field in scenario {
+            assert!(
+                !resumed.contains(field),
+                "the manifest, not `{field}`, rules a resume"
+            );
+        }
     }
 }

@@ -422,10 +422,7 @@ impl<T: Clone> KeyedReservoir<T> {
         while let Some((tag, v)) = d.next_field()? {
             match tag {
                 reservoir_tag::CAP => {
-                    cap = Some(
-                        usize::try_from(v.as_u64(tag)?)
-                            .map_err(|_| CodecError::BadValue("reservoir cap"))?,
-                    );
+                    cap = Some(v.as_usize(tag, "reservoir cap")?);
                 }
                 reservoir_tag::ENTRY => {
                     let mut s = v.as_section(tag)?;

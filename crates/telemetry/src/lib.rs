@@ -52,17 +52,19 @@ pub enum TelemetryMode {
 
 impl TelemetryMode {
     /// Read the mode from `ROAM_TELEMETRY`: `summary` or `jsonl` enable
-    /// the plane; unset, empty, `off` or anything else disable it. Read
-    /// per call (never cached) so tests can flip it mid-process.
+    /// the plane; unset, empty or `off` disable it. Read per call (never
+    /// cached) so tests can flip it mid-process.
+    ///
+    /// # Panics
+    /// On any other value — a misspelt knob should fail loudly at
+    /// startup, not silently record nothing.
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("ROAM_TELEMETRY") {
-            Ok(v) => match v.trim() {
-                "summary" => TelemetryMode::Summary,
-                "jsonl" => TelemetryMode::Jsonl,
-                _ => TelemetryMode::Off,
-            },
-            Err(_) => TelemetryMode::Off,
+        match std::env::var("ROAM_TELEMETRY").unwrap_or_default().trim() {
+            "" | "off" => TelemetryMode::Off,
+            "summary" => TelemetryMode::Summary,
+            "jsonl" => TelemetryMode::Jsonl,
+            other => panic!("ROAM_TELEMETRY: unknown mode {other:?}"),
         }
     }
 
@@ -101,9 +103,12 @@ mod tests {
         assert_eq!(TelemetryMode::from_env(), TelemetryMode::Summary);
         std::env::set_var("ROAM_TELEMETRY", "jsonl");
         assert_eq!(TelemetryMode::from_env(), TelemetryMode::Jsonl);
-        std::env::set_var("ROAM_TELEMETRY", "verbose");
+        std::env::set_var("ROAM_TELEMETRY", "off");
         assert_eq!(TelemetryMode::from_env(), TelemetryMode::Off);
+        std::env::set_var("ROAM_TELEMETRY", "verbose");
+        let refused = std::panic::catch_unwind(TelemetryMode::from_env);
         std::env::remove_var("ROAM_TELEMETRY");
+        assert!(refused.is_err(), "an unknown mode is refused");
     }
 
     #[test]

@@ -631,10 +631,7 @@ impl Event {
                 snap_tag::EV_LABEL => label = Some(v.as_str(tag)?.to_string()),
                 snap_tag::EV_VALUE => value = Some(v.as_f64(tag)?),
                 snap_tag::EV_ATTEMPTS => {
-                    attempts = Some(
-                        u32::try_from(v.as_u64(tag)?)
-                            .map_err(|_| CodecError::BadValue("event attempts"))?,
-                    );
+                    attempts = Some(v.as_u32(tag, "event attempts")?);
                 }
                 _ => {}
             }
