@@ -81,13 +81,16 @@ fn parallel_campaigns_export_identical_bytes() {
 /// FNV-1a-64 digests of all three campaigns at seed 11 with jsonl
 /// telemetry, faults off: the device campaign's `export_all` CSV, the web
 /// results and the survey observations (each with the rendered telemetry),
-/// plus every run's shard keys in merge order. Worker-count invariance
-/// alone (above) would let both sides of a refactor move together.
+/// plus every run's shard keys in merge order. A heavy-fault device run
+/// adds its `export_all` CSV digest and its per-status record counts, so
+/// the failure rows (status, `attempts`, `NaN` metrics) are pinned too.
+/// Worker-count invariance alone (above) would let both sides of a
+/// refactor move together.
 #[test]
 fn campaign_outputs_are_pinned() {
     use roam_bench::CampaignRunner;
     use roam_codec::hash64;
-    use roamsim::measure::{Exporter, ShardTiming};
+    use roamsim::measure::{CampaignData, Exporter, ShardTiming};
     use roamsim::netsim::FaultSpec;
     use roamsim::telemetry::TelemetryMode;
 
@@ -98,16 +101,25 @@ fn campaign_outputs_are_pinned() {
         let keys: Vec<&str> = timings.iter().map(|t| t.key.as_str()).collect();
         hash64(keys.join("\n").as_bytes())
     };
+    let export_digest = |data: &CampaignData| {
+        let mut csv = String::new();
+        for (ds, table) in data.export_all() {
+            csv.push_str(&format!("{ds:?}\n{table}"));
+        }
+        hash64(csv.as_bytes())
+    };
 
     let device = runner.clone().scale(0.03).run();
-    let mut csv = String::new();
-    for (ds, table) in device.data.export_all() {
-        csv.push_str(&format!("{ds:?}\n{table}"));
-    }
     let web = runner.run_web();
     let survey = runner.run_survey(2);
+    let heavy = CampaignRunner::new(11)
+        .faults(FaultSpec::heavy())
+        .scale(0.03)
+        .run()
+        .data;
+    let degraded = heavy.degradation();
     let got = [
-        hash64(csv.as_bytes()),
+        export_digest(&device.data),
         hash64(device.telemetry.render().as_bytes()),
         keys(&device.timings),
         hash64(format!("{:?}", web.results).as_bytes()),
@@ -116,8 +128,13 @@ fn campaign_outputs_are_pinned() {
         hash64(format!("{:?}", survey.observations).as_bytes()),
         hash64(survey.telemetry.render().as_bytes()),
         keys(&survey.timings),
+        export_digest(&heavy),
+        degraded.ok,
+        degraded.failover,
+        degraded.timeout,
+        degraded.unreachable,
     ];
-    let want: [u64; 9] = [
+    let want: [u64; 14] = [
         // device: export_all CSV, telemetry, shard keys
         0x4a91_0b97_6a51_68d3,
         0x36ff_7509_d3b4_4010,
@@ -130,6 +147,13 @@ fn campaign_outputs_are_pinned() {
         0xda70_e242_7faf_06b4,
         0xc588_60be_8d2d_3132,
         0x7821_0493_6502_ab40,
+        // heavy faults, device: export_all CSV, then ok/failover/timeout/
+        // unreachable record counts
+        0x7585_f28a_3487_72cf,
+        736,
+        4,
+        240,
+        0,
     ];
     assert_eq!(got, want, "campaign digests moved: {got:#018x?}");
 }
