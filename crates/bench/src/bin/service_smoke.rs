@@ -17,10 +17,10 @@
 //! both the virtual-clock loop and the streaming path.
 //!
 //! The horizon is fixed at [`DAYS`] simulated days. Knobs:
-//! `ROAM_SERVICE_*` (sizing), `ROAM_SEED` and `ROAM_PARALLEL`, parsed by
-//! [`roam_service::config::Env`] (a malformed value exits 2 naming the
-//! variable), plus `ROAM_FAULTS` and `ROAM_TELEMETRY`, which
-//! [`Agent::new`] reads.
+//! `ROAM_SERVICE_*` (sizing), `ROAM_SEED`, `ROAM_PARALLEL`, `ROAM_FAULTS`
+//! and `ROAM_TELEMETRY`, parsed by [`roam_service::config::Env`] (a
+//! malformed value exits 2 naming the variable); [`Agent::new`] then
+//! reads the last two itself.
 //!
 //! [`Agent::new`]: roam_service::Agent::new
 //!
@@ -39,7 +39,7 @@ const DAYS: u64 = 30;
 fn main() -> ExitCode {
     let env = Env::process();
     let seed = env.seed().unwrap_or_else(|e| e.exit());
-    let threads = env.threads().unwrap_or_else(|e| e.exit());
+    let threads = env.run().unwrap_or_else(|e| e.exit()).threads;
     let config = env.service().unwrap_or_else(|e| e.exit());
     let agent = match Agent::new(seed, config) {
         Ok(agent) => agent,

@@ -61,8 +61,6 @@ pub struct DeviceCountryRun {
     pub world: World,
     /// eSIM endpoints, one per day-chunk re-attachment.
     pub esims: Vec<Endpoint>,
-    /// The physical SIM endpoint of the last day-chunk.
-    pub sim: Endpoint,
 }
 
 /// Everything a figure binary needs from one full device-campaign run.
@@ -272,7 +270,7 @@ impl CampaignRunner {
             let spec = specs.iter().find(|s| s.country == country).expect("spec");
             let chunks = spec.days.clamp(2, 6);
             let chunk_spec = scale_spec(&spec.spec, self.scale / f64::from(chunks));
-            let (mut data, mut esims, mut sim) = (CampaignData::default(), Vec::new(), None);
+            let (mut data, mut esims) = (CampaignData::default(), Vec::new());
             for _ in 0..chunks {
                 // Both SIMs re-attach per day-chunk: real devices detach
                 // overnight, and per-attachment draws (core depth, PGW pool
@@ -286,18 +284,16 @@ impl CampaignRunner {
                 let d = run_device_campaign(&mut world.net, &phys, &esim, &chunk_spec, targets);
                 data.extend(d);
                 esims.push(esim);
-                sim = Some(phys);
             }
-            (country, esims, sim.expect("at least one chunk"), data)
+            (country, esims, data)
         });
         let (mut shards, mut data) = (Vec::new(), CampaignData::default());
-        for (world, (country, esims, sim, shard_data)) in out {
+        for (world, (country, esims, shard_data)) in out {
             data.extend(shard_data);
             shards.push(DeviceCountryRun {
                 country,
                 world,
                 esims,
-                sim,
             });
         }
         if let Some(sink) = &self.sink {

@@ -28,8 +28,6 @@ pub enum SimType {
 /// One subscription.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimProfile {
-    /// ICCID-like unique identifier of the profile.
-    pub iccid: u64,
     /// Physical or eSIM.
     pub sim_type: SimType,
     /// Subscriber identity (determines the home PLMN).
@@ -37,10 +35,6 @@ pub struct SimProfile {
     /// The operator that issued the profile — the **b-MNO** in the paper's
     /// terminology.
     pub issuer: MnoId,
-    /// Whether data roaming must be enabled for the profile to work outside
-    /// the issuer's network ("Data roaming must be enabled for these eSIMs,
-    /// hence we refer to them as roaming eSIMs", §4.1).
-    pub data_roaming_enabled: bool,
 }
 
 /// The SM-DP+ (profile preparation/delivery) role: operators deposit IMSI
@@ -49,7 +43,6 @@ pub struct SimProfile {
 pub struct Smdp {
     /// Deposited inventory per operator: the leased IMSI range and a cursor.
     inventory: HashMap<u32, (ImsiRange, u64, MnoId)>,
-    next_iccid: u64,
     next_batch: u32,
 }
 
@@ -65,7 +58,6 @@ impl Smdp {
     pub fn new() -> Self {
         Smdp {
             inventory: HashMap::new(),
-            next_iccid: 8_988_000_000_000_000,
             next_batch: 0,
         }
     }
@@ -85,13 +77,10 @@ impl Smdp {
         let (range, cursor, issuer) = self.inventory.get_mut(&code.batch)?;
         let imsi = range.nth(*cursor)?;
         *cursor += 1;
-        self.next_iccid += 1;
         Some(SimProfile {
-            iccid: self.next_iccid,
             sim_type: SimType::Esim,
             imsi,
             issuer: *issuer,
-            data_roaming_enabled: true,
         })
     }
 
@@ -127,14 +116,10 @@ mod tests {
         let p2 = smdp.redeem(code).unwrap();
         let p3 = smdp.redeem(code).unwrap();
         assert_eq!(p1.imsi.msin(), 7_000_000);
+        assert_eq!(p2.imsi.msin(), 7_000_001);
         assert_eq!(p3.imsi.msin(), 7_000_002);
-        assert_ne!(p1.iccid, p2.iccid);
         assert_eq!(p1.issuer, MnoId(4));
         assert_eq!(p1.sim_type, SimType::Esim);
-        assert!(
-            p1.data_roaming_enabled,
-            "thick-MNA eSIMs ship with roaming on"
-        );
         assert!(smdp.redeem(code).is_none(), "range exhausted");
         assert_eq!(smdp.remaining(code), 0);
     }

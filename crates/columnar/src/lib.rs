@@ -168,7 +168,6 @@ pub enum CellValue<'a> {
 #[derive(Clone, Copy, Debug)]
 pub struct PageRef<'a> {
     pub rows: usize,
-    pub width: usize,
     pub data: &'a [u8],
     /// Packed null bitmap, bit set = null; empty for non-null columns.
     pub nulls: &'a [u8],
@@ -291,7 +290,6 @@ mod tests {
         let nulls = [0b0000_0101u8];
         let page = PageRef {
             rows: 3,
-            width: 4,
             data: &[0; 12],
             nulls: &nulls,
         };
@@ -300,7 +298,6 @@ mod tests {
         assert!(page.is_null(2));
         let empty = PageRef {
             rows: 3,
-            width: 1,
             data: &[0; 3],
             nulls: &[],
         };

@@ -282,7 +282,6 @@ impl ColumnarSource for Table {
         let c = &self.chunks[chunk];
         PageRef {
             rows: c.rows,
-            width: self.schema.fields()[col].kind.width(),
             data: &c.data[col],
             nulls: &c.nulls[col],
         }

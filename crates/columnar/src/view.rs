@@ -209,7 +209,6 @@ impl ColumnarSource for TableView<'_> {
         let c = &self.chunks[chunk];
         PageRef {
             rows: c.rows,
-            width: self.schema.fields()[col].kind.width(),
             data: c.data[col],
             nulls: c.nulls[col],
         }

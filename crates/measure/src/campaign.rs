@@ -1,10 +1,12 @@
-//! Campaign orchestration: the device-based and web-based campaigns.
+//! Campaign orchestration and the records the measurement clients return.
 //!
 //! [`run_device_campaign`] mirrors §3.2: a rooted device with a local
 //! physical SIM and an Airalo-style eSIM alternates between them, running
 //! the Table-1 suite with per-country sample counts (Table 4 shows them
-//! as `<physical SIM> // <Airalo eSIM>`). [`run_web_measurement`] mirrors
-//! §3.1: a volunteer's own phone uploads a DNS check plus a fast.com run.
+//! as `<physical SIM> // <Airalo eSIM>`). Each client returns its record
+//! directly; this module only dispatches the plan and decides what a
+//! failed measurement leaves behind. The web campaign's measurement is
+//! [`crate::webtest::run_web_measurement`] (§3.1).
 
 use crate::cdn::{fetch_jquery_checked, CdnOptions, CdnProvider};
 use crate::dns::resolve_checked;
@@ -14,14 +16,12 @@ use crate::speedtest::ookla_speedtest_checked;
 use crate::targets::{Service, ServiceTargets};
 use crate::trace::mtr_run_checked;
 use crate::video::{play_youtube_checked, Resolution};
-use crate::webtest::fastcom_test_checked;
 use roam_cellular::{Cqi, Rat, SimType};
 use roam_core::PathAnalysis;
 use roam_geo::{City, Country};
 use roam_ipx::RoamingArch;
 use roam_netsim::Network;
 use roam_telemetry::{Counter, Event, EventScope};
-use std::net::Ipv4Addr;
 
 /// Context tag attached to every record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +70,21 @@ pub struct SpeedtestRecord {
     pub status: MeasureStatus,
 }
 
+impl SpeedtestRecord {
+    /// The explicit failure row: `NaN` metrics and no CQI.
+    fn failed(tag: RecordTag, status: MeasureStatus, attempts: u32) -> Self {
+        SpeedtestRecord {
+            tag,
+            down_mbps: f64::NAN,
+            up_mbps: f64::NAN,
+            latency_ms: f64::NAN,
+            attempts,
+            cqi: None,
+            status,
+        }
+    }
+}
+
 /// One traceroute record.
 #[derive(Debug, Clone)]
 pub struct TraceRecord {
@@ -101,6 +116,20 @@ pub struct CdnRecord {
     pub status: MeasureStatus,
 }
 
+impl CdnRecord {
+    /// The explicit failure row: `NaN` times, no cache hit.
+    fn failed(tag: RecordTag, provider: CdnProvider, status: MeasureStatus) -> Self {
+        CdnRecord {
+            tag,
+            provider,
+            total_ms: f64::NAN,
+            dns_ms: f64::NAN,
+            cache_hit: false,
+            status,
+        }
+    }
+}
+
 /// One DNS lookup record.
 #[derive(Debug, Clone, Copy)]
 pub struct DnsRecord {
@@ -118,6 +147,20 @@ pub struct DnsRecord {
     pub status: MeasureStatus,
 }
 
+impl DnsRecord {
+    /// The explicit failure row: `NaN` lookup time, no resolver, no DoH.
+    fn failed(tag: RecordTag, status: MeasureStatus, attempts: u32) -> Self {
+        DnsRecord {
+            tag,
+            lookup_ms: f64::NAN,
+            attempts,
+            resolver_city: None,
+            doh: false,
+            status,
+        }
+    }
+}
+
 /// One video playback record.
 #[derive(Debug, Clone, Copy)]
 pub struct VideoRecord {
@@ -129,6 +172,18 @@ pub struct VideoRecord {
     pub rebuffered: bool,
     /// How the session ended.
     pub status: MeasureStatus,
+}
+
+impl VideoRecord {
+    /// The explicit failure row: no resolution, no rebuffering.
+    fn failed(tag: RecordTag, status: MeasureStatus) -> Self {
+        VideoRecord {
+            tag,
+            resolution: None,
+            rebuffered: false,
+            status,
+        }
+    }
 }
 
 /// All records of a campaign (possibly many countries merged).
@@ -415,112 +470,39 @@ fn execute_measurement(
     match m {
         PlannedMeasurement::Ookla(i) => {
             match ookla_speedtest_checked(net, ep, targets, &format!("ookla/{i}")) {
-                Ok(r) => data.speedtests.push(SpeedtestRecord {
-                    tag,
-                    down_mbps: r.down_mbps,
-                    up_mbps: r.up_mbps,
-                    latency_ms: r.latency_ms,
-                    attempts: r.attempts,
-                    cqi: Some(r.cqi),
-                    status: r.status,
-                }),
-                Err(e) => {
-                    if let Some(status) = failed_status(net, &e) {
-                        data.speedtests.push(SpeedtestRecord {
-                            tag,
-                            down_mbps: f64::NAN,
-                            up_mbps: f64::NAN,
-                            latency_ms: f64::NAN,
-                            attempts: e.attempts(),
-                            cqi: None,
-                            status,
-                        });
-                    }
-                }
+                Ok(r) => data.speedtests.push(r),
+                Err(e) => data.speedtests.extend(
+                    failed_status(net, &e).map(|s| SpeedtestRecord::failed(tag, s, e.attempts())),
+                ),
             }
         }
         PlannedMeasurement::Mtr(service, run) => {
-            if let Ok(out) = mtr_run_checked(net, ep, targets, service, run) {
-                let status = if out.analysis.reached {
-                    MeasureStatus::Ok
-                } else {
-                    MeasureStatus::Timeout
-                };
-                data.traces.push(TraceRecord {
-                    tag,
-                    service,
-                    analysis: out.analysis,
-                    status,
-                });
-            }
+            data.traces
+                .extend(mtr_run_checked(net, ep, targets, service, run).ok());
         }
         PlannedMeasurement::Cdn(provider, i) => {
             let label = format!("cdn/{provider:?}/{i}");
             match fetch_jquery_checked(net, ep, targets, provider, CdnOptions::default(), &label) {
-                Ok(r) => data.cdns.push(CdnRecord {
-                    tag,
-                    provider,
-                    total_ms: r.total_ms,
-                    dns_ms: r.dns_ms,
-                    cache_hit: r.cache_hit,
-                    status: r.status,
-                }),
-                Err(e) => {
-                    if let Some(status) = failed_status(net, &e) {
-                        data.cdns.push(CdnRecord {
-                            tag,
-                            provider,
-                            total_ms: f64::NAN,
-                            dns_ms: f64::NAN,
-                            cache_hit: false,
-                            status,
-                        });
-                    }
-                }
+                Ok(r) => data.cdns.push(r),
+                Err(e) => data
+                    .cdns
+                    .extend(failed_status(net, &e).map(|s| CdnRecord::failed(tag, provider, s))),
             }
         }
         PlannedMeasurement::Dns(i) => {
             match resolve_checked(net, ep, targets, &format!("dns/{i}")) {
-                Ok(r) => data.dns.push(DnsRecord {
-                    tag,
-                    lookup_ms: r.lookup_ms,
-                    attempts: r.attempts,
-                    resolver_city: Some(r.resolver_city),
-                    doh: r.doh,
-                    status: r.status,
-                }),
-                Err(e) => {
-                    if let Some(status) = failed_status(net, &e) {
-                        data.dns.push(DnsRecord {
-                            tag,
-                            lookup_ms: f64::NAN,
-                            attempts: e.attempts(),
-                            resolver_city: None,
-                            doh: false,
-                            status,
-                        });
-                    }
-                }
+                Ok(r) => data.dns.push(r),
+                Err(e) => data.dns.extend(
+                    failed_status(net, &e).map(|s| DnsRecord::failed(tag, s, e.attempts())),
+                ),
             }
         }
         PlannedMeasurement::Video(i) => {
             match play_youtube_checked(net, ep, targets, &format!("video/{i}")) {
-                Ok(r) => data.videos.push(VideoRecord {
-                    tag,
-                    resolution: Some(r.resolution),
-                    rebuffered: r.rebuffered,
-                    status: r.status,
-                }),
-                Err(e) => {
-                    if let Some(status) = failed_status(net, &e) {
-                        data.videos.push(VideoRecord {
-                            tag,
-                            resolution: None,
-                            rebuffered: false,
-                            status,
-                        });
-                    }
-                }
+                Ok(r) => data.videos.push(r),
+                Err(e) => data
+                    .videos
+                    .extend(failed_status(net, &e).map(|s| VideoRecord::failed(tag, s))),
             }
         }
     }
@@ -543,40 +525,4 @@ pub fn run_device_campaign(
         }
     }
     data
-}
-
-/// One completed web-campaign measurement: "the volunteer uploading their
-/// current DNS configuration followed by the result of a fast.com speed
-/// test" (§A.3).
-#[derive(Debug, Clone, Copy)]
-pub struct WebRecord {
-    /// Country the volunteer measured from.
-    pub country: Country,
-    /// fast.com downlink, Mbps.
-    pub down_mbps: f64,
-    /// fast.com latency, ms.
-    pub latency_ms: f64,
-    /// Public IP the test saw (tomography input).
-    pub public_ip: Ipv4Addr,
-    /// Resolver the DNS check identified.
-    pub resolver_city: City,
-}
-
-/// Run one web-campaign measurement on an (eSIM) endpoint as the flow
-/// family named by `label`.
-pub fn run_web_measurement(
-    net: &mut Network,
-    ep: &Endpoint,
-    targets: &ServiceTargets,
-    label: &str,
-) -> Option<WebRecord> {
-    let dns = resolve_checked(net, ep, targets, &format!("{label}/dns")).ok()?;
-    let fast = fastcom_test_checked(net, ep, targets, label).ok()?;
-    Some(WebRecord {
-        country: ep.country,
-        down_mbps: fast.down_mbps,
-        latency_ms: fast.latency_ms,
-        public_ip: fast.public_ip,
-        resolver_city: dns.resolver_city,
-    })
 }

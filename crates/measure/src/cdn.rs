@@ -6,12 +6,12 @@
 //! cache MISS adds an edge→origin fetch, which is how the Thai physical
 //! SIM's 7.7% MISS rate showed up as an 18% higher median (§5.1).
 
+use crate::campaign::{CdnRecord, RecordTag};
 use crate::dns::resolve_checked;
 use crate::endpoint::Endpoint;
 use crate::error::{MeasureError, MeasureStatus};
 use crate::targets::{Service, ServiceTargets};
 use rand::Rng;
-use roam_geo::City;
 use roam_netsim::throughput::TransferSpec;
 use roam_netsim::Network;
 
@@ -62,23 +62,6 @@ impl std::fmt::Display for CdnProvider {
     }
 }
 
-/// Outcome of one CDN fetch.
-#[derive(Debug, Clone, Copy)]
-pub struct CdnResult {
-    /// Provider fetched from.
-    pub provider: CdnProvider,
-    /// End-to-end download time (DNS + connect + transfer), ms.
-    pub total_ms: f64,
-    /// DNS component, ms.
-    pub dns_ms: f64,
-    /// Whether the edge had the object (HIT) or had to fetch it (MISS).
-    pub cache_hit: bool,
-    /// Edge that served the object.
-    pub edge_city: City,
-    /// How the fetch ended (ok, or ok-via-failover on either sub-flow).
-    pub status: MeasureStatus,
-}
-
 /// Per-fetch options.
 #[derive(Debug, Clone, Copy)]
 pub struct CdnOptions {
@@ -93,9 +76,10 @@ impl Default for CdnOptions {
 }
 
 /// Fetch jquery.min.js from `provider` as the flow named by `label` (the
-/// DNS lookup runs as its own `{label}/dns` sub-flow). DNS failures and
-/// dead edges surface as [`MeasureError`]s; a missing edge or resolver in
-/// the scenario is [`MeasureError::NoTarget`].
+/// DNS lookup runs as its own `{label}/dns` sub-flow), returning the
+/// fetch's campaign record. DNS failures and dead edges surface as
+/// [`MeasureError`]s; a missing edge or resolver in the scenario is
+/// [`MeasureError::NoTarget`].
 ///
 /// # Errors
 /// Propagates [`resolve_checked`] and
@@ -107,7 +91,7 @@ pub fn fetch_jquery_checked(
     provider: CdnProvider,
     opts: CdnOptions,
     label: &str,
-) -> Result<CdnResult, MeasureError> {
+) -> Result<CdnRecord, MeasureError> {
     let dns = resolve_checked(net, endpoint, targets, &format!("{label}/dns"))?;
     let edge = targets
         .nearest(net, Service::Cdn(provider), endpoint.att.breakout_city)
@@ -141,12 +125,12 @@ pub fn fetch_jquery_checked(
         }
     }
 
-    Ok(CdnResult {
+    Ok(CdnRecord {
+        tag: RecordTag::of(endpoint),
         provider,
         total_ms: total,
         dns_ms: dns.lookup_ms,
         cache_hit,
-        edge_city: net.node(edge).city,
         status: if rtt.failover || dns.status == MeasureStatus::Failover {
             MeasureStatus::Failover
         } else {
@@ -159,7 +143,7 @@ pub fn fetch_jquery_checked(
 mod tests {
     use super::*;
     use roam_cellular::{ChannelSampler, MnoId, Rat, SimType};
-    use roam_geo::Country;
+    use roam_geo::{City, Country};
     use roam_ipx::{Attachment, DnsMode, PgwProviderId, RoamingArch};
     use roam_netsim::link::{LatencyModel, LinkClass};
     use roam_netsim::NodeKind;
@@ -314,7 +298,14 @@ mod tests {
         )
         .unwrap();
         assert!(r.dns_ms > 0.0 && r.dns_ms < r.total_ms);
-        assert_eq!(r.edge_city, City::Singapore);
+        let edge = targets
+            .nearest(
+                &net,
+                Service::Cdn(CdnProvider::Cloudflare),
+                ep.att.breakout_city,
+            )
+            .unwrap();
+        assert_eq!(net.node(edge).city, City::Singapore);
     }
 
     #[test]

@@ -15,34 +15,14 @@
 //! resolver answered, the observable the NextDNS trick uncovers;
 //! [`resolve_timing`], the population-scale path, stops at the timing.
 
+use crate::campaign::{DnsRecord, RecordTag};
 use crate::endpoint::Endpoint;
 use crate::error::{MeasureError, MeasureStatus};
 use crate::targets::ServiceTargets;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use roam_geo::City;
 use roam_ipx::DnsMode;
 use roam_netsim::{Network, NodeId};
-use std::net::Ipv4Addr;
-
-/// Outcome of one resolver lookup.
-#[derive(Debug, Clone)]
-pub struct DnsResult {
-    /// Total lookup time, ms.
-    pub lookup_ms: f64,
-    /// Echo attempts the resolver RTT phase consumed.
-    pub attempts: u32,
-    /// The resolver that answered.
-    pub resolver: NodeId,
-    /// Resolver's (unicast) address — what the NextDNS trick uncovers.
-    pub resolver_ip: Ipv4Addr,
-    /// Resolver's city.
-    pub resolver_city: City,
-    /// Was DoH used?
-    pub doh: bool,
-    /// How the lookup ended (ok, or ok-via-failover).
-    pub status: MeasureStatus,
-}
 
 /// The precomputed resolver selection for one endpoint: which resolver(s)
 /// its queries can land on, with the anycast pair already ordered by
@@ -108,7 +88,7 @@ impl ResolverPlan {
 }
 
 /// Resolve a name from the endpoint as the flow named by `label`,
-/// returning timing and resolver identity.
+/// returning the lookup's campaign record: timing and the resolver's city.
 ///
 /// # Errors
 /// [`MeasureError::NoTarget`] when the scenario has no resolver for the
@@ -119,16 +99,14 @@ pub fn resolve_checked(
     endpoint: &Endpoint,
     targets: &ServiceTargets,
     label: &str,
-) -> Result<DnsResult, MeasureError> {
+) -> Result<DnsRecord, MeasureError> {
     let plan = ResolverPlan::new(net, endpoint, targets);
     let l = lookup(net, endpoint, &plan, label)?;
-    let node = net.node(l.resolver);
-    Ok(DnsResult {
+    Ok(DnsRecord {
+        tag: RecordTag::of(endpoint),
         lookup_ms: l.timing.lookup_ms,
         attempts: l.timing.attempts,
-        resolver: l.resolver,
-        resolver_ip: node.ip,
-        resolver_city: node.city,
+        resolver_city: Some(net.node(l.resolver).city),
         doh: l.doh,
         status: l.timing.status,
     })
@@ -155,7 +133,7 @@ pub fn resolve_timing(
 /// that needs a node lookup or an allocation.
 #[derive(Debug, Clone, Copy)]
 pub struct DnsTiming {
-    /// Total lookup time, ms — identical to [`DnsResult::lookup_ms`].
+    /// Total lookup time, ms — identical to [`DnsRecord::lookup_ms`].
     pub lookup_ms: f64,
     /// Echo attempts the resolver RTT phase consumed.
     pub attempts: u32,
@@ -216,11 +194,13 @@ fn lookup(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use roam_cellular::{ChannelSampler, MnoId, Rat, SimType};
-    use roam_geo::Country;
+    use roam_geo::{City, Country};
     use roam_ipx::{Attachment, PgwProviderId, RoamingArch};
     use roam_netsim::link::LatencyModel;
     use roam_netsim::NodeKind;
+    use std::net::Ipv4Addr;
 
     /// Build: ue —(20ms)— cgnat(AMS) —— resolvers in AMS + SGP.
     fn world(dns: DnsMode) -> (Network, Endpoint, ServiceTargets) {
@@ -301,7 +281,7 @@ mod tests {
         let mut sgp = 0;
         for i in 0..200 {
             let r = resolve_checked(&mut net, &ep, &targets, &format!("d/{i}")).unwrap();
-            match r.resolver_city {
+            match r.resolver_city.unwrap() {
                 City::Amsterdam => ams += 1,
                 City::Singapore => sgp += 1,
                 other => panic!("unexpected resolver in {other}"),
@@ -314,8 +294,10 @@ mod tests {
     #[test]
     fn operator_mode_uses_bmno_resolver() {
         let (mut net, ep, targets) = world(DnsMode::OperatorResolver);
+        let plan = ResolverPlan::new(&net, &ep, &targets);
+        let resolver = plan.pick(&mut SmallRng::seed_from_u64(0)).unwrap();
+        assert_eq!(net.node(resolver).ip, Ipv4Addr::new(165, 21, 83, 88));
         let r = resolve_checked(&mut net, &ep, &targets, "d/0").unwrap();
-        assert_eq!(r.resolver_ip, "165.21.83.88".parse::<Ipv4Addr>().unwrap());
         assert!(!r.doh, "operator resolvers do not speak DoH");
         assert_eq!(r.attempts, 1, "lossless resolver path needs one echo");
     }
@@ -327,14 +309,14 @@ mod tests {
         let mut plain_times = vec![];
         for i in 0..50 {
             let r = resolve_checked(&mut net, &ep_doh, &targets, &format!("doh/{i}")).unwrap();
-            if r.resolver_city == City::Amsterdam {
+            if r.resolver_city == Some(City::Amsterdam) {
                 doh_times.push(r.lookup_ms);
             }
         }
         let (mut net2, ep_plain, targets2) = world(DnsMode::GooglePublic { doh: false });
         for i in 0..50 {
             let r = resolve_checked(&mut net2, &ep_plain, &targets2, &format!("p/{i}")).unwrap();
-            if r.resolver_city == City::Amsterdam {
+            if r.resolver_city == Some(City::Amsterdam) {
                 plain_times.push(r.lookup_ms);
             }
         }

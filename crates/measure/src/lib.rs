@@ -13,12 +13,14 @@
 //! | NextDNS resolver check    | [`dns`]       | resolver identity + lookup time     |
 //! | YouTube stats-for-nerds   | [`video`]     | playback resolution, rebuffering    |
 //!
-//! [`endpoint::Endpoint`] bundles an attachment with the policy and channel
-//! context a measurement needs; [`campaign`] drives the full device-based
-//! and web-based campaigns with per-country sample counts mirroring
-//! Tables 3 and 4. [`parallel`] is the deterministic shard runner the
-//! campaign harness uses to spread per-country shards across worker
-//! threads while keeping seeded output bit-identical to a sequential run.
+//! Each client returns its campaign record ([`SpeedtestRecord`],
+//! [`TraceRecord`], [`CdnRecord`], [`DnsRecord`], [`VideoRecord`],
+//! [`WebRecord`]). [`endpoint::Endpoint`] bundles an attachment with the
+//! policy and channel context a measurement needs; [`campaign`] drives the
+//! device-based campaign with per-country sample counts mirroring Table 4.
+//! [`parallel`] is the deterministic shard runner the campaign harness
+//! uses to spread per-country shards across worker threads while keeping
+//! seeded output bit-identical to a sequential run.
 
 pub mod campaign;
 pub mod cdn;
@@ -36,12 +38,11 @@ pub mod voip;
 pub mod webtest;
 
 pub use campaign::{
-    run_device_campaign, run_measurement, run_web_measurement, CampaignData, CdnRecord,
-    DegradationSummary, DeviceCampaignSpec, DnsRecord, PlannedMeasurement, SpeedtestRecord,
-    TraceRecord, VideoRecord, WebRecord,
+    run_device_campaign, run_measurement, CampaignData, CdnRecord, DegradationSummary,
+    DeviceCampaignSpec, DnsRecord, PlannedMeasurement, SpeedtestRecord, TraceRecord, VideoRecord,
 };
-pub use cdn::{fetch_jquery_checked, CdnProvider, CdnResult};
-pub use dns::{resolve_checked, resolve_timing, DnsResult, DnsTiming, ResolverPlan};
+pub use cdn::{fetch_jquery_checked, CdnProvider};
+pub use dns::{resolve_checked, resolve_timing, DnsTiming, ResolverPlan};
 pub use endpoint::{Endpoint, Probe, ProbeRtt};
 pub use error::{MeasureError, MeasureStatus};
 pub use export::{
@@ -49,9 +50,10 @@ pub use export::{
     SharedSink, VoipRecord, STATUS_LABELS,
 };
 pub use parallel::{run_shards, RunMode, ShardTiming};
-pub use speedtest::{ookla_speedtest_checked, SpeedtestResult};
+pub use speedtest::ookla_speedtest_checked;
 pub use suite::measurement_suite;
 pub use targets::{Service, ServiceTargets};
-pub use trace::{mtr, TraceOutcome};
-pub use video::{play_youtube_checked, Resolution, VideoResult};
+pub use trace::mtr;
+pub use video::{play_youtube_checked, Resolution};
 pub use voip::{voip_probe, VoipResult};
+pub use webtest::{run_web_measurement, WebRecord};

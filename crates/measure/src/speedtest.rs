@@ -7,11 +7,10 @@
 //! [`roam_netsim::throughput::transfer_time_ms`]; latency is a real ping
 //! on the measurement's own flow.
 
+use crate::campaign::{RecordTag, SpeedtestRecord};
 use crate::endpoint::Endpoint;
-use crate::error::{MeasureError, MeasureStatus};
+use crate::error::MeasureError;
 use crate::targets::{Service, ServiceTargets};
-use roam_cellular::{Cqi, Rat};
-use roam_geo::City;
 use roam_netsim::throughput::TransferSpec;
 use roam_netsim::Network;
 
@@ -20,30 +19,9 @@ const DOWN_BYTES: f64 = 50e6;
 /// Bytes moved by the uplink phase.
 const UP_BYTES: f64 = 20e6;
 
-/// One speedtest outcome.
-#[derive(Debug, Clone, Copy)]
-pub struct SpeedtestResult {
-    /// Downlink goodput, Mbps.
-    pub down_mbps: f64,
-    /// Uplink goodput, Mbps.
-    pub up_mbps: f64,
-    /// Latency to the selected server, ms.
-    pub latency_ms: f64,
-    /// Echo attempts the latency phase consumed (probe loss shows up here).
-    pub attempts: u32,
-    /// Where the selected server sits.
-    pub server_city: City,
-    /// Channel quality during the test (the CQI the paper filters on).
-    pub cqi: Cqi,
-    /// RAT of the attachment.
-    pub rat: Rat,
-    /// How the measurement ended (ok, or ok-via-failover).
-    pub status: MeasureStatus,
-}
-
-/// Run a speedtest as the flow named by `label`. A missing server is
-/// [`MeasureError::NoTarget`], a dead or fully-lossy path surfaces the
-/// probe's error.
+/// Run a speedtest as the flow named by `label`, returning its campaign
+/// record. A missing server is [`MeasureError::NoTarget`], a dead or
+/// fully-lossy path surfaces the probe's error.
 ///
 /// # Errors
 /// Propagates [`crate::endpoint::Probe::rtt_checked`] failures.
@@ -52,7 +30,7 @@ pub fn ookla_speedtest_checked(
     endpoint: &Endpoint,
     targets: &ServiceTargets,
     label: &str,
-) -> Result<SpeedtestResult, MeasureError> {
+) -> Result<SpeedtestRecord, MeasureError> {
     // Server selection by public-IP geolocation = breakout city.
     let server = targets
         .nearest(net, Service::Ookla, endpoint.att.breakout_city)
@@ -78,14 +56,13 @@ pub fn ookla_speedtest_checked(
         parallel: 8,
     });
 
-    Ok(SpeedtestResult {
+    Ok(SpeedtestRecord {
+        tag: RecordTag::of(endpoint),
         down_mbps: down,
         up_mbps: up,
         latency_ms: latency.rtt_ms,
         attempts: latency.attempts,
-        server_city: net.node(server).city,
-        cqi,
-        rat: endpoint.rat(),
+        cqi: Some(cqi),
         status: latency.status(),
     })
 }
@@ -93,8 +70,8 @@ pub fn ookla_speedtest_checked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roam_cellular::{ChannelSampler, MnoId, SimType};
-    use roam_geo::Country;
+    use roam_cellular::{ChannelSampler, MnoId, Rat, SimType};
+    use roam_geo::{City, Country};
     use roam_ipx::{Attachment, DnsMode, PgwProviderId, RoamingArch};
     use roam_netsim::link::LatencyModel;
     use roam_netsim::{NodeId, NodeKind};
@@ -168,13 +145,22 @@ mod tests {
     #[test]
     fn server_selected_near_breakout_not_user() {
         let (mut net, ep, targets) = world(150.0, 10.0);
-        let r = ookla_speedtest_checked(&mut net, &ep, &targets, "t/0").unwrap();
+        let server = targets
+            .nearest(&net, Service::Ookla, ep.att.breakout_city)
+            .unwrap();
         assert_eq!(
-            r.server_city,
+            net.node(server).city,
             City::Singapore,
             "HR eSIM must test against a server near the PGW"
         );
+        let r = ookla_speedtest_checked(&mut net, &ep, &targets, "t/0").unwrap();
         assert!(r.latency_ms > 290.0, "tunnel dominates: {}", r.latency_ms);
+        // The Karachi server, near the user, sits 2 × 40 ms further out.
+        assert!(
+            r.latency_ms < 340.0,
+            "measured the PGW-near server: {}",
+            r.latency_ms
+        );
         assert_eq!(r.attempts, 1, "lossless path needs one echo");
     }
 
@@ -220,7 +206,7 @@ mod tests {
         let mut weak = 0;
         for i in 0..100 {
             let r = ookla_speedtest_checked(&mut net, &ep, &targets, &format!("t/{i}")).unwrap();
-            if !r.cqi.passes_quality_filter() {
+            if !r.cqi.unwrap().passes_quality_filter() {
                 weak += 1;
             }
         }

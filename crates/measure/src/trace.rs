@@ -1,21 +1,11 @@
 //! `mtr`-style traceroute to a service provider (§4.3, Figs. 6–10, 12).
 
+use crate::campaign::{RecordTag, TraceRecord};
 use crate::endpoint::Endpoint;
-use crate::error::MeasureError;
+use crate::error::{MeasureError, MeasureStatus};
 use crate::targets::{Service, ServiceTargets};
-use roam_core::{analyze_traceroute, PathAnalysis};
-use roam_netsim::{Network, Traceroute, TracerouteOpts};
-
-/// A traceroute plus its decomposition.
-#[derive(Debug, Clone)]
-pub struct TraceOutcome {
-    /// The service that was traced.
-    pub service: Service,
-    /// Raw hop data.
-    pub traceroute: Traceroute,
-    /// The paper's private/public decomposition.
-    pub analysis: PathAnalysis,
-}
+use roam_core::analyze_traceroute;
+use roam_netsim::{Network, TracerouteOpts};
 
 /// Run `mtr` from the endpoint to the nearest edge of `service` (edge
 /// selection is anycast-like: nearest to the breakout, where the client's
@@ -28,15 +18,15 @@ pub fn mtr(
     endpoint: &Endpoint,
     targets: &ServiceTargets,
     service: Service,
-) -> Option<TraceOutcome> {
+) -> Option<TraceRecord> {
     mtr_run_checked(net, endpoint, targets, service, 0).ok()
 }
 
 /// Run the `run`-th `mtr` repetition toward `service` on its own flow
-/// (`"mtr/{service}/{run}"`). A service with no registered edge is
-/// [`MeasureError::NoTarget`]. A traceroute that does not reach its
-/// target is still a valid outcome (the paper's unreached traces are
-/// data, not errors) — `analysis.reached` carries that distinction.
+/// (`"mtr/{service}/{run}"`), returning its campaign record. A service
+/// with no registered edge is [`MeasureError::NoTarget`]. A traceroute
+/// that does not reach its target is still a record (the paper's
+/// unreached traces are data, not errors), with status `timeout`.
 ///
 /// # Errors
 /// [`MeasureError::NoTarget`] when no edge is registered for `service`.
@@ -46,7 +36,7 @@ pub(crate) fn mtr_run_checked(
     targets: &ServiceTargets,
     service: Service,
     run: u32,
-) -> Result<TraceOutcome, MeasureError> {
+) -> Result<TraceRecord, MeasureError> {
     let dst = targets
         .nearest(net, service, endpoint.att.breakout_city)
         .ok_or(MeasureError::NoTarget)?;
@@ -54,10 +44,16 @@ pub(crate) fn mtr_run_checked(
     let mut probe = endpoint.probe(net, &label);
     let traceroute = probe.traceroute(dst, TracerouteOpts::default());
     let analysis = analyze_traceroute(&traceroute, net.registry());
-    Ok(TraceOutcome {
+    let status = if analysis.reached {
+        MeasureStatus::Ok
+    } else {
+        MeasureStatus::Timeout
+    };
+    Ok(TraceRecord {
+        tag: RecordTag::of(endpoint),
         service,
-        traceroute,
         analysis,
+        status,
     })
 }
 
@@ -145,6 +141,7 @@ mod tests {
         };
         let out = mtr(&mut net, &ep, &targets, Service::Google).unwrap();
         assert!(out.analysis.reached);
+        assert_eq!(out.status, MeasureStatus::Ok);
         assert_eq!(out.analysis.pgw_asn, Some(well_known::OVH));
         assert_eq!(out.analysis.pgw_city, Some(City::Lille));
         assert_eq!(out.analysis.unique_public_asns, 2);

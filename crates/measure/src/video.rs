@@ -9,8 +9,9 @@
 //! b-MNO's YouTube throttle pinning PAK/ARE at 720p despite sufficient
 //! measured bandwidth — that cap is [`crate::endpoint::Endpoint::youtube_cap_mbps`].
 
+use crate::campaign::{RecordTag, VideoRecord};
 use crate::endpoint::Endpoint;
-use crate::error::{MeasureError, MeasureStatus};
+use crate::error::MeasureError;
 use crate::targets::{Service, ServiceTargets};
 use rand::Rng;
 use roam_netsim::Network;
@@ -71,26 +72,13 @@ impl std::fmt::Display for Resolution {
     }
 }
 
-/// One playback session's stats-for-nerds summary.
-#[derive(Debug, Clone, Copy)]
-pub struct VideoResult {
-    /// Resolution the ABR settled on.
-    pub resolution: Resolution,
-    /// Bandwidth the controller estimated, Mbps.
-    pub estimated_bw_mbps: f64,
-    /// Whether the buffer ran dry during the session.
-    pub rebuffered: bool,
-    /// How the session ended (ok, or ok-via-failover).
-    pub status: MeasureStatus,
-}
-
 /// ABR headroom: a rung is selected only if its bitrate fits under
 /// `bandwidth / HEADROOM`.
 const HEADROOM: f64 = 1.25;
 
-/// Play the 4K test video from the endpoint as the flow named by `label`.
-/// A missing YouTube edge is [`MeasureError::NoTarget`]; a dead path
-/// surfaces the probe's error.
+/// Play the 4K test video from the endpoint as the flow named by `label`,
+/// returning the session's campaign record. A missing YouTube edge is
+/// [`MeasureError::NoTarget`]; a dead path surfaces the probe's error.
 ///
 /// # Errors
 /// Propagates [`crate::endpoint::Probe::rtt_checked`] failures.
@@ -99,7 +87,7 @@ pub fn play_youtube_checked(
     endpoint: &Endpoint,
     targets: &ServiceTargets,
     label: &str,
-) -> Result<VideoResult, MeasureError> {
+) -> Result<VideoRecord, MeasureError> {
     let edge = targets
         .nearest(net, Service::YouTube, endpoint.att.breakout_city)
         .ok_or(MeasureError::NoTarget)?;
@@ -127,9 +115,9 @@ pub fn play_youtube_checked(
     // Rebuffering when even the chosen rung has <5% headroom.
     let rebuffered = bw < resolution.bitrate_mbps() * 1.05;
 
-    Ok(VideoResult {
-        resolution,
-        estimated_bw_mbps: bw,
+    Ok(VideoRecord {
+        tag: RecordTag::of(endpoint),
+        resolution: Some(resolution),
         rebuffered,
         status: sample.status(),
     })
@@ -208,7 +196,7 @@ mod tests {
         for i in 0..60 {
             let r =
                 play_youtube_checked(&mut net, &ep, &targets, &format!("v/{seed}/{i}")).unwrap();
-            *counts.entry(r.resolution).or_insert(0) += 1;
+            *counts.entry(r.resolution.unwrap()).or_insert(0) += 1;
         }
         counts.into_iter().max_by_key(|(_, c)| *c).unwrap().0
     }
@@ -241,7 +229,7 @@ mod tests {
         let (mut net, mut ep, targets) = world(1.0, None);
         ep.policy_down_mbps = 1.0;
         let r = play_youtube_checked(&mut net, &ep, &targets, "v/starved").unwrap();
-        assert_eq!(r.resolution, Resolution::P480);
+        assert_eq!(r.resolution, Some(Resolution::P480));
         assert!(r.rebuffered, "1 Mbps cannot sustain 480p at 1.2 Mbps");
     }
 

@@ -107,8 +107,6 @@ pub struct RttSample {
 /// One TTL step of a traceroute.
 #[derive(Debug, Clone)]
 pub struct TraceHop {
-    /// The TTL this row corresponds to (1-based).
-    pub ttl: u8,
     /// Responding node, when any probe got an answer.
     pub node: Option<NodeId>,
     /// Responding address (as reported in the ICMP source).
@@ -613,12 +611,8 @@ impl Network {
         self.telemetry.enable_packet_trace();
     }
 
-    /// The packet story captured since [`Network::enable_tracing`].
-    ///
-    /// Historically this consumed the trace buffer — a second call was
-    /// silently empty. The records now live in the telemetry sink, so the
-    /// call is repeatable: it returns everything captured so far, and
-    /// recording continues. The name is kept for API continuity.
+    /// The packet story captured since [`Network::enable_tracing`]: every
+    /// record so far. The call is repeatable, and recording continues.
     pub fn take_trace(&mut self) -> Vec<PacketEvent> {
         self.telemetry
             .packet_records()
@@ -891,7 +885,6 @@ impl Network {
         // TTL 1 expires at the first node *after* the source.
         for ttl in 1..=opts.max_ttl {
             let mut hop = TraceHop {
-                ttl,
                 node: None,
                 ip: None,
                 rtts: vec![],
@@ -1644,14 +1637,15 @@ mod tests {
         }
     }
 
-    /// A traceroute as exact bits: `(ttl, responder, rtt bits)` per hop.
-    type TraceBits = (Vec<(u8, Option<NodeId>, Vec<u64>)>, bool);
+    /// A traceroute as exact bits: `(responder, rtt bits)` per hop, in TTL
+    /// order.
+    type TraceBits = (Vec<(Option<NodeId>, Vec<u64>)>, bool);
 
     fn trace_bits(tr: &Traceroute) -> TraceBits {
         let hops = tr
             .hops
             .iter()
-            .map(|h| (h.ttl, h.node, h.rtts.iter().map(|r| r.to_bits()).collect()))
+            .map(|h| (h.node, h.rtts.iter().map(|r| r.to_bits()).collect()))
             .collect();
         (hops, tr.reached)
     }
@@ -1780,12 +1774,12 @@ mod tests {
                 // TTLs up to 64 are answered in 2·ttl ms; beyond that the
                 // answer's own TTL of 64 runs out on the way back, so the
                 // far hops — the destination included — stay dark.
-                for h in &tr.hops {
-                    if h.ttl <= 64 {
-                        assert_eq!(h.node, Some(path[usize::from(h.ttl)]));
-                        assert_eq!(h.rtts, vec![2.0 * f64::from(h.ttl)]);
+                for (ttl, h) in (1..).zip(&tr.hops) {
+                    if ttl <= 64 {
+                        assert_eq!(h.node, Some(path[ttl]));
+                        assert_eq!(h.rtts, vec![2.0 * ttl as f64]);
                     } else {
-                        assert!(!h.responded(), "ttl {} answered", h.ttl);
+                        assert!(!h.responded(), "ttl {ttl} answered");
                     }
                 }
                 assert!(!tr.reached);

@@ -8,14 +8,14 @@
 //! Service knobs come from `ROAM_SERVICE_*` (see `ServiceConfig`) and
 //! the thread count from `ROAM_PARALLEL`, all parsed by
 //! `roam_service::config::Env`; a malformed value exits 2 naming the
-//! variable. `Agent::new` reads `ROAM_FAULTS` and `ROAM_TELEMETRY` once
-//! (a resumed agent keeps its checkpoint's faults and telemetry). When
-//! `ROAM_CHECKPOINT_DIR` is set the agent writes `agent.ckpt` there
-//! every `ROAM_SERVICE_CKPT` sim-days — and on SIGTERM/SIGINT, after
-//! draining the export queue. Restarting with the same checkpoint dir
-//! resumes mid-schedule: the session CSV is truncated to the durable
-//! offset the frame recorded and the run continues byte-for-byte as if
-//! never interrupted.
+//! variable. `ROAM_FAULTS` and `ROAM_TELEMETRY` are checked there too;
+//! `Agent::new` then reads them once (a resumed agent keeps its
+//! checkpoint's faults and telemetry). When `ROAM_CHECKPOINT_DIR` is set
+//! the agent writes `agent.ckpt` there every `ROAM_SERVICE_CKPT`
+//! sim-days — and on SIGTERM/SIGINT, after draining the export queue.
+//! Restarting with the same checkpoint dir resumes mid-schedule: the
+//! session CSV is truncated to the durable offset the frame recorded and
+//! the run continues byte-for-byte as if never interrupted.
 //!
 //! Artifacts in `--out`: `sessions.csv` (streamed session records),
 //! `soak.frame` + `soak.csv` (per-vantage soak table, sim-week keyed),
@@ -98,7 +98,7 @@ fn main() {
 
     let env = Env::process();
     let config = env.service().unwrap_or_else(|e| e.exit());
-    let threads = env.threads().unwrap_or_else(|e| e.exit());
+    let threads = env.run().unwrap_or_else(|e| e.exit()).threads;
     let ckpt_dir = env.checkpoint_dir().unwrap_or_else(|e| e.exit());
     if let Err(e) = config.validate() {
         die(&e.to_string());

@@ -10,9 +10,11 @@
 //!
 //! Runners take every knob as a value; the binaries parse the environment
 //! with [`Env`], one function per variable, and exit 2 on a [`KnobError`].
-//! `ROAM_FAULTS` and `ROAM_TELEMETRY` are still parsed by
-//! [`FaultSpec::from_env`] and [`TelemetryMode::from_env`], which
-//! `Network::new` and [`Agent::new`](crate::Agent::new) call too.
+//! `Network::new` and [`Agent::new`](crate::Agent::new) still read
+//! `ROAM_FAULTS` and `ROAM_TELEMETRY` themselves, through
+//! [`FaultSpec::from_env`] and [`TelemetryMode::from_env`], so the
+//! binaries call [`Env::run`] first: a malformed value exits 2 here
+//! instead of panicking there.
 
 use roam_fleet::{
     FleetConfig, FleetRunner, SessionMix, WorkerFaultSpec, DEFAULT_CHECKPOINT_EVERY,
@@ -254,15 +256,17 @@ impl Env {
         self.get("ROAM_CHECKPOINT_DIR", "a path", |s| Some(PathBuf::from(s)))
     }
 
-    /// Threads, faults and telemetry. `ROAM_FAULTS` and `ROAM_TELEMETRY`
-    /// go through [`FaultSpec::from_env`] and [`TelemetryMode::from_env`],
-    /// which panic on a malformed value.
+    /// Threads, faults (`ROAM_FAULTS`, default off) and telemetry
+    /// (`ROAM_TELEMETRY`, default off).
     pub fn run(&self) -> Result<RunEnv, KnobError> {
-        let (faults, telemetry) = (FaultSpec::from_env(), TelemetryMode::from_env());
+        let spec = "off, light, heavy or key=value pairs";
+        let faults = self.get("ROAM_FAULTS", spec, FaultSpec::parse)?;
+        let modes = "off, summary or jsonl";
+        let telemetry = self.get("ROAM_TELEMETRY", modes, TelemetryMode::parse)?;
         Ok(RunEnv {
             threads: self.threads()?,
-            faults,
-            telemetry,
+            faults: faults.unwrap_or_else(FaultSpec::off),
+            telemetry: telemetry.unwrap_or_default(),
         })
     }
 
@@ -443,9 +447,12 @@ mod tests {
             ("ROAM_WORKER_FAULTS", "crash=2"),
             ("ROAM_RESUME", "yes"),
             ("ROAM_FLEET_EXPORT", "parquet:s.pq"),
+            ("ROAM_FAULTS", "hevy"),
+            ("ROAM_TELEMETRY", "verbose"),
         ] {
             let env = vars([(var, value)]);
             let refused = [
+                env.run().err(),
                 env.service().err(),
                 env.fleet_execution(FleetRunner::new(1)).err(),
                 env.resume().err(),
@@ -479,6 +486,17 @@ mod tests {
         let auto = vars([("ROAM_PARALLEL", "auto")]).threads().unwrap();
         assert!(auto >= 1);
         assert_eq!(vars([]).threads(), Ok(1));
+        let run = vars([("ROAM_FAULTS", "heavy"), ("ROAM_TELEMETRY", " jsonl")]).run();
+        let run = run.unwrap();
+        assert_eq!(
+            (run.faults, run.telemetry),
+            (FaultSpec::heavy(), TelemetryMode::Jsonl)
+        );
+        let run = vars([]).run().unwrap();
+        assert_eq!(
+            (run.faults, run.telemetry),
+            (FaultSpec::off(), TelemetryMode::Off)
+        );
         assert_eq!(vars([]).service(), Ok(ServiceConfig::default()));
     }
 

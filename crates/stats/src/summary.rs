@@ -150,10 +150,6 @@ impl std::fmt::Display for BoxplotSummary {
 pub struct Summary {
     /// Arithmetic mean.
     pub mean: f64,
-    /// Half-width of the 95% CI of the mean.
-    pub ci95: f64,
-    /// Sample standard deviation (0 for n = 1).
-    pub stddev: f64,
     /// Minimum.
     pub min: f64,
     /// Median.
@@ -167,15 +163,11 @@ pub struct Summary {
 impl Summary {
     /// Compute the summary of a sample.
     pub fn from(xs: &[f64]) -> Result<Self, StatsError> {
-        validate(xs)?;
-        let (mean, ci95) = mean_ci95(xs)?;
-        let sd = if xs.len() >= 2 { stddev(xs)? } else { 0.0 };
+        let mean = mean(xs)?;
         let mut sorted: Vec<f64> = xs.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN rejected"));
         Ok(Summary {
             mean,
-            ci95,
-            stddev: sd,
             min: sorted[0],
             median: quantile_sorted(&sorted, 0.5),
             max: *sorted.last().expect("non-empty"),
@@ -287,14 +279,12 @@ mod tests {
         assert_eq!(s.max, 3.0);
         assert_eq!(s.median, 2.0);
         assert_eq!(s.n, 3);
-        assert!(s.stddev > 0.0);
     }
 
     #[test]
     fn summary_of_single_observation() {
         let s = Summary::from(&[5.0]).unwrap();
-        assert_eq!(s.ci95, 0.0);
-        assert_eq!(s.stddev, 0.0);
+        assert_eq!((s.mean, s.min, s.max), (5.0, 5.0, 5.0));
         assert_eq!(s.median, 5.0);
     }
 }

@@ -11,9 +11,6 @@ pub struct TestResult {
     pub statistic: f64,
     /// Two-sided p-value (Welch) or upper-tail p-value (Levene).
     pub p_value: f64,
-    /// Degrees of freedom: (df,) for Welch stored as (df, 0), (d1, d2) for
-    /// Levene.
-    pub df: (f64, f64),
 }
 
 impl TestResult {
@@ -50,7 +47,6 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<TestResult, StatsError> {
         return Ok(TestResult {
             statistic: if same { 0.0 } else { f64::INFINITY },
             p_value: if same { 1.0 } else { 0.0 },
-            df: (na + nb - 2.0, 0.0),
         });
     }
     let t = (ma - mb) / se2.sqrt();
@@ -59,7 +55,6 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<TestResult, StatsError> {
     Ok(TestResult {
         statistic: t,
         p_value: t_test_p_two_sided(t, df),
-        df: (df, 0.0),
     })
 }
 
@@ -134,14 +129,12 @@ pub fn levene_test(groups: &[&[f64]], center: LeveneCenter) -> Result<TestResult
         return Ok(TestResult {
             statistic: w,
             p_value: if numer == 0.0 { 1.0 } else { 0.0 },
-            df: (d1, d2),
         });
     }
     let w = numer / denom;
     Ok(TestResult {
         statistic: w,
         p_value: f_sf(w, d1, d2),
-        df: (d1, d2),
     })
 }
 
@@ -181,7 +174,9 @@ mod tests {
             "t = {}",
             r.statistic
         );
-        assert!((r.df.0 - 7.711).abs() < 0.01, "df = {}", r.df.0);
+        // The p-value is read off the t distribution at that df.
+        let at_df = t_test_p_two_sided(r.statistic, 7.711);
+        assert!((r.p_value - at_df).abs() < 1e-3, "p = {}", r.p_value);
         assert!((0.30..0.33).contains(&r.p_value), "p = {}", r.p_value);
     }
 
@@ -231,7 +226,7 @@ mod tests {
             r.statistic
         );
         assert!((0.045..0.052).contains(&r.p_value), "p = {}", r.p_value);
-        assert_eq!(r.df, (1.0, 14.0));
+        assert_eq!(r.p_value, f_sf(r.statistic, 1.0, 14.0), "df = (1, 14)");
     }
 
     #[test]

@@ -51,21 +51,30 @@ pub enum TelemetryMode {
 }
 
 impl TelemetryMode {
-    /// Read the mode from `ROAM_TELEMETRY`: `summary` or `jsonl` enable
-    /// the plane; unset, empty or `off` disable it. Read per call (never
-    /// cached) so tests can flip it mid-process.
+    /// Parse a mode: `summary` or `jsonl` enable the plane; empty or
+    /// `off` disable it. `None` for any other value.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        match s.trim() {
+            "" | "off" => Some(TelemetryMode::Off),
+            "summary" => Some(TelemetryMode::Summary),
+            "jsonl" => Some(TelemetryMode::Jsonl),
+            _ => None,
+        }
+    }
+
+    /// Read the mode from `ROAM_TELEMETRY` through
+    /// [`TelemetryMode::parse`]; unset disables the plane. Read per call
+    /// (never cached) so tests can flip it mid-process.
     ///
     /// # Panics
-    /// On any other value — a misspelt knob should fail loudly at
+    /// On an unknown mode — a misspelt knob should fail loudly at
     /// startup, not silently record nothing.
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("ROAM_TELEMETRY").unwrap_or_default().trim() {
-            "" | "off" => TelemetryMode::Off,
-            "summary" => TelemetryMode::Summary,
-            "jsonl" => TelemetryMode::Jsonl,
-            other => panic!("ROAM_TELEMETRY: unknown mode {other:?}"),
-        }
+        let raw = std::env::var("ROAM_TELEMETRY").unwrap_or_default();
+        TelemetryMode::parse(&raw)
+            .unwrap_or_else(|| panic!("ROAM_TELEMETRY: unknown mode {:?}", raw.trim()))
     }
 
     /// Is any recording enabled?

@@ -533,7 +533,6 @@ impl World {
             offer.config.arch,
             provider,
             offer.config.dns,
-            SimType::Esim,
         )
     }
 
@@ -553,7 +552,7 @@ impl World {
             .buy_esim(country)
             .expect("catalogue covers measured countries");
         let v = self.ops.id(plan.v_mno);
-        self.attach_profile(&profile, &plan, v, arch, provider, dns, SimType::Esim)
+        self.attach_profile(&profile, &plan, v, arch, provider, dns)
     }
 
     /// Attach the local physical SIM of a device-campaign country.
@@ -563,11 +562,9 @@ impl World {
         let op = self.ops.id(op_name);
         let provider = self.gateways.own_gateway(op);
         let profile = SimProfile {
-            iccid: 10_000 + u64::from(self.session_counter),
             sim_type: SimType::Physical,
             imsi: roam_cellular::Imsi::new(self.ops.dir.get(op).plmn, 42),
             issuer: op,
-            data_roaming_enabled: false,
         };
         let mut plan2 = plan.clone();
         plan2.v_mno = op_name;
@@ -578,11 +575,9 @@ impl World {
             RoamingArch::Native,
             provider,
             DnsMode::OperatorResolver,
-            SimType::Physical,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn attach_profile(
         &mut self,
         profile: &SimProfile,
@@ -591,8 +586,8 @@ impl World {
         arch: RoamingArch,
         provider: PgwProviderId,
         dns: DnsMode,
-        sim_type: SimType,
     ) -> Endpoint {
+        let sim_type = profile.sim_type;
         let session_id = self.session_counter;
         self.session_counter += 1;
         let params = AttachParams {

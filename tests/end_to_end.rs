@@ -148,7 +148,7 @@ fn dns_mode_follows_architecture() {
     assert!(!r.doh);
     assert_eq!(
         r.resolver_city,
-        City::Singapore,
+        Some(City::Singapore),
         "HR resolves in the b-MNO's core"
     );
     // IHBO: Google DoH near the PGW.
@@ -156,16 +156,17 @@ fn dns_mode_follows_architecture() {
     let r2 = resolve_checked(&mut world.net, &ihbo, &world.internet.targets, "d/1")
         .expect("resolver reachable");
     assert!(r2.doh, "IHBO uses DoH (the forgotten Android default)");
+    let resolver_city = r2
+        .resolver_city
+        .expect("an answered lookup names its resolver");
     let pgw_country = ihbo.att.breakout_city.country();
     // Anycast may flip to the second-nearest site, but it stays regional.
-    let d = r2
-        .resolver_city
+    let d = resolver_city
         .location()
         .distance_km(ihbo.att.breakout_city.location());
     assert!(
-        r2.resolver_city.country() == pgw_country || d < 1200.0,
-        "resolver {} too far from PGW {}",
-        r2.resolver_city,
+        resolver_city.country() == pgw_country || d < 1200.0,
+        "resolver {resolver_city} too far from PGW {}",
         ihbo.att.breakout_city
     );
 }
@@ -183,10 +184,10 @@ fn hr_video_is_pinned_at_720p_despite_bandwidth() {
             &format!("v/{i}"),
         )
         .expect("edge reachable");
+        let resolution = v.resolution.expect("a played session has a resolution");
         assert!(
-            v.resolution <= roamsim::measure::Resolution::P720,
-            "HR video must not exceed 720p, got {}",
-            v.resolution
+            resolution <= roamsim::measure::Resolution::P720,
+            "HR video must not exceed 720p, got {resolution}"
         );
     }
 }
