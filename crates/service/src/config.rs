@@ -486,8 +486,8 @@ mod tests {
         let auto = vars([("ROAM_PARALLEL", "auto")]).threads().unwrap();
         assert!(auto >= 1);
         assert_eq!(vars([]).threads(), Ok(1));
-        let run = vars([("ROAM_FAULTS", "heavy"), ("ROAM_TELEMETRY", " jsonl")]).run();
-        let run = run.unwrap();
+        let env = vars([("ROAM_FAULTS", "heavy"), ("ROAM_TELEMETRY", " jsonl")]);
+        let run = env.run().unwrap();
         assert_eq!(
             (run.faults, run.telemetry),
             (FaultSpec::heavy(), TelemetryMode::Jsonl)

@@ -176,7 +176,7 @@ mod tests {
         );
         // The p-value is read off the t distribution at that df.
         let at_df = t_test_p_two_sided(r.statistic, 7.711);
-        assert!((r.p_value - at_df).abs() < 1e-3, "p = {}", r.p_value);
+        assert!((r.p_value - at_df).abs() < 1e-5, "p = {}", r.p_value);
         assert!((0.30..0.33).contains(&r.p_value), "p = {}", r.p_value);
     }
 
